@@ -27,6 +27,7 @@ from .errors import (
     GridMismatch,
     InadmissibleFront,
     InvariantBoundNotFound,
+    NonFiniteAction,
     NotAdmissible,
     NotAFront,
     TailNotConverged,
@@ -122,5 +123,5 @@ __all__ = [
     "FpuFrontsError", "InadmissibleFront", "NotAdmissible",
     "InvariantBoundNotFound", "WindowMisaligned", "GridMismatch",
     "TailNotConverged", "EmptyZeroSet", "ConfigInvalid", "NotAFront",
-    "BlowUp",
+    "BlowUp", "NonFiniteAction",
 ]

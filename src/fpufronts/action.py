@@ -11,16 +11,20 @@ evaluated through the compact-perturbation shortcut: on a grid whose outer
 nodes agree exactly with the boundary extension, every integrand below has
 compact support inside [-L-1, L+1], so plain trapezoid sums are exact
 restatements of the defining improper integrals.
+
+``Evaluation`` is the one place that extends and averages a profile; the
+functionals, the gradient and the solver all read their values from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GridMismatch, NonZeroTails, TailNotConverged
-from .grid import GridProfile, apply_averaging, averaged_extended, window_kernel
+from .grid import GridProfile, apply_averaging, averaged_extended, window_average
 from .potentials import Potential
 
 # The averaging operator spreads support by half a window, its square by a
@@ -32,7 +36,6 @@ _PAD_UNITS = 1
 class ActionReport:
     """Per-iteration functional values recorded by the solver."""
 
-    M: float
     N: float
     P: float
     L: float
@@ -48,32 +51,76 @@ def _require_exact_tails(profile: GridProfile) -> None:
         )
 
 
-def _extended_pair(profile: GridProfile):
-    """(W, A W) on the grid extended by one window width each side."""
-    pad = 2 * profile.K * _PAD_UNITS
-    w_ext = profile.extended(pad)
-    u_ext = averaged_extended(profile, pad)
-    return w_ext, u_ext
+class Evaluation:
+    """The action kernel for one profile W, in O(D).
+
+    It extends W, averages it, and forms from that what the functionals, the
+    gradient and the solver read: N, P, L, ``step_target`` = A phi'(A W) on
+    the grid, and the gradient W - A phi'(A W) with its pinned boundary
+    region (the outer window width, 2K nodes, at each end) zeroed.  Each is
+    computed once, when first read, so ``pot`` may be None when only N is
+    read.  Tails are not checked here; the public functionals do that.
+    """
+
+    def __init__(self, profile: GridProfile, pot: Potential | None):
+        self.profile = profile
+        self.pot = pot
+        self.pad = 2 * profile.K * _PAD_UNITS
+        # W and U = A W on the grid extended by one window width each side.
+        self.w_ext = profile.extended(self.pad)
+        self.u_ext = averaged_extended(profile, self.pad)
+
+    @cached_property
+    def N(self) -> float:
+        return float(0.5 * np.trapezoid(self.w_ext**2 - self.u_ext**2, dx=self.profile.h))
+
+    @cached_property
+    def P(self) -> float:
+        return float(np.trapezoid(self.pot.psi(self.u_ext), dx=self.profile.h))
+
+    @property
+    def L(self) -> float:
+        return self.N + self.P
+
+    @cached_property
+    def step_target(self) -> np.ndarray:
+        # A phi'(U) lives on the grid extended by pad - K nodes; keep the grid part.
+        K, lo = self.profile.K, self.pad - self.profile.K
+        return window_average(self.pot.phi_prime(self.u_ext), K)[lo: lo + self.profile.D + 1]
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        k2 = 2 * self.profile.K
+        g = self.profile.values - self.step_target
+        g[:k2] = 0.0
+        g[-k2:] = 0.0
+        return g
+
+    @cached_property
+    def grad_norm(self) -> float:
+        return float(np.sqrt(self.profile.h * np.sum(self.grad**2)))
+
+    def report(self) -> ActionReport:
+        return ActionReport(N=self.N, P=self.P, L=self.L, grad_norm=self.grad_norm)
 
 
 def functional_N(profile: GridProfile) -> float:
     """Renormalized quadratic part: half-integral of W^2 - (A W)^2."""
     _require_exact_tails(profile)
-    w_ext, u_ext = _extended_pair(profile)
-    return float(0.5 * np.trapezoid(w_ext**2 - u_ext**2, dx=profile.h))
+    return Evaluation(profile, None).N
 
 
 def functional_P(profile: GridProfile, pot: Potential) -> float:
     """Potential part: integral of psi(A W); tails contribute nothing since
     psi(+-1) = 0."""
     _require_exact_tails(profile)
-    _, u_ext = _extended_pair(profile)
-    return float(np.trapezoid(pot.psi(u_ext), dx=profile.h))
+    return Evaluation(profile, pot).P
 
 
 def functional_L(profile: GridProfile, pot: Potential) -> float:
     """Total action."""
-    return functional_N(profile) + functional_P(profile, pot)
+    _require_exact_tails(profile)
+    return Evaluation(profile, pot).L
 
 
 def quadratic_M(perturbation: GridProfile) -> float:
@@ -84,8 +131,7 @@ def quadratic_M(perturbation: GridProfile) -> float:
     v = perturbation.values
     if np.any(v[:k2] != 0.0) or np.any(v[-k2:] != 0.0):
         raise NonZeroTails("perturbation must vanish on the boundary region")
-    w_ext, u_ext = _extended_pair(perturbation)
-    return float(0.5 * np.trapezoid(w_ext**2 - u_ext**2, dx=perturbation.h))
+    return Evaluation(perturbation, None).N
 
 
 def gradient(profile: GridProfile, pot: Potential) -> GridProfile:
@@ -94,11 +140,7 @@ def gradient(profile: GridProfile, pot: Potential) -> GridProfile:
     The boundary extension of the result is zero: outside the computational
     window the profile is frozen at its asymptotic states.
     """
-    pad = profile.K
-    u_ext = averaged_extended(profile, pad)
-    p_ext = pot.phi_prime(u_ext)
-    ap = np.convolve(p_ext, window_kernel(profile.K), mode="valid")
-    g = profile.values - ap
+    g = profile.values - Evaluation(profile, pot).step_target
     return GridProfile(profile.L, profile.D, g, left_value=0.0, right_value=0.0)
 
 

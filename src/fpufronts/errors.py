@@ -72,3 +72,7 @@ class NotAFront(FpuFrontsError):
 
 class BlowUp(FpuFrontsError):
     """Chain integration left the physically meaningful range."""
+
+
+class NonFiniteAction(FpuFrontsError):
+    """The flow produced a non-finite action or gradient norm."""

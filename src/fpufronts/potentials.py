@@ -267,15 +267,6 @@ class AssumptionReport:
         }
 
 
-def eval_psi(pot: Potential, u):
-    """Defect between the normalized front parabola and the potential."""
-    return pot.psi(u)
-
-
-def eval_psi_prime(pot: Potential, u):
-    return pot.psi_prime(u)
-
-
 def check_assumptions(
     pot: Potential,
     scan_halfwidth: float = 6.0,

@@ -14,13 +14,12 @@ constant, or escapes to minus infinity through an extending interior plateau.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .action import ActionReport
-from .errors import ConfigInvalid
-from .grid import GridProfile, averaged_extended, shock_profile, window_kernel
+from .action import ActionReport, Evaluation
+from .errors import ConfigInvalid, NonFiniteAction
+from .grid import GridProfile, shock_profile
 from .phases import interior_plateau
 from .potentials import Potential
 
@@ -74,85 +73,33 @@ class RunResult:
         }
 
 
-class _State(NamedTuple):
-    """Everything derived from one profile that the iteration needs."""
-
-    values: np.ndarray      # W on the grid
-    step_target: np.ndarray  # A phi'(A W) on the grid
-    grad: np.ndarray        # W - A phi'(A W), pinned region zeroed
-    M: float
-    N: float
-    P: float
-    L: float
-    grad_norm: float
-
-    def report(self) -> ActionReport:
-        return ActionReport(M=self.M, N=self.N, P=self.P, L=self.L,
-                            grad_norm=self.grad_norm)
+def _pinned(values: np.ndarray, K: int) -> np.ndarray:
+    """Pin the outer window width (2K nodes) at each end to -1 / +1, in place."""
+    values[: 2 * K] = -1.0
+    values[-2 * K:] = 1.0
+    return values
 
 
-class _Evaluator:
-    """Shared grid machinery for evaluating profiles during a run."""
-
-    def __init__(self, cfg: SolverConfig, pot: Potential):
-        self.cfg = cfg
-        self.pot = pot
-        base = shock_profile(cfg.L, cfg.D)
-        self.base = base
-        self.K = base.K
-        self.h = base.h
-        self.kernel = window_kernel(self.K)
-        self.pin = 2 * self.K  # nodes pinned to -1 / +1 at each end
-        # Shock reference quantities for the quadratic part of perturbations.
-        self.w_sh_ext = base.extended(2 * self.K)
-        self.u_sh_ext = averaged_extended(base, 2 * self.K)
-
-    def pin_values(self, values: np.ndarray) -> np.ndarray:
-        values[: self.pin] = -1.0
-        values[-self.pin:] = 1.0
-        return values
-
-    def profile(self, values: np.ndarray) -> GridProfile:
-        return self.base.with_values(values)
-
-    def evaluate(self, values: np.ndarray) -> _State:
-        pad = 2 * self.K
-        w_ext = np.concatenate([np.full(pad, -1.0), values, np.full(pad, 1.0)])
-        big = np.concatenate([np.full(self.K, -1.0), w_ext, np.full(self.K, 1.0)])
-        u_ext = np.convolve(big, self.kernel, mode="valid")
-        p_ext = self.pot.phi_prime(u_ext)
-        ap_ext = np.convolve(p_ext, self.kernel, mode="valid")  # len w_ext - 2K
-        ap = ap_ext[self.K: self.K + values.size]
-
-        grad = values - ap
-        grad[: self.pin] = 0.0
-        grad[-self.pin:] = 0.0
-        gnorm = float(np.sqrt(self.h * np.sum(grad**2)))
-
-        n_val = float(0.5 * np.trapezoid(w_ext**2 - u_ext**2, dx=self.h))
-        p_val = float(np.trapezoid(self.pot.psi(u_ext), dx=self.h))
-        dv = w_ext - self.w_sh_ext
-        du = u_ext - self.u_sh_ext
-        m_val = float(0.5 * np.trapezoid(dv**2 - du**2, dx=self.h))
-        return _State(values, ap, grad, m_val, n_val, p_val,
-                      n_val + p_val, gnorm)
+def _checked(ev: Evaluation) -> Evaluation:
+    if not (np.isfinite(ev.L) and np.isfinite(ev.grad_norm)):
+        raise NonFiniteAction(
+            f"action {ev.L!r} or gradient norm {ev.grad_norm!r} is not finite; "
+            "the potential or its force returned a non-finite value"
+        )
+    return ev
 
 
 def euler_step(w: GridProfile, pot: Potential, lam: float) -> GridProfile:
     """One explicit Euler step of the gradient flow, boundary region re-pinned."""
     if not (0.0 < lam < 1.0):
         raise ConfigInvalid("lambda must lie in (0, 1)")
-    cfg = SolverConfig(L=w.L, D=w.D)
-    ev = _Evaluator(cfg, pot)
-    st = ev.evaluate(w.values.copy())
-    out = (1.0 - lam) * w.values + lam * st.step_target
-    return w.with_values(ev.pin_values(out))
+    target = Evaluation(w, pot).step_target
+    return w.with_values(_pinned((1.0 - lam) * w.values + lam * target, w.K))
 
 
 def classify_outcome(
     history: list[ActionReport],
     profile: GridProfile,
-    pot: Potential,
     grad_tol: float = 1e-8,
     stagnation_window: int = 500,
     plateau_growth: int | None = None,
@@ -168,7 +115,6 @@ def classify_outcome(
     final = history[-1]
     v = profile.values
     nodes = profile.nodes
-    tail_band = np.abs(nodes) >= profile.L - 1.0
     left_tail = v[(nodes <= -(profile.L - 1.0))]
     right_tail = v[(nodes >= profile.L - 1.0)]
     tails_ok = (np.max(np.abs(left_tail + 1.0)) <= 1e-6
@@ -202,25 +148,27 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
     """Run the projected gradient flow from shock initial data.
 
     ``callback``, when given, is invoked as ``callback(it, values)`` after
-    every accepted step (and once with the initial data at it = 0).
+    every accepted step (and once with the initial data at it = 0).  Raises
+    NonFiniteAction as soon as an evaluated profile has a non-finite action
+    or gradient norm.
     """
     cfg.validate()
-    ev = _Evaluator(cfg, pot)
-    values = ev.pin_values(ev.base.values.copy())
-    state = ev.evaluate(values)
+    base = shock_profile(cfg.L, cfg.D)
+    K = base.K
+    state = _checked(Evaluation(base.with_values(_pinned(base.values.copy(), K)), pot))
     lam = cfg.lambda0
     history: list[ActionReport] = [state.report()]
     lambda_history: list[float] = [lam]
     if callback is not None:
-        callback(0, state.values)
+        callback(0, state.profile.values)
 
     plateau_prev: tuple[float, int] | None = None
     plateau_growth: int | None = None
     outcome = None
     it = 0
     while it < cfg.max_iters:
-        candidate = ev.pin_values((1.0 - lam) * state.values + lam * state.step_target)
-        cand_state = ev.evaluate(candidate)
+        candidate = _pinned((1.0 - lam) * state.profile.values + lam * state.step_target, K)
+        cand_state = _checked(Evaluation(base.with_values(candidate), pot))
         if cand_state.L > state.L + 1e-15 * max(1.0, abs(state.L)):
             lam *= 0.5
             if lam < 1e-14:
@@ -231,7 +179,7 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
         history.append(state.report())
         lambda_history.append(lam)
         if callback is not None:
-            callback(it, state.values)
+            callback(it, state.profile.values)
 
         if state.grad_norm <= cfg.grad_tol:
             break
@@ -241,7 +189,7 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
         # than the slope window.
         check_every = min(50, cfg.stagnation_window)
         if it % check_every == 0:
-            plateau = interior_plateau(ev.profile(state.values))
+            plateau = interior_plateau(state.profile)
             if plateau is not None and plateau_prev is not None:
                 plateau_growth = plateau[1] - plateau_prev[1]
                 window = history[-min(cfg.stagnation_window, check_every + 1):]
@@ -251,10 +199,10 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
                     break
             plateau_prev = plateau
 
-    profile = ev.profile(state.values)
+    profile = state.profile
     if outcome is None:
         outcome = classify_outcome(
-            history, profile, pot,
+            history, profile,
             grad_tol=cfg.grad_tol,
             stagnation_window=cfg.stagnation_window,
             plateau_growth=plateau_growth,

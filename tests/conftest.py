@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpufronts import GridProfile, QuarticPotential, SolverConfig, compute_invariant_bound, minimize
+from fpufronts import GridProfile, Potential, QuarticPotential, SolverConfig, compute_invariant_bound, minimize
 
 L_DEFAULT = 20.0
 D_DEFAULT = 3200
@@ -44,6 +44,21 @@ def compact_perturbation(rng, L=L_DEFAULT, D=D_DEFAULT, scale=0.1):
     v[:k2] = 0.0
     v[-k2:] = 0.0
     return prof.with_values(v)
+
+
+class NaNBeyondPotential(Potential):
+    """phi(u) = 3 u^2 / 2, not a number past |u| > 1.5.
+
+    The force 3u drives the flow out of [-1.5, 1.5] on its first step.
+    """
+
+    def phi(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.where(np.abs(u) > 1.5, np.nan, 1.5 * u**2)
+
+    def phi_prime(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.where(np.abs(u) > 1.5, np.nan, 3.0 * u)
 
 
 @pytest.fixture(scope="session")

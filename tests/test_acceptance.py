@@ -1,7 +1,7 @@
 """Acceptance gate: one test per shipped capability, at its stated tolerance.
 
-Two checks are expected to fail and are left failing deliberately; see
-notes/decisions.md at the repository root for the blocking analysis:
+Two checks are expected to fail and are left failing deliberately; the
+blocking analysis is in the "Acceptance suite" section of README.md:
 
 * criterion 6 asserts the Lipschitz bound for *every* accepted iterate, but
   the mandated shock initial datum has difference quotient 1/h and any

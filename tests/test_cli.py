@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from fpufronts import cli
 from fpufronts.cli import main
+
+from conftest import NaNBeyondPotential
 
 
 def write_config(path, **overrides):
@@ -49,6 +52,17 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 
     cfg.write_text("{not json")
     assert main(["check-potential", str(cfg)]) == 2
+
+
+def test_non_finite_flow_exits_1(tmp_path, capsys, monkeypatch):
+    # no built-in family yields NaN (tabulated samples must be finite), so
+    # the potential is substituted behind the config
+    monkeypatch.setattr(cli, "build_potential", lambda config: NaNBeyondPotential())
+    cfg = write_config(tmp_path / "nan.json", output_dir=str(tmp_path / "run"))
+    assert main(["solve", str(cfg)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteAction"
+    assert "not finite" in err["message"]
 
 
 def test_solve_artifacts(solved_run, capsys):

@@ -81,6 +81,29 @@ def test_time_reversibility(front_005):
     assert np.max(np.abs(out.v + state.v)) < 1e-8
 
 
+def test_evolve_matches_two_force_leapfrog(front_005):
+    # reusing the end-of-step force as the next half kick changes no bit
+    res = front_005["result"]
+    pot = front_005["pot"]
+    state = init_from_front(res, NORMALIZED, n_atoms=200, dt=0.01)
+    out = evolve(state, pot, 1.0, gamma=front_005["gamma"])
+
+    def forces(r):
+        fp = pot.phi_prime(r)
+        return fp - np.concatenate([[pot.phi_prime(state.r_minus)], fp[:-1]])
+
+    def strain_rate(v):
+        return np.append(v[1:], state.v_plus) - v
+
+    r, v, dt = state.r.copy(), state.v.copy(), state.dt
+    for _ in range(100):
+        v = v + 0.5 * dt * forces(r)
+        r = r + dt * strain_rate(v)
+        v = v + 0.5 * dt * forces(r)
+    assert np.array_equal(out.r, r)
+    assert np.array_equal(out.v, v)
+
+
 def test_second_order_convergence(front_005):
     res = front_005["result"]
     pot = front_005["pot"]

@@ -17,7 +17,9 @@ from fpufronts import (
     separate_phases,
     shock_profile,
 )
-from fpufronts.errors import ConfigInvalid
+from fpufronts.errors import ConfigInvalid, NonFiniteAction
+
+from conftest import NaNBeyondPotential
 
 
 def test_config_validation():
@@ -121,24 +123,23 @@ def test_mesh_refinement_consistency():
 
 def test_classify_synthetic_plateau_history():
     # linearly decreasing action plus a widening interior plateau
-    history = [ActionReport(M=0.0, N=0.0, P=0.0, L=-0.001 * i, grad_norm=0.1)
+    history = [ActionReport(N=0.0, P=0.0, L=-0.001 * i, grad_norm=0.1)
                for i in range(600)]
     L, D = 20.0, 3200
     nodes = np.linspace(-L, L, D + 1)
     v = np.sign(nodes)
     v[np.abs(nodes) <= 4] = 0.15
     prof = shock_profile(L, D).with_values(v)
-    out = classify_outcome(history, prof, QuarticPotential(0.1),
-                           stagnation_window=500, plateau_growth=10)
+    out = classify_outcome(history, prof, stagnation_window=500, plateau_growth=10)
     assert out == "plateau_diverging"
 
 
 def test_classify_collapsed_profile():
-    history = [ActionReport(M=0.0, N=0.0, P=0.0, L=1.0, grad_norm=0.1)] * 10
+    history = [ActionReport(N=0.0, P=0.0, L=1.0, grad_norm=0.1)] * 10
     L, D = 20.0, 3200
     v = np.ones(D + 1)
     prof = shock_profile(L, D).with_values(v)
-    out = classify_outcome(history, prof, QuarticPotential(0.1))
+    out = classify_outcome(history, prof)
     assert out == "collapsed_to_constant"
 
 
@@ -161,3 +162,10 @@ def test_constraint_set_entry_and_invariance(front_005, front_03):
         entry = int(np.argmax(ok))
         assert entry <= 100
         assert np.all(ok[entry:])
+
+
+def test_non_finite_action_stops_the_flow():
+    # a NaN action compares False against the previous one, so without the
+    # check the step is accepted and the flow runs on to max_iters
+    with pytest.raises(NonFiniteAction):
+        minimize(SolverConfig(gamma=2.0, max_iters=50), NaNBeyondPotential())
