@@ -10,7 +10,7 @@ Subcommands:
     sweep            grid of solves over a parameter list
 
 Configuration is a JSON file; every run is seedless and its artifacts are
-byte-reproducible.
+byte-reproducible, except ``timings.json``, which holds wall-clock times.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__
 from .action import ActionReport
-from .errors import EmptyZeroSet, FpuFrontsError
-from .grid import GridProfile, apply_averaging
+from .errors import ConfigInvalid, EmptyZeroSet, FpuFrontsError, WindowMisaligned
+from .grid import GridProfile, apply_averaging, check_grid
 from .lattice import check_energy_law, evolve, init_from_front, measure_front_speed, sample_front
 from .macroscopic import NORMALIZED, FrontData, denormalize_profile, normalize_potential, solve_front_data
 from .phases import separate_phases
@@ -66,16 +66,36 @@ def load_config(path: str) -> dict:
     _check_keys(raw.get("solver", {}), _SOLVER_KEYS, "solver")
     if "states" in raw:
         _check_keys(raw["states"], _STATES_KEYS, "states")
+    if raw.get("states"):
+        missing = sorted({"r_minus", "r_plus"} - set(raw["states"]))
+        if missing:
+            raise ConfigError(f"states requires the keys {missing}")
     return raw
 
 
 def build_potential(config: dict) -> Potential:
     spec = config["potential"]
-    return make_potential(spec["family"], spec.get("params", {}))
+    try:
+        return make_potential(spec["family"], spec.get("params", {}))
+    except KeyError as exc:
+        raise ConfigError(f"potential is missing the key {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"potential: {exc}") from None
+
+
+def config_grid(config: dict) -> tuple[float, int]:
+    """The grid (L, D) of a config, checked so that the averaging window aligns."""
+    grid = config.get("grid", {})
+    L, D = grid.get("L", 20.0), grid.get("D", 3200)
+    try:
+        check_grid(L, D)
+    except (ValueError, WindowMisaligned) as exc:
+        raise ConfigError(f"grid L={L}, D={D}: {exc}") from None
+    return L, D
 
 
 def build_solver_config(config: dict, gamma: float) -> SolverConfig:
-    grid = config.get("grid", {})
+    L, D = config_grid(config)
     solver = config.get("solver", {})
     cfg = SolverConfig(
         lambda0=solver.get("lambda0", 0.5),
@@ -83,10 +103,13 @@ def build_solver_config(config: dict, gamma: float) -> SolverConfig:
         grad_tol=solver.get("grad_tol", 1e-8),
         stagnation_window=solver.get("stagnation_window", 500),
         gamma=gamma,
-        L=grid.get("L", 20.0),
-        D=grid.get("D", 3200),
+        L=L,
+        D=D,
     )
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ConfigInvalid as exc:
+        raise ConfigError(f"solver: {exc}") from None
     return cfg
 
 
@@ -164,7 +187,11 @@ def cmd_normalize(args) -> int:
 
 
 def run_solve(config: dict) -> dict:
-    """Full solve pipeline; returns the summary dict and writes artifacts."""
+    """Full solve pipeline; returns the summary dict and writes artifacts.
+
+    ``summary.json`` is byte-reproducible; the wall time of the run goes to
+    ``timings.json`` beside it.
+    """
     t0 = time.monotonic()
     pot = build_potential(config)
     states = config.get("states")
@@ -209,9 +236,10 @@ def run_solve(config: dict) -> dict:
         "grid": {"L": cfg.L, "D": cfg.D},
         "front_data": fd.to_dict(),
         "phases": phases_dict,
-        "elapsed_seconds": round(time.monotonic() - t0, 3),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    timings = {"reproducible": False, "elapsed_seconds": round(time.monotonic() - t0, 3)}
+    (out_dir / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
     return summary
 
 
@@ -232,23 +260,28 @@ def cmd_verify(args) -> int:
     profile_path = run_dir / "profile.csv"
     if not summary_path.exists() or not profile_path.exists():
         raise FileNotFoundError(f"run artifacts not found in {run_dir}")
-    summary = json.loads(summary_path.read_text())
-    if summary["outcome"] != "front_converged":
-        raise FpuFrontsError(f"profile outcome is {summary['outcome']!r}, not a front")
+    try:
+        summary = json.loads(summary_path.read_text())
+        outcome, final_grad_norm = summary["outcome"], summary["final_grad_norm"]
+        L, D = summary["grid"]["L"], int(summary["grid"]["D"])
+        front = summary["front_data"]
+        fd = FrontData(
+            r_minus=front["r_minus"],
+            r_plus=front["r_plus"],
+            v_minus=front["v_minus"],
+            v_plus=front["v_plus"],
+            sigma=front["sigma"],
+            parabola=tuple(front["parabola"]),
+        )
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"malformed run summary {summary_path}: {exc!r}") from None
+    if outcome != "front_converged":
+        raise FpuFrontsError(f"profile outcome is {outcome!r}, not a front")
 
     pot = build_potential(config)
-    grid = summary["grid"]
-    profile = read_profile_csv(profile_path, grid["L"], int(grid["D"]))
-    fd = FrontData(
-        r_minus=summary["front_data"]["r_minus"],
-        r_plus=summary["front_data"]["r_plus"],
-        v_minus=summary["front_data"]["v_minus"],
-        v_plus=summary["front_data"]["v_plus"],
-        sigma=summary["front_data"]["sigma"],
-        parabola=tuple(summary["front_data"]["parabola"]),
-    )
+    profile = read_profile_csv(profile_path, L, D)
     result = RunResult(profile=profile, history=[], outcome="front_converged",
-                       final_grad_norm=summary["final_grad_norm"])
+                       final_grad_norm=final_grad_norm)
 
     n_atoms = args.atoms
     T = args.time
@@ -286,9 +319,7 @@ def cmd_verify(args) -> int:
 def cmd_diagnose(args) -> int:
     config = load_config(args.config)
     pot = build_potential(config)
-    grid = config.get("grid", {})
-    L = grid.get("L", 20.0)
-    D = grid.get("D", 3200)
+    L, D = config_grid(config)
     profile = read_profile_csv(Path(args.profile), L, int(D))
     try:
         gamma = compute_invariant_bound(pot)
@@ -375,7 +406,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         return _emit_error(exc, 2)
     except FpuFrontsError as exc:
         return _emit_error(exc, 1)

@@ -26,6 +26,25 @@ import numpy as np
 from .errors import GridMismatch, WindowMisaligned
 
 
+def check_grid(L: float, D: int) -> None:
+    """Reject a grid on [-L, L] with D cells that no profile can live on.
+
+    Raises ``ValueError`` for L < 2 or D <= 0, and ``WindowMisaligned`` unless
+    half a unit window, 1/(2h) with h = 2L/D, is a whole number of cells.
+    """
+    if L < 2:
+        raise ValueError("half-width L must be at least 2")
+    if D <= 0:
+        raise ValueError("D must be positive")
+    h = 2.0 * L / D
+    k = 1.0 / (2.0 * h)
+    if abs(k - round(k)) > 1e-9 or round(k) < 1:
+        raise WindowMisaligned(
+            f"1/(2h) = {k} must be a positive integer so the averaging "
+            "window aligns with grid nodes"
+        )
+
+
 @dataclass(frozen=True)
 class GridProfile:
     """Values of a profile at the nodes phi_k = -L + 2kL/D, k = 0..D."""
@@ -37,21 +56,11 @@ class GridProfile:
     right_value: float = 1.0
 
     def __post_init__(self):
-        if self.L < 2:
-            raise ValueError("half-width L must be at least 2")
-        if self.D <= 0:
-            raise ValueError("D must be positive")
+        check_grid(self.L, self.D)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.D + 1,):
             raise ValueError(f"values must have length D+1 = {self.D + 1}")
         object.__setattr__(self, "values", v)
-        h = 2.0 * self.L / self.D
-        k = 1.0 / (2.0 * h)
-        if abs(k - round(k)) > 1e-9 or round(k) < 1:
-            raise WindowMisaligned(
-                f"1/(2h) = {k} must be a positive integer so the averaging "
-                "window aligns with grid nodes"
-            )
 
     @property
     def h(self) -> float:

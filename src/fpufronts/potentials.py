@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import InvalidScan, InvariantBoundNotFound
 
@@ -161,6 +160,10 @@ class TabulatedPotential(Potential):
 
     ``phi_prime`` is the analytic derivative of the interpolant, so the
     derivative-consistency invariant holds by construction.
+
+    The PCHIP interpolant comes from ``scipy.interpolate``, which is imported
+    when the first table is constructed: no other family needs scipy, so a
+    run that builds none does not pay for the import.
     """
 
     family = "user_table"
@@ -170,6 +173,8 @@ class TabulatedPotential(Potential):
         phi_samples = np.asarray(phi_samples, dtype=float)
         if u_samples.ndim != 1 or u_samples.shape != phi_samples.shape:
             raise ValueError("samples must be two equal-length 1-d arrays")
+        from scipy.interpolate import PchipInterpolator
+
         self._interp = PchipInterpolator(u_samples, phi_samples, extrapolate=True)
         self._deriv = self._interp.derivative()
         self.u_samples = u_samples

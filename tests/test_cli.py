@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,42 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert main(["check-potential", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("overrides, fragment", [
+    ({"potential": {"family": "nope", "params": {"beta": 0.05}}}, "unknown potential family"),
+    ({"potential": {"family": "quartic", "params": {"beta": -1}}}, "beta must be positive"),
+    ({"potential": {"family": "quartic", "params": {}}}, "'beta'"),
+    ({"grid": {"L": 20, "D": 3000}}, "averaging window"),
+    ({"grid": {"L": 1.5, "D": 300}}, "at least 2"),
+    ({"solver": {"lambda0": 1.5}}, "lambda0"),
+    ({"states": {"r_minus": -1.0}}, "r_plus"),
+], ids=["unknown_family", "negative_beta", "missing_beta", "misaligned_grid",
+        "short_grid", "lambda0_out_of_range", "missing_state"])
+def test_solve_config_error_exits_2(tmp_path, capsys, overrides, fragment):
+    cfg = write_config(tmp_path / "bad.json", output_dir=str(tmp_path / "run"), **overrides)
+    assert main(["solve", str(cfg)]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ConfigError"
+    assert fragment in payload["message"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_leaves_scipy_unimported(tmp_path):
+    # scipy serves only tabulated potentials; every other run skips its import
+    cfg = write_config(tmp_path / "quartic.json", output_dir=str(tmp_path / "run"))
+    script = (
+        "import sys\n"
+        "from fpufronts.cli import main\n"
+        f"assert main(['solve', {str(cfg)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "run" / "summary.json").exists()
+
+
 def test_non_finite_flow_exits_1(tmp_path, capsys, monkeypatch):
     # no built-in family yields NaN (tabulated samples must be finite), so
     # the potential is substituted behind the config
@@ -77,6 +117,10 @@ def test_solve_artifacts(solved_run, capsys):
     assert header == "iter,L,N,P,grad_norm,lambda"
     header = (run / "profile.csv").read_text().splitlines()[0]
     assert header == "phi,W,U"
+    assert "elapsed_seconds" not in summary
+    timings = json.loads((run / "timings.json").read_text())
+    assert timings["reproducible"] is False
+    assert timings["elapsed_seconds"] >= 0
 
 
 def test_profile_round_trip(solved_run):
@@ -100,6 +144,9 @@ def test_deterministic_artifacts(solved_run, tmp_path, capsys):
     assert a == b
     a = (solved_run["run_dir"] / "history.csv").read_bytes()
     b = (tmp_path / "run2" / "history.csv").read_bytes()
+    assert a == b
+    a = (solved_run["run_dir"] / "summary.json").read_bytes()
+    b = (tmp_path / "run2" / "summary.json").read_bytes()
     assert a == b
 
 
@@ -180,6 +227,19 @@ def test_verify_corrupted_profile_fails(solved_run, tmp_path, capsys):
 
 def test_verify_missing_run_exits_2(solved_run, tmp_path, capsys):
     assert main(["verify", str(solved_run["config"]), str(tmp_path / "void")]) == 2
+
+
+def test_verify_malformed_summary_exits_2(solved_run, tmp_path, capsys):
+    import shutil
+    run2 = tmp_path / "malformed"
+    shutil.copytree(solved_run["run_dir"], run2)
+    summary = json.loads((run2 / "summary.json").read_text())
+    del summary["front_data"]
+    (run2 / "summary.json").write_text(json.dumps(summary))
+    assert main(["verify", str(solved_run["config"]), str(run2)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "front_data" in err["message"]
 
 
 def test_diagnose_command(solved_run, capsys):

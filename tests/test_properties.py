@@ -1,5 +1,5 @@
-"""Property tests of the averaging operator and the quadratic part over random
-aligned grids, at the tolerances of the fixed-grid tests.
+"""Property tests of the averaging operator, the quadratic part and the
+gradient over random aligned grids, at the tolerances of the fixed-grid tests.
 
 A grid is aligned when half the unit window is K whole cells: L = m/4 with
 D = m K gives h = 1/(2K) for every integer m >= 8 (L >= 2) and K >= 1.
@@ -8,13 +8,17 @@ seed and, where it matters, an extension value or a padding width.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpufronts import (
     GridProfile,
+    QuarticPotential,
     apply_averaging,
     averaged_extended,
+    functional_L,
+    gradient,
     inner_product,
     n_identity_check,
     window_kernel,
@@ -97,3 +101,17 @@ def test_n_identity(grid, seed1, seed2):
     w1 = pinned_profile(grid, seed1)
     w2 = w1.with_values(w1.values + compact_profile(grid, seed2, scale=0.3).values)
     assert n_identity_check(w1, w2) <= 1e-10
+
+
+@examples
+@given(grids, seeds, seeds, st.floats(0.01, 1.0))
+def test_gradient_matches_finite_differences(grid, seed1, seed2, beta):
+    pot = QuarticPotential(beta)
+    w = pinned_profile(grid, seed1)
+    d = compact_profile(grid, seed2, scale=0.2)
+    eps = 1e-5
+    directional = float(np.sum(gradient(w, pot).values * d.values) * w.h)
+    plus = functional_L(w.with_values(w.values + eps * d.values), pot)
+    minus = functional_L(w.with_values(w.values - eps * d.values), pot)
+    fd = (plus - minus) / (2 * eps)
+    assert fd == pytest.approx(directional, rel=1e-5, abs=1e-12)
