@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -39,6 +40,7 @@ _POTENTIAL_KEYS = {"family", "params"}
 _GRID_KEYS = {"L", "D"}
 _SOLVER_KEYS = {"lambda0", "grad_tol", "max_iters", "stagnation_window"}
 _STATES_KEYS = {"r_minus", "r_plus", "v_minus", "sigma_sign"}
+_INTEGER_KEYS = {"D", "max_iters", "stagnation_window"}
 
 
 class ConfigError(Exception):
@@ -46,9 +48,41 @@ class ConfigError(Exception):
 
 
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _check_number(value, where: str, integer: bool = False) -> None:
+    """Refuse a config value that is not a finite real number (or integer).
+
+    JSON ``true``/``false`` are refused although Python counts them as ints.
+    """
+    kinds = int if integer else (int, float)
+    try:
+        ok = isinstance(value, kinds) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where} must be {kind}, not {json.dumps(value)}")
+
+
+def _check_numbers(raw: dict) -> None:
+    """Type-check the numeric values of the potential, grid, solver and states."""
+    params = raw["potential"].get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("potential params must be a JSON object")
+    for key, value in params.items():
+        # a tabulated potential takes lists of samples
+        for x in value if isinstance(value, list) else [value]:
+            _check_number(x, f"potential params {key}")
+    for section in ("grid", "solver", "states"):
+        for key, value in raw.get(section, {}).items():
+            if not (key == "v_minus" and value is None):  # null v_minus picks the gauge
+                _check_number(value, f"{section} {key}", integer=key in _INTEGER_KEYS)
 
 
 def load_config(path: str) -> dict:
@@ -70,6 +104,7 @@ def load_config(path: str) -> dict:
         missing = sorted({"r_minus", "r_plus"} - set(raw["states"]))
         if missing:
             raise ConfigError(f"states requires the keys {missing}")
+    _check_numbers(raw)
     return raw
 
 
@@ -81,6 +116,17 @@ def build_potential(config: dict) -> Potential:
         raise ConfigError(f"potential is missing the key {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"potential: {exc}") from None
+
+
+def config_front_data(states: dict, pot: Potential) -> FrontData:
+    """Front data for the ``states`` section of a config."""
+    try:
+        return solve_front_data(
+            states["r_minus"], states["r_plus"], states.get("v_minus"),
+            states.get("sigma_sign", 1), pot,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"states: {exc}") from None
 
 
 def config_grid(config: dict) -> tuple[float, int]:
@@ -171,10 +217,7 @@ def cmd_normalize(args) -> int:
     states = config.get("states")
     if not states:
         raise ConfigError("normalize requires a 'states' section")
-    fd = solve_front_data(
-        states["r_minus"], states["r_plus"], states.get("v_minus"),
-        states.get("sigma_sign", 1), pot,
-    )
+    fd = config_front_data(states, pot)
     norm = normalize_potential(pot, fd)
     ends = np.array([-1.0, 1.0])
     out = {
@@ -197,10 +240,7 @@ def run_solve(config: dict) -> dict:
     states = config.get("states")
     fd = NORMALIZED
     if states:
-        fd = solve_front_data(
-            states["r_minus"], states["r_plus"], states.get("v_minus"),
-            states.get("sigma_sign", 1), pot,
-        )
+        fd = config_front_data(states, pot)
         pot_run = normalize_potential(pot, fd)
     else:
         pot_run = pot

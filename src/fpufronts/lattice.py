@@ -8,6 +8,12 @@ with ghost values clamped to the asymptotic states at both ends.  A converged
 front profile initializes the chain, which should then translate rigidly at
 the front speed; the integrator is a staggered leapfrog (velocity-Verlet on
 atom positions), second order and time-reversible.
+
+The integrator advances only an active window of atoms.  Every atom outside
+it sits exactly at the left or the right asymptotic state, where the step
+would leave it unchanged (zero force, zero strain rate); the window widens
+before a departure from the states can reach past its edges, so the result
+is bit for bit that of stepping the whole chain.
 """
 
 from __future__ import annotations
@@ -74,21 +80,29 @@ def init_from_front(
                       r_plus=fd.r_plus, v_plus=fd.v_plus)
 
 
-def _forces(r: np.ndarray, pot: Potential, r_minus: float) -> np.ndarray:
-    """dv_j/dt = phi'(r_j) - phi'(r_{j-1}) with the left ghost clamped."""
+# The active window of ``evolve`` checks its edges every _CHECK_EVERY steps.
+# In between, a departure from the states moves at most 2 * _CHECK_EVERY
+# atoms, so _GUARD exceeds that; a touched guard band widens the window by
+# _CHUNK >= _GUARD atoms, all of them at the state, so the new band is exact.
+_CHECK_EVERY = 8
+_GUARD = 2 * _CHECK_EVERY + 2
+_CHUNK = 64
+
+
+def _run_length(mask: np.ndarray) -> int:
+    """Number of leading True entries."""
+    return mask.size if mask.all() else int(mask.argmin())
+
+
+def _at_state(r: np.ndarray, v: np.ndarray, r_state: float, v_state: float) -> np.ndarray:
+    return (r == r_state) & (v == v_state)
+
+
+def _forces(r: np.ndarray, pot: Potential, fp_ghost, out: np.ndarray) -> None:
+    """out_j = phi'(r_j) - phi'(r_{j-1}), with phi'(r_{-1}) = ``fp_ghost``."""
     fp = pot.phi_prime(r)
-    fp_left = np.empty_like(fp)
-    fp_left[0] = pot.phi_prime(r_minus)
-    fp_left[1:] = fp[:-1]
-    return fp - fp_left
-
-
-def _strain_rate(v: np.ndarray, v_plus: float) -> np.ndarray:
-    """dr_j/dt = v_{j+1} - v_j with the right ghost clamped."""
-    out = np.empty_like(v)
-    out[:-1] = v[1:] - v[:-1]
-    out[-1] = v_plus - v[-1]
-    return out
+    out[0] = fp[0] - fp_ghost
+    np.subtract(fp[1:], fp[:-1], out=out[1:])
 
 
 def evolve(
@@ -106,27 +120,66 @@ def evolve(
     once per step.  Raises BlowUp when a strain leaves ten times the
     invariant interval.  With ``snapshot_stride`` set, also returns the
     intermediate states every that many steps.
+
+    Only an active window ``[lo, hi)`` of atoms is integrated.  Invariant:
+    every atom left of it equals ``(r_minus, v_minus)`` and every atom right
+    of it ``(r_plus, v_plus)``, exactly (``==``).  Such an atom gets force
+    ``phi'(x) - phi'(x) = 0`` and drift ``dt * 0``, so the full-chain step
+    would leave it as it is.  A step spreads a departure from the states at
+    most one atom left (the kick reads ``r_{j-1}``) and two atoms right (the
+    drift reads ``v_{j+1}``), so the window keeps a guard band of exact atoms
+    inside each edge between checks and widens by a fixed chunk when one is
+    touched.  Inside the window every atom is updated by the same expressions
+    as on the full chain, which makes ``r``, ``v``, the snapshots and the step
+    of a BlowUp those of the full-chain integration.  A chain whose tails are
+    not at the states integrates all of its atoms.
     """
     if state.dt > 0.05:
         raise ValueError("dt must be at most 0.05")
     n_steps = int(round(T / state.dt))
     dt = state.dt
+    half_dt = 0.5 * dt
+    bound = 10.0 * gamma
     r = state.r.copy()
     v = state.v.copy()
+    n = r.size
+    force = np.empty(n)
+    scratch = np.empty(n)
+    fp_ghost = pot.phi_prime(state.r_minus)
+
+    head = _run_length(_at_state(r, v, state.r_minus, state.v_minus))
+    tail = _run_length(_at_state(r[::-1], v[::-1], state.r_plus, state.v_plus))
+    lo = max(0, min(head, n - tail) - _GUARD)
+    hi = min(n, max(head, n - tail) + _GUARD)
+    resize = True
     snapshots = []
-    force = _forces(r, pot, state.r_minus)
     for step in range(n_steps):
-        v = v + 0.5 * dt * force
-        r = r + dt * _strain_rate(v, state.v_plus)
-        force = _forces(r, pot, state.r_minus)
-        v = v + 0.5 * dt * force
-        if np.max(np.abs(r)) > 10.0 * gamma:
+        if resize:
+            rw, vw, fw, sw = r[lo:hi], v[lo:hi], force[lo:hi], scratch[lo:hi]
+            _forces(rw, pot, fp_ghost, fw)
+            outside_peak = max(abs(state.r_minus) if lo > 0 else 0.0,
+                               abs(state.r_plus) if hi < n else 0.0)
+            resize = False
+        np.add(vw, np.multiply(fw, half_dt, out=sw), out=vw)
+        np.subtract(vw[1:], vw[:-1], out=sw[:-1])
+        sw[-1] = state.v_plus - vw[-1]
+        np.add(rw, np.multiply(sw, dt, out=sw), out=rw)
+        _forces(rw, pot, fp_ghost, fw)
+        np.add(vw, np.multiply(fw, half_dt, out=sw), out=vw)
+        if np.maximum(np.abs(rw, out=sw).max(), outside_peak) > bound:
             raise BlowUp(f"strain exceeded 10*gamma at step {step}")
         if snapshot_stride and (step + 1) % snapshot_stride == 0:
             snapshots.append(ChainState(r.copy(), v.copy(),
                                         state.t + (step + 1) * dt, dt,
                                         state.r_minus, state.v_minus,
                                         state.r_plus, state.v_plus))
+        if (step + 1) % _CHECK_EVERY == 0:
+            if lo > 0 and not _at_state(rw[:_GUARD], vw[:_GUARD],
+                                        state.r_minus, state.v_minus).all():
+                lo, resize = max(0, lo - _CHUNK), True
+            if hi < n and not _at_state(rw[-_GUARD:], vw[-_GUARD:],
+                                        state.r_plus, state.v_plus).all():
+                hi, resize = min(n, hi + _CHUNK), True
     final = ChainState(r, v, state.t + n_steps * dt, dt,
                        state.r_minus, state.v_minus,
                        state.r_plus, state.v_plus)

@@ -200,12 +200,10 @@ def interior_plateau(
         return None
     val = float(np.median(cand))
     close = np.abs(v - val) <= value_tol
-    # Longest consecutive run at that level.
-    best = 0
-    run = 0
-    for flag in close:
-        run = run + 1 if flag else 0
-        best = max(best, run)
+    # Longest consecutive run at that level: the padded mask flips at the
+    # start and one past the end of every run.
+    flips = np.flatnonzero(np.diff(np.concatenate(([False], close, [False]))))
+    best = int((flips[1::2] - flips[::2]).max(initial=0))
     if best < min_nodes:
         return None
     return val, best

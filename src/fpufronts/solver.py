@@ -37,6 +37,8 @@ class SolverConfig:
     def validate(self) -> None:
         if not (0.0 < self.lambda0 < 1.0):
             raise ConfigInvalid("lambda0 must lie in (0, 1)")
+        if not self.grad_tol > 0.0:
+            raise ConfigInvalid("grad_tol must be positive")
         if self.max_iters < 1 or self.stagnation_window < 2:
             raise ConfigInvalid("iteration limits must be positive")
         if self.gamma < 1.0:

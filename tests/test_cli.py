@@ -66,8 +66,18 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     ({"grid": {"L": 1.5, "D": 300}}, "at least 2"),
     ({"solver": {"lambda0": 1.5}}, "lambda0"),
     ({"states": {"r_minus": -1.0}}, "r_plus"),
+    ({"potential": {"family": "quartic", "params": {"beta": None}}}, "beta must be a finite number"),
+    ({"potential": {"family": "quartic", "params": {"beta": True}}}, "beta must be a finite number"),
+    ({"states": {"r_minus": -1.0, "r_plus": "x"}}, "r_plus must be a finite number"),
+    ({"states": {"r_minus": 1.0, "r_plus": 1.0}}, "must differ"),
+    ({"grid": {"L": 20.0, "D": 3200.5}}, "D must be an integer"),
+    ({"solver": {"grad_tol": -1}}, "grad_tol must be positive"),
+    ({"solver": {"grad_tol": 0.0}}, "grad_tol must be positive"),
+    ({"solver": [0.5]}, "solver must be a JSON object"),
 ], ids=["unknown_family", "negative_beta", "missing_beta", "misaligned_grid",
-        "short_grid", "lambda0_out_of_range", "missing_state"])
+        "short_grid", "lambda0_out_of_range", "missing_state", "null_beta", "bool_beta",
+        "string_state", "equal_states", "fractional_D", "negative_grad_tol", "zero_grad_tol",
+        "list_section"])
 def test_solve_config_error_exits_2(tmp_path, capsys, overrides, fragment):
     cfg = write_config(tmp_path / "bad.json", output_dir=str(tmp_path / "run"), **overrides)
     assert main(["solve", str(cfg)]) == 2

@@ -15,7 +15,8 @@ from fpufronts import (
     shock_profile,
     total_energy,
 )
-from fpufronts.errors import NotAFront
+from fpufronts import lattice
+from fpufronts.errors import BlowUp, NotAFront
 
 
 def constant_state(r0, v0, n=100, dt=0.01):
@@ -81,12 +82,12 @@ def test_time_reversibility(front_005):
     assert np.max(np.abs(out.v + state.v)) < 1e-8
 
 
-def test_evolve_matches_two_force_leapfrog(front_005):
-    # reusing the end-of-step force as the next half kick changes no bit
-    res = front_005["result"]
-    pot = front_005["pot"]
-    state = init_from_front(res, NORMALIZED, n_atoms=200, dt=0.01)
-    out = evolve(state, pot, 1.0, gamma=front_005["gamma"])
+def full_chain_leapfrog(state, pot, T, gamma, snapshot_stride=None):
+    """Two-force kick-drift-kick on every atom: the reference ``evolve`` must match.
+
+    Returns (r, v, snapshots as (r, v) pairs, step of the first strain beyond
+    10*gamma or None).
+    """
 
     def forces(r):
         fp = pot.phi_prime(r)
@@ -96,12 +97,106 @@ def test_evolve_matches_two_force_leapfrog(front_005):
         return np.append(v[1:], state.v_plus) - v
 
     r, v, dt = state.r.copy(), state.v.copy(), state.dt
-    for _ in range(100):
+    snapshots = []
+    for step in range(int(round(T / dt))):
         v = v + 0.5 * dt * forces(r)
         r = r + dt * strain_rate(v)
         v = v + 0.5 * dt * forces(r)
+        if np.max(np.abs(r)) > 10.0 * gamma:
+            return r, v, snapshots, step
+        if snapshot_stride and (step + 1) % snapshot_stride == 0:
+            snapshots.append((r.copy(), v.copy()))
+    return r, v, snapshots, None
+
+
+def exact_run(r, v, r_state, v_state):
+    """Number of leading atoms exactly at the state (r_state, v_state)."""
+    at = (r == r_state) & (v == v_state)
+    return at.size if at.all() else int(at.argmin())
+
+
+def test_evolve_matches_two_force_leapfrog(front_005):
+    # reusing the end-of-step force as the next half kick changes no bit
+    res = front_005["result"]
+    pot = front_005["pot"]
+    state = init_from_front(res, NORMALIZED, n_atoms=200, dt=0.01)
+    out = evolve(state, pot, 1.0, gamma=front_005["gamma"])
+    r, v, _, blowup = full_chain_leapfrog(state, pot, 1.0, front_005["gamma"])
+    assert blowup is None
     assert np.array_equal(out.r, r)
     assert np.array_equal(out.v, v)
+
+
+def test_active_window_matches_full_chain(front_005):
+    # A long chain whose window widens many times on both sides: the atoms
+    # left out of the step are exactly the ones the full chain leaves alone.
+    res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
+    n = 2000
+    state = init_from_front(res, NORMALIZED, n_atoms=n, dt=0.05)
+    final, snaps = evolve(state, pot, 200.0, gamma=gamma, snapshot_stride=37)
+    r, v, ref_snaps, blowup = full_chain_leapfrog(state, pot, 200.0, gamma, 37)
+    assert blowup is None
+    assert np.array_equal(final.r, r)
+    assert np.array_equal(final.v, v)
+    assert len(snaps) == len(ref_snaps) == 108
+    for s, (rs, vs) in zip(snaps, ref_snaps):
+        assert np.array_equal(s.r, rs)
+        assert np.array_equal(s.v, vs)
+
+    # the departure from each state spread by several window chunks, and
+    # neither tail was reached
+    heads = [exact_run(s.r, s.v, state.r_minus, state.v_minus) for s in (state, final)]
+    tails = [exact_run(s.r[::-1], s.v[::-1], state.r_plus, state.v_plus)
+             for s in (state, final)]
+    assert heads[0] - heads[1] > 2 * lattice._CHUNK
+    assert tails[0] - tails[1] > 2 * lattice._CHUNK
+    assert heads[1] > 0 and tails[1] > 0
+
+
+def test_active_window_matches_full_chain_from_a_jump():
+    # Near u = 0 this quartic has phi'' = 301, so dt**2 * phi'' = 0.75 and a
+    # departure from the states does not round away as it spreads: from a
+    # sharp jump it reaches a new atom on each side on every step.
+    pot = QuarticPotential(75.0)
+    n = 400
+    left = np.arange(n) < n // 2
+    state = ChainState(r=np.where(left, -0.01, 0.01), v=np.where(left, 0.02, -0.02),
+                       t=0.0, dt=0.05, r_minus=-0.01, v_minus=0.02, r_plus=0.01, v_plus=-0.02)
+    final, snaps = evolve(state, pot, 5.0, snapshot_stride=1)
+    r, v, ref_snaps, blowup = full_chain_leapfrog(state, pot, 5.0, 2.0, 1)
+    assert blowup is None
+    assert np.array_equal(final.r, r)
+    assert np.array_equal(final.v, v)
+    for s, (rs, vs) in zip(snaps, ref_snaps, strict=True):
+        assert np.array_equal(s.r, rs)
+        assert np.array_equal(s.v, vs)
+    # 100 steps: one atom per step on each side, and one more to the right
+    # in the first step
+    assert exact_run(final.r, final.v, -0.01, 0.02) == n // 2 - 100
+    assert exact_run(final.r[::-1], final.v[::-1], 0.01, -0.02) == n // 2 - 101
+
+
+def test_inexact_tails_integrate_the_whole_chain(front_005):
+    res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
+    state = init_from_front(res, NORMALIZED, n_atoms=600, dt=0.01)
+    state.r[[0, -1]] += 1e-13  # no atom run is exactly at either state
+    out = evolve(state, pot, 5.0, gamma=gamma)
+    r, v, _, _ = full_chain_leapfrog(state, pot, 5.0, gamma)
+    assert np.array_equal(out.r, r)
+    assert np.array_equal(out.v, v)
+    assert out.r[0] != state.r[0] and out.r[-1] != state.r[-1]
+
+
+def test_blow_up_step_matches_full_chain(front_005):
+    # phi''(+-1) = 1 - 8 beta < 0 for beta = 0.3: the front region explodes
+    # while the exact tails stay put
+    res, gamma = front_005["result"], front_005["gamma"]
+    pot = QuarticPotential(0.3)
+    state = init_from_front(res, NORMALIZED, n_atoms=1000, dt=0.01)
+    *_, ref_step = full_chain_leapfrog(state, pot, 50.0, gamma)
+    assert ref_step is not None
+    with pytest.raises(BlowUp, match=f"at step {ref_step}$"):
+        evolve(state, pot, 50.0, gamma=gamma)
 
 
 def test_second_order_convergence(front_005):

@@ -20,6 +20,7 @@ from fpufronts import (
     functional_L,
     gradient,
     inner_product,
+    interior_plateau,
     n_identity_check,
     window_kernel,
 )
@@ -115,3 +116,34 @@ def test_gradient_matches_finite_differences(grid, seed1, seed2, beta):
     minus = functional_L(w.with_values(w.values - eps * d.values), pot)
     fd = (plus - minus) / (2 * eps)
     assert fd == pytest.approx(directional, rel=1e-5, abs=1e-12)
+
+
+def plateau_reference(w, min_nodes=50, value_tol=1e-3, distinct_tol=1e-2, margin_units=2.0):
+    """``interior_plateau`` with the longest run found by a Python loop."""
+    v = w.values[np.abs(w.nodes) <= w.L - margin_units]
+    if v.size < min_nodes:
+        return None
+    cand = v[1:][np.abs(np.diff(v)) <= value_tol]
+    cand = cand[np.minimum(np.abs(cand - 1.0), np.abs(cand + 1.0)) > distinct_tol]
+    if cand.size == 0:
+        return None
+    val = float(np.median(cand))
+    best = run = 0
+    for flag in np.abs(v - val) <= value_tol:
+        run = run + 1 if flag else 0
+        best = max(best, run)
+    return (val, best) if best >= min_nodes else None
+
+
+@examples
+@given(grids, seeds, levels, st.integers(1, 150), st.integers(1, 80))
+def test_plateau_run_length_matches_loop(grid, seed, level, mean_run, min_nodes):
+    # runs of random length alternate between the level (within the value
+    # tolerance) and scattered values
+    L, D = grid
+    rng = np.random.default_rng(seed)
+    lengths = rng.geometric(1.0 / mean_run, size=D + 1)
+    on = np.repeat(rng.random(D + 1) < 0.5, lengths)[: D + 1]
+    values = np.where(on, level + rng.uniform(-4e-4, 4e-4, D + 1), rng.uniform(-3, 3, D + 1))
+    w = GridProfile(L, D, values)
+    assert interior_plateau(w, min_nodes=min_nodes) == plateau_reference(w, min_nodes=min_nodes)

@@ -32,6 +32,12 @@ def test_config_validation():
     SolverConfig().validate()
 
 
+@pytest.mark.parametrize("grad_tol", [0.0, -1.0, float("nan")])
+def test_config_rejects_nonpositive_grad_tol(grad_tol):
+    with pytest.raises(ConfigInvalid, match="grad_tol"):
+        SolverConfig(grad_tol=grad_tol).validate()
+
+
 def test_euler_step_fixed_point(front_005):
     res = front_005["result"]
     pot = front_005["pot"]
