@@ -30,6 +30,7 @@ from .errors import (
     NonFiniteAction,
     NotAdmissible,
     NotAFront,
+    StepSizeUnderflow,
     TailNotConverged,
     WindowMisaligned,
 )
@@ -123,5 +124,5 @@ __all__ = [
     "FpuFrontsError", "InadmissibleFront", "NotAdmissible",
     "InvariantBoundNotFound", "WindowMisaligned", "GridMismatch",
     "TailNotConverged", "EmptyZeroSet", "ConfigInvalid", "NotAFront",
-    "BlowUp", "NonFiniteAction",
+    "BlowUp", "NonFiniteAction", "StepSizeUnderflow",
 ]

@@ -29,7 +29,7 @@ from . import __version__
 from .action import ActionReport
 from .errors import ConfigInvalid, EmptyZeroSet, FpuFrontsError, WindowMisaligned
 from .grid import GridProfile, apply_averaging, check_grid
-from .lattice import check_energy_law, evolve, init_from_front, measure_front_speed, sample_front
+from .lattice import check_energy_law, evolve, init_from_front, measure_front_speed
 from .macroscopic import NORMALIZED, FrontData, denormalize_profile, normalize_potential, solve_front_data
 from .phases import separate_phases
 from .potentials import Potential, check_assumptions, compute_invariant_bound, make_potential
@@ -269,6 +269,7 @@ def run_solve(config: dict) -> dict:
         "version": __version__,
         "outcome": result.outcome,
         "iterations": result.iterations,
+        "rejected_steps": result.rejected_steps,
         "final_action": result.history[-1].L,
         "final_grad_norm": result.final_grad_norm,
         "plateau_value": result.plateau_value,
@@ -331,10 +332,13 @@ def cmd_verify(args) -> int:
     snaps = [state] + snaps
 
     j = np.arange(n_atoms, dtype=float)
+    r_prof, _ = denormalize_profile(profile, fd)
+    margin = slice(20, n_atoms - 20)
     errors = []
     for s in snaps:
-        r_ref, _ = sample_front(result, fd, j - n_atoms / 2.0 - fd.sigma * s.t)
-        margin = slice(20, n_atoms - 20)
+        # sample_front's strain at the phases j - n/2 - sigma t, denormalized once
+        r_ref = np.interp(j - n_atoms / 2.0 - fd.sigma * s.t, profile.nodes, r_prof,
+                          left=fd.r_minus, right=fd.r_plus)
         errors.append({"t": s.t,
                        "sup_error": float(np.max(np.abs(s.r[margin] - r_ref[margin])))})
     speed = measure_front_speed(snaps)

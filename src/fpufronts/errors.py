@@ -76,3 +76,7 @@ class BlowUp(FpuFrontsError):
 
 class NonFiniteAction(FpuFrontsError):
     """The flow produced a non-finite action or gradient norm."""
+
+
+class StepSizeUnderflow(FpuFrontsError):
+    """Every candidate step raised the action until lambda fell below 1e-14."""

@@ -5,10 +5,14 @@ The iteration map is
     W -> (1 - lambda) W + lambda A phi'(A W),    0 < lambda < 1,
 
 started from shock initial data with the boundary region pinned to the
-asymptotic states.  Steps that increase the action are rejected and halve
-lambda, so the recorded action history is non-increasing; the flow either
-converges to a front (zero gradient, heteroclinic tails), collapses to a
-constant, or escapes to minus infinity through an extending interior plateau.
+asymptotic states.  The step size adapts both ways: a step that increases
+the action is rejected and halves lambda, and every 5 consecutive accepted
+steps grow lambda by 1.5x, up to 0.95.  The recorded action history is
+therefore non-increasing, and stiff potentials, whose largest Hessian
+eigenvalue would leave a fixed lambda at the edge of stability, are not held
+at the step size of their first rejection.  The flow either converges to a
+front (zero gradient, heteroclinic tails), collapses to a constant, or
+escapes to minus infinity through an extending interior plateau.
 """
 
 from __future__ import annotations
@@ -18,10 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import ActionReport, Evaluation
-from .errors import ConfigInvalid, NonFiniteAction
+from .errors import ConfigInvalid, NonFiniteAction, StepSizeUnderflow
 from .grid import GridProfile, shock_profile
 from .phases import interior_plateau
 from .potentials import Potential
+
+# Step-size control: lambda grows by _GROW after _GROW_AFTER consecutive
+# accepted steps, never beyond _LAMBDA_MAX; a rejected step halves it.
+_GROW_AFTER = 5
+_GROW = 1.5
+_LAMBDA_MAX = 0.95
+# Below this step size a candidate differs from its iterate only by rounding.
+_LAMBDA_MIN = 1e-14
 
 
 @dataclass
@@ -63,11 +75,13 @@ class RunResult:
     iterations: int = 0
     lambda_final: float = 0.0
     lambda_history: list[float] = field(default_factory=list)
+    rejected_steps: int = 0
 
     def summary(self) -> dict:
         return {
             "outcome": self.outcome,
             "iterations": self.iterations,
+            "rejected_steps": self.rejected_steps,
             "final_grad_norm": self.final_grad_norm,
             "final_action": self.history[-1].L if self.history else None,
             "plateau_value": self.plateau_value,
@@ -149,10 +163,17 @@ def classify_outcome(
 def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
     """Run the projected gradient flow from shock initial data.
 
+    A candidate step whose action exceeds the current one by more than
+    rounding (1e-15 relative) is rejected and halves lambda; after 5
+    consecutive accepted steps lambda grows by 1.5x, capped at 0.95.
+    ``lambda_history`` records the lambda of every accepted step and
+    ``rejected_steps`` counts the rejections.
+
     ``callback``, when given, is invoked as ``callback(it, values)`` after
     every accepted step (and once with the initial data at it = 0).  Raises
     NonFiniteAction as soon as an evaluated profile has a non-finite action
-    or gradient norm.
+    or gradient norm, and StepSizeUnderflow when rejections drive lambda
+    below 1e-14.
     """
     cfg.validate()
     base = shock_profile(cfg.L, cfg.D)
@@ -168,13 +189,21 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
     plateau_growth: int | None = None
     outcome = None
     it = 0
+    rejected = 0
+    streak = 0  # accepted steps since lambda last changed
     while it < cfg.max_iters:
         candidate = _pinned((1.0 - lam) * state.profile.values + lam * state.step_target, K)
         cand_state = _checked(Evaluation(base.with_values(candidate), pot))
         if cand_state.L > state.L + 1e-15 * max(1.0, abs(state.L)):
             lam *= 0.5
-            if lam < 1e-14:
-                break
+            rejected += 1
+            streak = 0
+            if lam < _LAMBDA_MIN:
+                raise StepSizeUnderflow(
+                    f"{rejected} rejected steps drove lambda to {lam!r} after "
+                    f"{it} accepted steps at action {state.L!r}; no step size "
+                    "lowers the action"
+                )
             continue
         it += 1
         state = cand_state
@@ -200,6 +229,11 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
                     outcome = "plateau_diverging"
                     break
             plateau_prev = plateau
+
+        streak += 1
+        if streak == _GROW_AFTER:
+            streak = 0
+            lam = min(_GROW * lam, _LAMBDA_MAX)
 
     profile = state.profile
     if outcome is None:
@@ -228,4 +262,5 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
         iterations=it,
         lambda_final=lam,
         lambda_history=lambda_history,
+        rejected_steps=rejected,
     )

@@ -61,6 +61,22 @@ class NaNBeyondPotential(Potential):
         return np.where(np.abs(u) > 1.5, np.nan, 3.0 * u)
 
 
+class UphillForcePotential(Potential):
+    """phi = 0, so the action is half the squared L2 norm of the extended W,
+    but the force returned is 3u, not phi' = 0.
+
+    The Euler direction 3 A^2 W - W then has a positive inner product with
+    the true gradient W wherever W is nearly +-1, as on the shock, so every
+    candidate raises the (convex, quadratic) action at every step size.
+    """
+
+    def phi(self, u):
+        return np.zeros_like(np.asarray(u, dtype=float))
+
+    def phi_prime(self, u):
+        return 3.0 * np.asarray(u, dtype=float)
+
+
 @pytest.fixture(scope="session")
 def front_005():
     """Converged front for the mildly non-convex quartic, with iterate trace."""

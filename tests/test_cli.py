@@ -10,7 +10,7 @@ import pytest
 from fpufronts import cli
 from fpufronts.cli import main
 
-from conftest import NaNBeyondPotential
+from conftest import NaNBeyondPotential, UphillForcePotential
 
 
 def write_config(path, **overrides):
@@ -115,6 +115,18 @@ def test_non_finite_flow_exits_1(tmp_path, capsys, monkeypatch):
     assert "not finite" in err["message"]
 
 
+def test_step_size_underflow_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_potential", lambda config: UphillForcePotential())
+    cfg = write_config(tmp_path / "uphill.json", grid={"L": 20.0, "D": 800},
+                       output_dir=str(tmp_path / "run"))
+    assert main(["solve", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "StepSizeUnderflow"
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "run" / "summary.json").exists()
+
+
 def test_solve_artifacts(solved_run, capsys):
     run = solved_run["run_dir"]
     assert (run / "profile.csv").exists()
@@ -158,6 +170,16 @@ def test_deterministic_artifacts(solved_run, tmp_path, capsys):
     a = (solved_run["run_dir"] / "summary.json").read_bytes()
     b = (tmp_path / "run2" / "summary.json").read_bytes()
     assert a == b
+    # a stiff quartic rejects steps; their count repeats too
+    stiff = {"family": "quartic", "params": {"beta": 2.0}}
+    runs = []
+    for name in ("stiff1", "stiff2"):
+        cfg = write_config(tmp_path / f"{name}.json", potential=stiff,
+                           output_dir=str(tmp_path / name))
+        assert main(["solve", str(cfg)]) == 0
+        runs.append((tmp_path / name / "summary.json").read_bytes())
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0])["rejected_steps"] > 0
 
 
 def test_normalize_command(tmp_path, capsys):

@@ -17,9 +17,9 @@ from fpufronts import (
     separate_phases,
     shock_profile,
 )
-from fpufronts.errors import ConfigInvalid, NonFiniteAction
+from fpufronts.errors import ConfigInvalid, NonFiniteAction, StepSizeUnderflow
 
-from conftest import NaNBeyondPotential
+from conftest import NaNBeyondPotential, UphillForcePotential
 
 
 def test_config_validation():
@@ -149,10 +149,61 @@ def test_classify_collapsed_profile():
     assert out == "collapsed_to_constant"
 
 
-def test_lambda_history_tracks_accepted_steps(front_005):
-    res = front_005["result"]
-    assert len(res.lambda_history) == len(res.history)
-    assert all(0 < lam <= 0.5 for lam in res.lambda_history)
+def _halvings(lam: float, before: float) -> int | None:
+    """k >= 0 with lam == before / 2**k exactly (halving is exact), else None."""
+    k = 0
+    while lam < before:
+        lam *= 2.0
+        k += 1
+    return k if lam == before else None
+
+
+def _check_lambda_history(res) -> None:
+    lams = res.lambda_history
+    assert len(lams) == len(res.history) == res.iterations + 1
+    assert all(0.0 < lam <= 0.95 for lam in lams)
+    # the first accepted step may already follow rejections of lambda0
+    halvings, streak = _halvings(lams[1], lams[0]), 0
+    for before, lam in zip(lams[1:-1], lams[2:]):
+        streak += 1
+        grown = min(1.5 * before, 0.95)
+        if streak == 5:
+            k = _halvings(lam, grown)
+            assert k is not None, f"lambda {before!r} -> {lam!r} missed its growth to {grown!r}"
+            streak = 0
+        else:
+            k = _halvings(lam, before)
+            assert k is not None, f"lambda {before!r} -> {lam!r} is neither kept nor halved"
+        if k:
+            streak = 0
+        halvings += k
+    assert halvings == res.rejected_steps
+    assert res.lambda_final == lams[-1]
+
+
+def test_lambda_history_tracks_accepted_steps(front_005, front_03):
+    # Between two accepted steps lambda is unchanged, grown by 1.5x (capped
+    # at 0.95) or halved a whole number of times -- or grown and then halved,
+    # when the step after a growth is rejected.  Growth happens exactly
+    # after 5 accepted steps with no change of lambda, and the halvings add
+    # up to the rejected steps.
+    stiff = minimize(SolverConfig(gamma=2.0), QuarticPotential(2.0))
+    assert front_03["result"].rejected_steps > 0 and stiff.rejected_steps > 0
+    for res in (front_005["result"], front_03["result"], stiff):
+        _check_lambda_history(res)
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_stiff_quartic_does_not_stall(beta):
+    # phi''(+-1) = 1 - 8 beta puts Hessian eigenvalues near 8 beta; a step
+    # size that can only halve sits at 1 - 8 lambda ~ -1 and took about 3600
+    # accepted steps here
+    pot = QuarticPotential(beta)
+    res = minimize(SolverConfig(gamma=2.0, D=3200), pot)
+    assert res.outcome == "front_converged"
+    assert res.iterations < 300
+    ls = [rep.L for rep in res.history]
+    assert all(b <= a + 1e-15 * max(1.0, abs(a)) for a, b in zip(ls[:-1], ls[1:]))
 
 
 def test_constraint_set_entry_and_invariance(front_005, front_03):
@@ -175,3 +226,10 @@ def test_non_finite_action_stops_the_flow():
     # check the step is accepted and the flow runs on to max_iters
     with pytest.raises(NonFiniteAction):
         minimize(SolverConfig(gamma=2.0, max_iters=50), NaNBeyondPotential())
+
+
+def test_step_size_underflow_raises():
+    # every candidate raises the action, so lambda halves below 1e-14; the
+    # flow must say so instead of classifying the untouched shock
+    with pytest.raises(StepSizeUnderflow, match="rejected steps"):
+        minimize(SolverConfig(gamma=2.0, D=800), UphillForcePotential())
