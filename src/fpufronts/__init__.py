@@ -17,7 +17,6 @@ from .action import (
     gradient,
     n_identity_check,
     quadratic_M,
-    relative_action,
 )
 from .errors import (
     BlowUp,
@@ -106,7 +105,6 @@ __all__ = [
     # action
     "ActionReport", "functional_N", "functional_P", "functional_L",
     "quadratic_M", "gradient", "grad_norm", "n_identity_check",
-    "relative_action",
     # macroscopic
     "FrontData", "NORMALIZED", "jump_residuals", "solve_front_data",
     "NormalizedPotential", "normalize_potential", "denormalize_profile",

@@ -168,8 +168,3 @@ def n_identity_check(w1: GridProfile, w2: GridProfile) -> float:
     lhs = functional_N(w2)
     rhs = functional_N(w1) + quadratic_M(diff) + pairing
     return abs(lhs - rhs)
-
-
-def relative_action(profile: GridProfile, pot: Potential, reference: GridProfile) -> float:
-    """Action relative to a reference profile (usually the shock)."""
-    return functional_L(profile, pot) - functional_L(reference, pot)

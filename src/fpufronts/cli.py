@@ -16,7 +16,6 @@ byte-reproducible, except ``timings.json``, which holds wall-clock times.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -38,9 +37,9 @@ from .solver import RunResult, SolverConfig, minimize
 _CONFIG_KEYS = {"potential", "grid", "solver", "states", "verify", "output_dir"}
 _POTENTIAL_KEYS = {"family", "params"}
 _GRID_KEYS = {"L", "D"}
-_SOLVER_KEYS = {"lambda0", "grad_tol", "max_iters", "stagnation_window"}
+_SOLVER_KEYS = {"lambda0", "grad_tol", "max_iters"}
 _STATES_KEYS = {"r_minus", "r_plus", "v_minus", "sigma_sign"}
-_INTEGER_KEYS = {"D", "max_iters", "stagnation_window"}
+_INTEGER_KEYS = {"D", "max_iters"}
 
 
 class ConfigError(Exception):
@@ -147,7 +146,6 @@ def build_solver_config(config: dict, gamma: float) -> SolverConfig:
         lambda0=solver.get("lambda0", 0.5),
         max_iters=solver.get("max_iters", 200_000),
         grad_tol=solver.get("grad_tol", 1e-8),
-        stagnation_window=solver.get("stagnation_window", 500),
         gamma=gamma,
         L=L,
         D=D,
@@ -294,7 +292,28 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _check_verify_args(args) -> None:
+    """Refuse chain-run arguments that leave nothing to integrate or compare."""
+    if not 0.0 < args.dt <= 0.05:
+        raise ConfigError(f"verify --dt must lie in (0, 0.05], not {args.dt!r}")
+    if not (math.isfinite(args.time) and args.time > 0.0):
+        raise ConfigError(f"verify --time must be finite and positive, not {args.time!r}")
+    if args.stride < 1:
+        raise ConfigError(f"verify --stride must be at least 1, not {args.stride}")
+    steps = args.time / args.dt  # the run takes round(steps) leapfrog steps
+    if not (math.isfinite(steps) and round(steps) >= args.stride):
+        raise ConfigError(
+            f"verify --time {args.time!r} at --dt {args.dt!r} must take at least "
+            f"--stride {args.stride} steps, so that a snapshot is taken"
+        )
+    if args.atoms <= 40:
+        raise ConfigError(
+            f"verify --atoms must exceed 40 (two 20-atom margins), not {args.atoms}"
+        )
+
+
 def cmd_verify(args) -> int:
+    _check_verify_args(args)
     config = load_config(args.config)
     run_dir = Path(args.run_dir)
     summary_path = run_dir / "summary.json"
@@ -380,9 +399,23 @@ def _sweep_job(payload: tuple) -> tuple:
     return name, summary["outcome"], summary["final_action"]
 
 
+def _parse_betas(text: str) -> list[float]:
+    try:
+        betas = [float(b) for b in text.split(",")]
+        if all(map(math.isfinite, betas)):
+            return betas
+    except ValueError:
+        pass
+    raise ConfigError(f"sweep --betas must be comma-separated finite numbers, not {text!r}")
+
+
 def cmd_sweep(args) -> int:
+    import concurrent.futures  # only a sweep starts worker processes
+
+    betas = _parse_betas(args.betas)
+    if args.workers < 1:
+        raise ConfigError(f"sweep --workers must be at least 1, not {args.workers}")
     config = load_config(args.config)
-    betas = [float(b) for b in args.betas.split(",")]
     base_dir = Path(args.output_dir or config.get("output_dir", "sweep"))
     jobs = []
     for beta in betas:

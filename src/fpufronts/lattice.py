@@ -18,7 +18,7 @@ is bit for bit that of stepping the whole chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +44,6 @@ class ChainState:
     @property
     def n_atoms(self) -> int:
         return self.r.size
-
-    def copy(self) -> "ChainState":
-        return replace(self, r=self.r.copy(), v=self.v.copy())
 
 
 def sample_front(result: RunResult, fd: FrontData, phi: np.ndarray):

@@ -45,12 +45,6 @@ class FrontData:
     sigma: float
     parabola: tuple[float, float, float]
 
-    def jumps(self) -> dict:
-        return {
-            "r": jump(self.r_minus, self.r_plus),
-            "v": jump(self.v_minus, self.v_plus),
-        }
-
     def to_dict(self) -> dict:
         return {
             "r_minus": self.r_minus,
@@ -175,9 +169,6 @@ class NormalizedPotential(Potential):
             2.0 * self.base.phi_prime(self.state(u)) / self._j_fp
             - 2.0 * self._m_fp / self._j_fp
         )
-
-    def params(self):
-        return {"base": self.base.family, **self.base.params()}
 
 
 def normalize_potential(pot: Potential, fd: FrontData, tol: float = 1e-8) -> NormalizedPotential:

@@ -49,9 +49,6 @@ class Potential:
         u = np.asarray(u, dtype=float)
         return 1.0 - self.phi_second(u)
 
-    def params(self) -> dict:
-        return {}
-
 
 class QuarticPotential(Potential):
     """phi(r) = r^2/2 - beta (r^2-1)^2, the normalized double-defect family.
@@ -78,9 +75,6 @@ class QuarticPotential(Potential):
     def phi_second(self, u):
         u = np.asarray(u, dtype=float)
         return 1.0 - 4.0 * self.beta * (3.0 * u**2 - 1.0)
-
-    def params(self):
-        return {"beta": self.beta}
 
 
 class GraphViolatingPotential(Potential):
@@ -113,9 +107,6 @@ class GraphViolatingPotential(Potential):
     def phi_prime(self, u):
         u = np.asarray(u, dtype=float)
         return u - self._psi_prime(u)
-
-    def params(self):
-        return {"beta": self.beta, "c": self.c}
 
 
 class TiltedPotential(Potential):
@@ -151,9 +142,6 @@ class TiltedPotential(Potential):
         u = np.asarray(u, dtype=float)
         return 1.0 - 4.0 * self.beta * (3.0 * u**2 - 1.0)
 
-    def params(self):
-        return {"beta": self.beta, "eps": self.eps}
-
 
 class TabulatedPotential(Potential):
     """Potential from samples, via monotone cubic interpolation.
@@ -185,9 +173,6 @@ class TabulatedPotential(Potential):
 
     def phi_prime(self, u):
         return self._deriv(np.asarray(u, dtype=float))
-
-    def params(self):
-        return {"n_samples": int(self.u_samples.size)}
 
 
 class LinearForcePotential(Potential):

@@ -13,6 +13,11 @@ eigenvalue would leave a fixed lambda at the edge of stability, are not held
 at the step size of their first rejection.  The flow either converges to a
 front (zero gradient, heteroclinic tails), collapses to a constant, or
 escapes to minus infinity through an extending interior plateau.
+
+The plateau is caught inside the flow: every 50 accepted steps ``minimize``
+compares the interior plateau with the one of the previous check, and a run
+whose plateau grew while the action kept falling stops as
+``plateau_diverging``.  ``classify_outcome`` labels every other stop.
 """
 
 from __future__ import annotations
@@ -34,6 +39,10 @@ _GROW = 1.5
 _LAMBDA_MAX = 0.95
 # Below this step size a candidate differs from its iterate only by rounding.
 _LAMBDA_MIN = 1e-14
+# A diverging plateau extends within a few hundred iterations before the
+# finite window arrests it, so the plateau is checked every _PLATEAU_EVERY
+# accepted steps, against the action slope over the same steps.
+_PLATEAU_EVERY = 50
 
 
 @dataclass
@@ -41,7 +50,6 @@ class SolverConfig:
     lambda0: float = 0.5
     max_iters: int = 200_000
     grad_tol: float = 1e-8
-    stagnation_window: int = 500
     gamma: float = 1.0
     L: float = 20.0
     D: int = 3200
@@ -51,7 +59,7 @@ class SolverConfig:
             raise ConfigInvalid("lambda0 must lie in (0, 1)")
         if not self.grad_tol > 0.0:
             raise ConfigInvalid("grad_tol must be positive")
-        if self.max_iters < 1 or self.stagnation_window < 2:
+        if self.max_iters < 1:
             raise ConfigInvalid("iteration limits must be positive")
         if self.gamma < 1.0:
             raise ConfigInvalid("gamma must be at least 1")
@@ -77,17 +85,6 @@ class RunResult:
     lambda_history: list[float] = field(default_factory=list)
     rejected_steps: int = 0
 
-    def summary(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "iterations": self.iterations,
-            "rejected_steps": self.rejected_steps,
-            "final_grad_norm": self.final_grad_norm,
-            "final_action": self.history[-1].L if self.history else None,
-            "plateau_value": self.plateau_value,
-            "lambda_final": self.lambda_final,
-        }
-
 
 def _pinned(values: np.ndarray, K: int) -> np.ndarray:
     """Pin the outer window width (2K nodes) at each end to -1 / +1, in place."""
@@ -105,26 +102,28 @@ def _checked(ev: Evaluation) -> Evaluation:
     return ev
 
 
+def _step(ev: Evaluation, lam: float) -> np.ndarray:
+    """(1 - lam) W + lam A phi'(A W) for the profile of ``ev``, boundary re-pinned."""
+    return _pinned((1.0 - lam) * ev.profile.values + lam * ev.step_target, ev.profile.K)
+
+
 def euler_step(w: GridProfile, pot: Potential, lam: float) -> GridProfile:
     """One explicit Euler step of the gradient flow, boundary region re-pinned."""
     if not (0.0 < lam < 1.0):
         raise ConfigInvalid("lambda must lie in (0, 1)")
-    target = Evaluation(w, pot).step_target
-    return w.with_values(_pinned((1.0 - lam) * w.values + lam * target, w.K))
+    return w.with_values(_step(Evaluation(w, pot), lam))
 
 
 def classify_outcome(
     history: list[ActionReport],
     profile: GridProfile,
     grad_tol: float = 1e-8,
-    stagnation_window: int = 500,
-    plateau_growth: int | None = None,
 ) -> str:
-    """Deterministic outcome classification.
+    """Deterministic outcome classification of a run that did not diverge.
 
-    Tie order: front_converged > collapsed_to_constant > plateau_diverging >
-    max_iters_reached.  ``plateau_growth`` is the solver's measured growth of
-    the plateau run (nodes) over the last stagnation window, when available.
+    Tie order: front_converged > collapsed_to_constant > max_iters_reached.
+    ``plateau_diverging`` is not decided here: ``minimize`` stops a run with
+    that outcome as soon as its plateau check fires.
     """
     if not history:
         raise ValueError("history must be non-empty")
@@ -147,16 +146,6 @@ def classify_outcome(
     if spread <= 2e-4:
         return "collapsed_to_constant"
 
-    plateau = interior_plateau(profile)
-    if plateau is not None and len(history) > stagnation_window:
-        window = history[-stagnation_window:]
-        drops = [a.L - b.L for a, b in zip(window[:-1], window[1:])]
-        decreasing = all(d >= -1e-14 for d in drops)
-        slope = (window[0].L - window[-1].L) / (len(window) - 1)
-        growing = plateau_growth is None or plateau_growth > 0
-        if decreasing and slope > 1e-12 and growing and final.grad_norm > grad_tol:
-            return "plateau_diverging"
-
     return "max_iters_reached"
 
 
@@ -177,23 +166,20 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
     """
     cfg.validate()
     base = shock_profile(cfg.L, cfg.D)
-    K = base.K
-    state = _checked(Evaluation(base.with_values(_pinned(base.values.copy(), K)), pot))
+    state = _checked(Evaluation(base.with_values(_pinned(base.values.copy(), base.K)), pot))
     lam = cfg.lambda0
     history: list[ActionReport] = [state.report()]
     lambda_history: list[float] = [lam]
     if callback is not None:
         callback(0, state.profile.values)
 
-    plateau_prev: tuple[float, int] | None = None
-    plateau_growth: int | None = None
+    plateau: tuple[float, int] | None = None
     outcome = None
     it = 0
     rejected = 0
     streak = 0  # accepted steps since lambda last changed
     while it < cfg.max_iters:
-        candidate = _pinned((1.0 - lam) * state.profile.values + lam * state.step_target, K)
-        cand_state = _checked(Evaluation(base.with_values(candidate), pot))
+        cand_state = _checked(Evaluation(base.with_values(_step(state, lam)), pot))
         if cand_state.L > state.L + 1e-15 * max(1.0, abs(state.L)):
             lam *= 0.5
             rejected += 1
@@ -215,20 +201,13 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
         if state.grad_norm <= cfg.grad_tol:
             break
 
-        # A diverging plateau extends within a few hundred iterations before
-        # the finite window arrests it, so the check cadence must be faster
-        # than the slope window.
-        check_every = min(50, cfg.stagnation_window)
-        if it % check_every == 0:
-            plateau = interior_plateau(state.profile)
+        if it % _PLATEAU_EVERY == 0:
+            plateau_prev, plateau = plateau, interior_plateau(state.profile)
             if plateau is not None and plateau_prev is not None:
-                plateau_growth = plateau[1] - plateau_prev[1]
-                window = history[-min(cfg.stagnation_window, check_every + 1):]
-                slope = (window[0].L - window[-1].L) / (len(window) - 1)
-                if plateau_growth > 0 and slope > 1e-12:
+                slope = (history[-_PLATEAU_EVERY - 1].L - history[-1].L) / _PLATEAU_EVERY
+                if plateau[1] > plateau_prev[1] and slope > 1e-12:
                     outcome = "plateau_diverging"
                     break
-            plateau_prev = plateau
 
         streak += 1
         if streak == _GROW_AFTER:
@@ -237,17 +216,11 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
 
     profile = state.profile
     if outcome is None:
-        outcome = classify_outcome(
-            history, profile,
-            grad_tol=cfg.grad_tol,
-            stagnation_window=cfg.stagnation_window,
-            plateau_growth=plateau_growth,
-        )
+        outcome = classify_outcome(history, profile, grad_tol=cfg.grad_tol)
 
     plateau_value = None
     if outcome == "plateau_diverging":
-        plateau = interior_plateau(profile)
-        plateau_value = plateau[0] if plateau else None
+        plateau_value = plateau[0]
     elif outcome == "collapsed_to_constant":
         nodes = profile.nodes
         vi = profile.values[np.abs(nodes) <= profile.L - 2.0]

@@ -13,7 +13,6 @@ from fpufronts import (
     gradient,
     n_identity_check,
     quadratic_M,
-    relative_action,
     shock_profile,
 )
 from fpufronts.errors import NonZeroTails, TailNotConverged
@@ -105,12 +104,6 @@ def test_gradient_matches_finite_differences():
 def test_gradient_norm_scaling():
     d = compact_perturbation(np.random.default_rng(37), scale=0.4)
     assert grad_norm(d) == pytest.approx(np.sqrt(d.h * np.sum(d.values**2)), abs=1e-14)
-
-
-def test_relative_action_of_reference_is_zero():
-    sh = shock_profile(20.0, 3200)
-    pot = QuarticPotential(0.2)
-    assert relative_action(sh, pot, sh) == 0.0
 
 
 def test_action_drops_from_shock_to_front():

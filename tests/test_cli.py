@@ -74,10 +74,11 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     ({"solver": {"grad_tol": -1}}, "grad_tol must be positive"),
     ({"solver": {"grad_tol": 0.0}}, "grad_tol must be positive"),
     ({"solver": [0.5]}, "solver must be a JSON object"),
+    ({"solver": {"stagnation_window": 500}}, "stagnation_window"),
 ], ids=["unknown_family", "negative_beta", "missing_beta", "misaligned_grid",
         "short_grid", "lambda0_out_of_range", "missing_state", "null_beta", "bool_beta",
         "string_state", "equal_states", "fractional_D", "negative_grad_tol", "zero_grad_tol",
-        "list_section"])
+        "list_section", "retired_stagnation_window"])
 def test_solve_config_error_exits_2(tmp_path, capsys, overrides, fragment):
     cfg = write_config(tmp_path / "bad.json", output_dir=str(tmp_path / "run"), **overrides)
     assert main(["solve", str(cfg)]) == 2
@@ -88,13 +89,15 @@ def test_solve_config_error_exits_2(tmp_path, capsys, overrides, fragment):
 
 
 def test_cli_leaves_scipy_unimported(tmp_path):
-    # scipy serves only tabulated potentials; every other run skips its import
+    # scipy serves only tabulated potentials and concurrent.futures only the
+    # sweep pool; every other run skips their imports
     cfg = write_config(tmp_path / "quartic.json", output_dir=str(tmp_path / "run"))
     script = (
         "import sys\n"
         "from fpufronts.cli import main\n"
         f"assert main(['solve', {str(cfg)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m.startswith('concurrent')))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
@@ -274,6 +277,29 @@ def test_verify_malformed_summary_exits_2(solved_run, tmp_path, capsys):
     assert "front_data" in err["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--dt", "0"],
+    ["--dt", "-0.01"],
+    ["--dt", "0.1"],
+    ["--time", "0"],
+    ["--time", "-5"],
+    ["--time", "inf"],
+    ["--atoms", "0"],
+    ["--atoms", "40"],
+    ["--stride", "0"],
+    ["--stride", "100000"],
+], ids=["zero_dt", "negative_dt", "large_dt", "zero_time", "negative_time",
+        "infinite_time", "zero_atoms", "margins_only", "zero_stride", "stride_beyond_run"])
+def test_verify_bad_arguments_exit_2(solved_run, capsys, argv):
+    code = main(["verify", str(solved_run["config"]), str(solved_run["run_dir"]), *argv])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert argv[0] in err["message"]
+
+
 def test_diagnose_command(solved_run, capsys):
     code = main(["diagnose", str(solved_run["config"]),
                  str(solved_run["run_dir"] / "profile.csv")])
@@ -292,3 +318,22 @@ def test_sweep_command(tmp_path, capsys):
     assert [r["run"] for r in results] == ["beta_0.05", "beta_0.1"]
     assert all(r["outcome"] == "front_converged" for r in results)
     assert (tmp_path / "sw" / "beta_0.1" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["--betas", "0.05,abc"], "--betas"),
+    (["--betas", "0.05,nan"], "--betas"),
+    (["--betas", ""], "--betas"),
+    (["--betas", "0.05", "--workers", "0"], "--workers"),
+    (["--betas", "0.05", "--workers", "-1"], "--workers"),
+], ids=["word_beta", "nan_beta", "no_beta", "zero_workers", "negative_workers"])
+def test_sweep_bad_arguments_exit_2(tmp_path, capsys, argv, fragment):
+    cfg = write_config(tmp_path / "sweep.json")
+    code = main(["sweep", str(cfg), "--output-dir", str(tmp_path / "sw"), *argv])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert fragment in err["message"]
+    assert not (tmp_path / "sw").exists()
