@@ -43,10 +43,13 @@ from .grid import (
 )
 from .lattice import (
     ChainState,
+    EnergyLaw,
     EnergyLawReport,
     boundary_flux,
     check_energy_law,
     evolve,
+    front_crossing,
+    front_speed,
     init_from_front,
     measure_front_speed,
     sample_front,
@@ -116,8 +119,8 @@ __all__ = [
     "classify_outcome", "minimize",
     # lattice
     "ChainState", "sample_front", "init_from_front", "evolve",
-    "total_energy", "boundary_flux", "EnergyLawReport", "check_energy_law",
-    "measure_front_speed",
+    "total_energy", "boundary_flux", "EnergyLaw", "EnergyLawReport",
+    "check_energy_law", "front_crossing", "front_speed", "measure_front_speed",
     # errors
     "FpuFrontsError", "InadmissibleFront", "NotAdmissible",
     "InvariantBoundNotFound", "WindowMisaligned", "GridMismatch",

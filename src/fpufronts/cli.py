@@ -28,7 +28,7 @@ from . import __version__
 from .action import ActionReport
 from .errors import ConfigInvalid, EmptyZeroSet, FpuFrontsError, WindowMisaligned
 from .grid import GridProfile, apply_averaging, check_grid
-from .lattice import check_energy_law, evolve, init_from_front, measure_front_speed
+from .lattice import ChainState, EnergyLaw, evolve, front_crossing, front_speed, init_from_front
 from .macroscopic import NORMALIZED, FrontData, denormalize_profile, normalize_potential, solve_front_data
 from .phases import separate_phases
 from .potentials import Potential, check_assumptions, compute_invariant_bound, make_potential
@@ -344,24 +344,31 @@ def cmd_verify(args) -> int:
                        final_grad_norm=final_grad_norm)
 
     n_atoms = args.atoms
-    T = args.time
     state = init_from_front(result, fd, n_atoms=n_atoms, dt=args.dt)
-    final, snaps = evolve(state, pot, T, gamma=summary.get("gamma", 2.0),
-                          snapshot_stride=args.stride)
-    snaps = [state] + snaps
 
+    # Each snapshot is reduced as evolve makes it: its sup error against the
+    # profile denormalized once, its front crossing, and the energy law's row.
     j = np.arange(n_atoms, dtype=float)
     r_prof, _ = denormalize_profile(profile, fd)
     margin = slice(20, n_atoms - 20)
-    errors = []
-    for s in snaps:
-        # sample_front's strain at the phases j - n/2 - sigma t, denormalized once
+    level = 0.5 * (fd.v_minus + fd.v_plus)
+    errors, crossings = [], []
+    law = EnergyLaw(pot, fd.sigma)
+
+    def observe(s: ChainState) -> None:
+        # sample_front's strain at the phases j - n/2 - sigma t
         r_ref = np.interp(j - n_atoms / 2.0 - fd.sigma * s.t, profile.nodes, r_prof,
                           left=fd.r_minus, right=fd.r_plus)
         errors.append({"t": s.t,
                        "sup_error": float(np.max(np.abs(s.r[margin] - r_ref[margin])))})
-    speed = measure_front_speed(snaps)
-    energy = check_energy_law(snaps, pot, fd.sigma)
+        crossings.append(front_crossing(s.v, level))
+        law.add(s)
+
+    observe(state)
+    evolve(state, pot, args.time, gamma=summary.get("gamma", 2.0),
+           snapshot_stride=args.stride, observe=observe)
+    speed = front_speed(law.times, crossings)
+    energy = law.report()
     budget = 0.05
     ok = errors[-1]["sup_error"] <= budget and abs(speed - fd.sigma) <= 0.02 * abs(fd.sigma)
     out = {
@@ -372,6 +379,10 @@ def cmd_verify(args) -> int:
         "sigma": fd.sigma,
         "energy_residual_sup": energy.residual_sup,
         "energy_drift_rel": energy.energy_drift_rel,
+        "trajectory": [
+            {"t": t, "crossing": c, "energy": e, "boundary_flux": f}
+            for t, c, e, f in zip(law.times, crossings, law.energies, law.fluxes)
+        ],
     }
     out_path = run_dir / "verify.json"
     out_path.write_text(json.dumps(out, indent=2) + "\n")
@@ -400,13 +411,18 @@ def _sweep_job(payload: tuple) -> tuple:
 
 
 def _parse_betas(text: str) -> list[float]:
+    """Finite betas whose sub-run names ``beta_{beta:g}`` are all distinct."""
     try:
         betas = [float(b) for b in text.split(",")]
-        if all(map(math.isfinite, betas)):
-            return betas
     except ValueError:
-        pass
-    raise ConfigError(f"sweep --betas must be comma-separated finite numbers, not {text!r}")
+        betas = []
+    if not (betas and all(map(math.isfinite, betas))):
+        raise ConfigError(f"sweep --betas must be comma-separated finite numbers, not {text!r}")
+    names = [f"beta_{beta:g}" for beta in betas]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"sweep --betas {text!r} names the sub-runs {repeated} more than once")
+    return betas
 
 
 def cmd_sweep(args) -> int:
@@ -421,7 +437,7 @@ def cmd_sweep(args) -> int:
     for beta in betas:
         sub = json.loads(json.dumps(config))
         sub["potential"].setdefault("params", {})["beta"] = beta
-        name = f"beta_{beta:g}"
+        name = f"beta_{beta:g}"  # distinct, see _parse_betas
         sub["output_dir"] = str(base_dir / name)
         jobs.append((sub, name))
     results = []

@@ -243,6 +243,31 @@ def test_verify_command(solved_run, capsys):
     assert report["passed"]
     assert report["errors"][-1]["sup_error"] <= 0.05
     assert abs(report["measured_speed"] - 1.0) <= 0.02
+    # one trajectory row per snapshot: the front crossing moves at sigma = 1
+    # and the energy of the clamped chain stays put
+    rows = report["trajectory"]
+    assert [row["t"] for row in rows] == [e["t"] for e in report["errors"]]
+    assert rows[0]["crossing"] == 200.0
+    assert abs(rows[-1]["crossing"] - 200.0 - rows[-1]["t"]) < 0.5
+    assert max(abs(row["energy"] - rows[0]["energy"]) for row in rows) < 1e-6
+    assert all(abs(row["boundary_flux"]) < 1e-12 for row in rows)
+
+
+def test_verify_memory_stays_bounded(solved_run):
+    # A verify keeps no full-chain snapshot copies and pools only the atoms
+    # off the asymptotic states: 2000 atoms and 300 snapshots stay far below
+    # the 12 MB that the copies of 300 snapshots alone would take.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(["verify", str(solved_run["config"]), str(solved_run["run_dir"]),
+                     "--atoms", "2000", "--time", "30", "--stride", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 10e6
 
 
 def test_verify_corrupted_profile_fails(solved_run, tmp_path, capsys):
@@ -326,7 +351,11 @@ def test_sweep_command(tmp_path, capsys):
     (["--betas", ""], "--betas"),
     (["--betas", "0.05", "--workers", "0"], "--workers"),
     (["--betas", "0.05", "--workers", "-1"], "--workers"),
-], ids=["word_beta", "nan_beta", "no_beta", "zero_workers", "negative_workers"])
+    (["--betas", "0.05,0.1,0.05"], "beta_0.05"),
+    (["--betas", "0.05,5e-2"], "beta_0.05"),
+    (["--betas", "0.1,0.1000001"], "beta_0.1"),
+], ids=["word_beta", "nan_beta", "no_beta", "zero_workers", "negative_workers",
+        "repeated_beta", "equal_betas", "betas_equal_to_6_digits"])
 def test_sweep_bad_arguments_exit_2(tmp_path, capsys, argv, fragment):
     cfg = write_config(tmp_path / "sweep.json")
     code = main(["sweep", str(cfg), "--output-dir", str(tmp_path / "sw"), *argv])

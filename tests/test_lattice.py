@@ -3,6 +3,7 @@ import pytest
 
 from fpufronts import (
     ChainState,
+    EnergyLaw,
     NORMALIZED,
     QuarticPotential,
     RunResult,
@@ -251,3 +252,136 @@ def test_total_energy_and_flux_bookkeeping():
     assert e == pytest.approx(50 * (0.5 * 0.04 + float(pot.phi(0.5))), abs=1e-12)
     # constant state: flux in equals flux out
     assert boundary_flux(state, pot) == pytest.approx(0.0, abs=1e-14)
+
+
+def full_pool_energy_law(snapshots, pot, sigma, margin_atoms=20, dphi=0.05):
+    """Energy-law residual from a sort of every snapshot's whole interior.
+
+    The reference ``check_energy_law`` must match: it pools only the atoms
+    off the asymptotic states and interpolates only near their phases.
+    Returns (residual on the phase grid, energy_drift_rel).
+    """
+    n = snapshots[0].n_atoms
+    j = np.arange(n)
+    interior = slice(margin_atoms, n - margin_atoms)
+    phi_all = np.concatenate([j[interior] - sigma * s.t for s in snapshots])
+    order = np.argsort(phi_all, kind="stable")
+    phi_all = phi_all[order]
+    r_all = np.concatenate([s.r[interior] for s in snapshots])[order]
+    v_all = np.concatenate([s.v[interior] for s in snapshots])[order]
+
+    shift = int(round(1.0 / dphi))
+    grid = np.arange(phi_all[0] + 1.5, phi_all[-1] - 1.5, dphi)
+    r_g = np.interp(grid, phi_all, r_all)
+    v_g = np.interp(grid, phi_all, v_all)
+    de = np.gradient(0.5 * v_g**2 + pot.phi(r_g), dphi)
+    fp = pot.phi_prime(r_g)
+    res = (sigma * de[shift:-shift]
+           + fp[shift:-shift] * v_g[2 * shift:]
+           - fp[:-2 * shift] * v_g[shift:-shift])
+
+    times = np.array([s.t for s in snapshots])
+    energies = np.array([total_energy(s, pot) for s in snapshots])
+    fluxes = np.array([boundary_flux(s, pot) for s in snapshots])
+    flux_int = np.concatenate([[0.0], np.cumsum(
+        0.5 * (fluxes[1:] + fluxes[:-1]) * np.diff(times))])
+    drift = np.max(np.abs(energies - energies[0] - flux_int))
+    return res, float(drift / max(abs(energies[0]), 1.0))
+
+
+def assert_energy_law_is_full_pool(snaps, pot, sigma):
+    """check_energy_law equals the full-pool reference, and so does every
+    residual entry: those it computes, and the zeros it leaves out."""
+    res, drift = full_pool_energy_law(snaps, pot, sigma)
+    report = check_energy_law(snaps, pot, sigma=sigma)
+    assert report.residual_sup == float(np.max(np.abs(res)))
+    assert report.energy_drift_rel == drift
+
+    law = EnergyLaw(pot, sigma)
+    for s in snaps:
+        law.add(s)
+    g0, part = law._residual()
+    assert np.array_equal(part, res[g0:g0 + part.size])
+    assert not res[:g0].any() and not res[g0 + part.size:].any()
+    return law
+
+
+def reference_front_speed(snapshots):
+    """Mid-level crossing fit written out on the snapshot list."""
+    s0 = snapshots[0]
+    level = 0.5 * (s0.v_minus + s0.v_plus)
+    times, crossings = [], []
+    for s in snapshots:
+        d = s.v - level
+        idx = np.nonzero(d[:-1] * d[1:] <= 0)[0]
+        if idx.size:
+            i = idx[0]
+            crossings.append(i + (d[i] / (d[i] - d[i + 1]) if d[i] != d[i + 1] else 0.0))
+            times.append(s.t)
+    return float(np.polyfit(times, crossings, 1)[0])
+
+
+def _growing_window_chain(front):
+    # the chain of test_active_window_matches_full_chain
+    state = init_from_front(front["result"], NORMALIZED, n_atoms=2000, dt=0.05)
+    return state, 200.0, 37
+
+
+def _inexact_tails_chain(front):
+    state = init_from_front(front["result"], NORMALIZED, n_atoms=600, dt=0.01)
+    state.r[[0, -1]] += 1e-13
+    return state, 5.0, 7
+
+
+def _short_stride_chain(front):
+    # sigma * dt * stride = 0.2: every fifth snapshot repeats the phases
+    state = init_from_front(front["result"], NORMALIZED, n_atoms=400, dt=0.05)
+    return state, 20.0, 4
+
+
+@pytest.mark.parametrize("chain", [_growing_window_chain, _inexact_tails_chain,
+                                   _short_stride_chain],
+                         ids=["growing_window", "inexact_tails", "short_stride"])
+def test_energy_law_equals_full_pool(front_005, chain):
+    pot, gamma = front_005["pot"], front_005["gamma"]
+    state, T, stride = chain(front_005)
+    _, snaps = evolve(state, pot, T, gamma=gamma, snapshot_stride=stride)
+    snaps = [state] + snaps
+    law = assert_energy_law_is_full_pool(snaps, pot, 1.0)
+    assert measure_front_speed(snaps) == reference_front_speed(snaps)
+    kept = sum(r.size for _, r, _ in law._windows)
+    interior = len(snaps) * (state.n_atoms - 40)
+    if chain is _inexact_tails_chain:
+        assert kept == interior
+    else:
+        assert kept < interior / 2
+
+
+def test_energy_law_equals_full_pool_from_a_jump():
+    # At t = 0 no atom is off the states: the window keeps one atom at the jump.
+    pot = QuarticPotential(75.0)
+    left = np.arange(400) < 200
+    state = ChainState(r=np.where(left, -0.01, 0.01), v=np.where(left, 0.02, -0.02),
+                       t=0.0, dt=0.05, r_minus=-0.01, v_minus=0.02, r_plus=0.01, v_plus=-0.02)
+    _, snaps = evolve(state, pot, 2.0, snapshot_stride=3)
+    snaps = [state] + snaps
+    for sigma in (0.3, -0.3):
+        assert_energy_law_is_full_pool(snaps, pot, sigma)
+
+
+def test_observe_sees_the_returned_snapshots(front_005):
+    res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
+    state = init_from_front(res, NORMALIZED, n_atoms=600, dt=0.05)
+    final, snaps = evolve(state, pot, 30.0, gamma=gamma, snapshot_stride=11)
+    seen = []
+    out = evolve(state, pot, 30.0, gamma=gamma, snapshot_stride=11,
+                 observe=lambda s: seen.append((s.t, s.r.copy(), s.v.copy())))
+    assert isinstance(out, ChainState)
+    assert np.array_equal(out.r, final.r) and np.array_equal(out.v, final.v)
+    assert len(seen) == len(snaps) == 54
+    for (t, r, v), s in zip(seen, snaps):
+        assert t == s.t
+        assert np.array_equal(r, s.r)
+        assert np.array_equal(v, s.v)
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        evolve(state, pot, 1.0, observe=seen.append)
