@@ -227,6 +227,18 @@ def cmd_normalize(args) -> int:
     return 0
 
 
+def flow_gamma(pot: Potential) -> tuple[float, str]:
+    """The invariant bound gamma of ``pot`` and where it came from.
+
+    The source is ``"invariant_bound"`` when ``compute_invariant_bound``
+    finds one, and ``"fallback"`` when it does not and gamma is set to 2.
+    """
+    try:
+        return compute_invariant_bound(pot), "invariant_bound"
+    except FpuFrontsError:
+        return 2.0, "fallback"
+
+
 def run_solve(config: dict) -> dict:
     """Full solve pipeline; returns the summary dict and writes artifacts.
 
@@ -243,10 +255,7 @@ def run_solve(config: dict) -> dict:
     else:
         pot_run = pot
 
-    try:
-        gamma = compute_invariant_bound(pot_run)
-    except FpuFrontsError:
-        gamma = 2.0
+    gamma, gamma_source = flow_gamma(pot_run)
     cfg = build_solver_config(config, gamma=max(gamma, 1.0))
     result = minimize(cfg, pot_run)
 
@@ -272,6 +281,7 @@ def run_solve(config: dict) -> dict:
         "final_grad_norm": result.final_grad_norm,
         "plateau_value": result.plateau_value,
         "gamma": cfg.gamma,
+        "gamma_source": gamma_source,
         "grid": {"L": cfg.L, "D": cfg.D},
         "front_data": fd.to_dict(),
         "phases": phases_dict,
@@ -395,12 +405,9 @@ def cmd_diagnose(args) -> int:
     pot = build_potential(config)
     L, D = config_grid(config)
     profile = read_profile_csv(Path(args.profile), L, int(D))
-    try:
-        gamma = compute_invariant_bound(pot)
-    except FpuFrontsError:
-        gamma = 2.0
+    gamma, gamma_source = flow_gamma(pot)
     sep = separate_phases(apply_averaging(profile), gamma)
-    print(json.dumps(sep.to_dict(), indent=2))
+    print(json.dumps({**sep.to_dict(), "gamma": gamma, "gamma_source": gamma_source}, indent=2))
     return 0
 
 

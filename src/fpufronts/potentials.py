@@ -144,14 +144,26 @@ class TiltedPotential(Potential):
 
 
 class TabulatedPotential(Potential):
-    """Potential from samples, via monotone cubic interpolation.
+    """Potential from samples, via monotone cubic (PCHIP) interpolation.
+
+    The interpolant is Fritsch and Carlson's monotone piecewise cubic
+    (SIAM J. Numer. Anal. 17, 1980) with the slope rule of SciPy's
+    ``PchipInterpolator``: at interior knots the weighted harmonic mean of the
+    neighbouring secant slopes (Fritsch and Butland, SIAM J. Sci. Stat.
+    Comput. 5, 1984), or 0 where they differ in sign or either is 0; at the
+    two end knots a one-sided three-point slope, set to 0 or clipped to 3
+    times the end secant to keep the shape (Moler, Numerical Computing with
+    MATLAB, 2004). Two samples give the straight line. It is built and
+    evaluated in numpy with SciPy's coefficients and summation order, so
+    ``phi`` and ``phi_prime`` equal SciPy's floats bit for bit. Beyond the
+    table the end cubics extrapolate.
 
     ``phi_prime`` is the analytic derivative of the interpolant, so the
     derivative-consistency invariant holds by construction.
 
-    The PCHIP interpolant comes from ``scipy.interpolate``, which is imported
-    when the first table is constructed: no other family needs scipy, so a
-    run that builds none does not pay for the import.
+    Input contract (a ``ValueError`` otherwise, as in SciPy): ``u_samples``
+    and ``phi_samples`` are equal-length 1-d arrays of at least 2 finite
+    values, and ``u_samples`` is strictly increasing.
     """
 
     family = "user_table"
@@ -161,18 +173,77 @@ class TabulatedPotential(Potential):
         phi_samples = np.asarray(phi_samples, dtype=float)
         if u_samples.ndim != 1 or u_samples.shape != phi_samples.shape:
             raise ValueError("samples must be two equal-length 1-d arrays")
-        from scipy.interpolate import PchipInterpolator
-
-        self._interp = PchipInterpolator(u_samples, phi_samples, extrapolate=True)
-        self._deriv = self._interp.derivative()
+        if u_samples.size < 2:
+            raise ValueError("a table needs at least 2 samples")
+        if not (np.all(np.isfinite(u_samples)) and np.all(np.isfinite(phi_samples))):
+            raise ValueError("samples must be finite")
+        if np.any(np.diff(u_samples) <= 0):
+            raise ValueError("u_samples must be strictly increasing")
         self.u_samples = u_samples
         self.phi_samples = phi_samples
+        self._c = _hermite_coefficients(u_samples, phi_samples)
+        self._dc = self._c[:-1] * np.array([3.0, 2.0, 1.0])[:, None]
 
     def phi(self, u):
-        return self._interp(np.asarray(u, dtype=float))
+        return _evaluate_piecewise(self.u_samples, self._c, u)
 
     def phi_prime(self, u):
-        return self._deriv(np.asarray(u, dtype=float))
+        return _evaluate_piecewise(self.u_samples, self._dc, u)
+
+
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end knot, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _hermite_coefficients(x, y):
+    """Cubic coefficients, highest power first, shape (4, len(x) - 1)."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d = np.concatenate((
+            [_end_slope(h[0], h[1], m[0], m[1])],
+            inner,
+            [_end_slope(h[-1], h[-2], m[-1], m[-2])],
+        ))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _evaluate_piecewise(x, c, u):
+    """Evaluate the piecewise polynomial with coefficients ``c`` at ``u``.
+
+    Interval i holds x[i] <= u < x[i + 1]; the count of interior knots at
+    or below u gives it, with the end intervals extended beyond the knots
+    and the last one closed at x[-1]. The sum runs in ascending powers from
+    0.0, as SciPy's ``PPoly`` does, which keeps every float equal to SciPy's
+    (a Horner scheme rounds differently).
+    """
+    u = np.asarray(u, dtype=float)
+    i = np.searchsorted(x[1:-1], u, side="right")
+    s = u - x[i]
+    # silent at u = +-inf and on overflow, as SciPy is
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = 0.0 + c[-1][i]
+        z = s
+        for k in range(c.shape[0] - 2, -1, -1):
+            res = res + c[k][i] * z
+            if k:
+                z = z * s
+    return res
 
 
 class LinearForcePotential(Potential):

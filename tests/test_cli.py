@@ -88,14 +88,30 @@ def test_solve_config_error_exits_2(tmp_path, capsys, overrides, fragment):
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_leaves_scipy_unimported(tmp_path):
-    # scipy serves only tabulated potentials and concurrent.futures only the
-    # sweep pool; every other run skips their imports
-    cfg = write_config(tmp_path / "quartic.json", output_dir=str(tmp_path / "run"))
-    script = (
+def table_config(path, **overrides):
+    """Quartic beta = 0.05 tabulated on [-4, 4] at spacing 0.05, on an aligned
+    L = 2.5 grid. The interpolant's defect dips to about -5e-7, so
+    check-potential exits 1 on it; solve exits 0."""
+    u = [(i - 80) / 20 for i in range(161)]
+    phi = [0.5 * x * x - 0.05 * (x * x - 1.0) ** 2 for x in u]
+    potential = {"family": "user_table", "params": {"u_samples": u, "phi_samples": phi}}
+    return write_config(path, potential=potential, grid={"L": 2.5, "D": 100}, **overrides)
+
+
+def run_fresh_cli(tmp_path, prelude=""):
+    """Solve a quartic, then check and solve a table, in a fresh interpreter.
+
+    ``prelude`` runs first. The exit codes are asserted in the child; the
+    last stdout line lists the scipy and concurrent modules it loaded.
+    """
+    quartic = write_config(tmp_path / "quartic.json", output_dir=str(tmp_path / "run"))
+    table = table_config(tmp_path / "table.json", output_dir=str(tmp_path / "table"))
+    script = prelude + (
         "import sys\n"
         "from fpufronts.cli import main\n"
-        f"assert main(['solve', {str(cfg)!r}]) == 0\n"
+        f"assert main(['solve', {str(quartic)!r}]) == 0\n"
+        f"assert main(['check-potential', {str(table)!r}]) == 1\n"
+        f"assert main(['solve', {str(table)!r}]) == 0\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] == 'scipy' or m.startswith('concurrent')))\n"
     )
@@ -103,8 +119,47 @@ def test_cli_leaves_scipy_unimported(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "run" / "summary.json").exists()
+    assert (tmp_path / "table" / "summary.json").exists()
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_leaves_scipy_unimported(tmp_path):
+    # the runtime needs numpy only (tabulated potentials interpolate in
+    # numpy), and concurrent.futures serves only the sweep pool
+    assert run_fresh_cli(tmp_path) == "[]"
+
+
+def test_cli_runs_with_scipy_unimportable(tmp_path):
+    # an import hook refuses scipy, as in an environment without it
+    prelude = (
+        "import sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(f'scipy is not installed: {name}')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+    )
+    assert run_fresh_cli(tmp_path, prelude) == "[]"
+
+
+@pytest.mark.parametrize("u, phi, fragment", [
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 0.5, 0.5, 2.0], "strictly increasing"),
+    ([0.0, 2.0, 1.0], [0.0, 2.0, 0.5], "strictly increasing"),
+    ([1.0], [0.5], "at least 2 samples"),
+    ([], [], "at least 2 samples"),
+], ids=["repeated_knot", "decreasing_knots", "one_sample", "empty"])
+def test_table_input_contract_exits_2(tmp_path, capsys, u, phi, fragment):
+    cfg = write_config(tmp_path / "table.json", potential={
+        "family": "user_table", "params": {"u_samples": u, "phi_samples": phi}})
+    assert main(["check-potential", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ConfigError"
+    assert fragment in payload["message"]
+    assert "Traceback" not in captured.err
 
 
 def test_non_finite_flow_exits_1(tmp_path, capsys, monkeypatch):
@@ -183,6 +238,27 @@ def test_deterministic_artifacts(solved_run, tmp_path, capsys):
         runs.append((tmp_path / name / "summary.json").read_bytes())
     assert runs[0] == runs[1]
     assert json.loads(runs[0])["rejected_steps"] > 0
+    # the byte comparisons above cover gamma_source, from either source
+    assert json.loads(a)["gamma_source"] == "invariant_bound"
+    assert json.loads(runs[0])["gamma_source"] == "fallback"
+
+
+@pytest.mark.parametrize("beta, source", [(1.0, "fallback"), (0.05, "invariant_bound")])
+def test_gamma_source(tmp_path, capsys, beta, source):
+    # at beta = 1 the force reaches 2.15 on [-1, 1] and phi'(2.15) = -29 lies
+    # beyond the searched range, so no invariant bound is found
+    potential = {"family": "quartic", "params": {"beta": beta}}
+    cfg = write_config(tmp_path / "q.json", potential=potential, grid={"L": 2.5, "D": 100},
+                       output_dir=str(tmp_path / "run"))
+    assert main(["solve", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["gamma_source"] == source
+    assert (summary["gamma"] == 2.0) == (source == "fallback")
+    capsys.readouterr()
+    assert main(["diagnose", str(cfg), str(tmp_path / "run" / "profile.csv")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["gamma_source"] == source
+    assert out["gamma"] == summary["gamma"]
 
 
 def test_normalize_command(tmp_path, capsys):

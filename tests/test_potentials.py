@@ -134,6 +134,29 @@ def test_tabulated_roundtrip_matches_quartic():
     assert np.max(np.abs(fd - tab.phi_prime(x))) < 1e-7
 
 
+def test_two_sample_table_is_linear():
+    # as in SciPy, two samples give the straight line through them, extended
+    tab = TabulatedPotential([-1.0, 3.0], [2.0, -6.0])
+    x = np.array([-4.0, -1.0, 0.0, 1.5, 3.0, 7.0])
+    assert np.array_equal(tab.phi(x), 2.0 - 2.0 * (x + 1.0))
+    assert np.array_equal(tab.phi_prime(x), np.full_like(x, -2.0))
+
+
+def test_table_end_slopes_keep_shape():
+    # left end: the three-point slope -0.5 has the wrong sign and becomes 0;
+    # right end: -3.5 overshoots where the secants change sign and is clipped
+    # to 3 times the end secant, -3. SciPy does the same.
+    from scipy.interpolate import PchipInterpolator
+
+    u, phi = [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 5.0, 4.0]
+    tab = TabulatedPotential(u, phi)
+    assert tab.phi_prime(np.array([0.0, 3.0])).tolist() == [0.0, -3.0]
+    x = np.linspace(-1.0, 4.0, 101)
+    ref = PchipInterpolator(u, phi)
+    assert np.array_equal(tab.phi(x), ref(x))
+    assert np.array_equal(tab.phi_prime(x), ref.derivative()(x))
+
+
 def test_factory_dispatch_and_unknown_family():
     pot = make_potential("quartic", {"beta": 0.1})
     assert isinstance(pot, QuarticPotential)

@@ -1,5 +1,6 @@
 """Property tests of the averaging operator, the quadratic part and the
-gradient over random aligned grids, at the tolerances of the fixed-grid tests.
+gradient over random aligned grids, at the tolerances of the fixed-grid tests,
+and of the tabulated potential against SciPy's PCHIP as an oracle.
 
 A grid is aligned when half the unit window is K whole cells: L = m/4 with
 D = m K gives h = 1/(2K) for every integer m >= 8 (L >= 2) and K >= 1.
@@ -9,12 +10,13 @@ seed and, where it matters, an extension value or a padding width.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fpufronts import (
     GridProfile,
     QuarticPotential,
+    TabulatedPotential,
     apply_averaging,
     averaged_extended,
     functional_L,
@@ -147,3 +149,27 @@ def test_plateau_run_length_matches_loop(grid, seed, level, mean_run, min_nodes)
     values = np.where(on, level + rng.uniform(-4e-4, 4e-4, D + 1), rng.uniform(-3, 3, D + 1))
     w = GridProfile(L, D, values)
     assert interior_plateau(w, min_nodes=min_nodes) == plateau_reference(w, min_nodes=min_nodes)
+
+
+# knot gaps of mixed size, and value steps that are often exactly 0 (flat
+# runs) and change sign (local extrema)
+gaps = st.lists(st.floats(0.01, 3.0), min_size=1, max_size=39)
+steps = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-5.0, 5.0), gaps, st.data())
+def test_table_matches_scipy_pchip(x0, h, data):
+    from scipy.interpolate import PchipInterpolator
+
+    x = x0 + np.concatenate(([0.0], np.cumsum(h)))
+    assume(np.all(np.diff(x) > 0))
+    y = np.cumsum([data.draw(levels)] + data.draw(st.lists(steps, min_size=len(h), max_size=len(h))))
+    # inside, beyond both ends, exactly at the knots, and not finite
+    frac = np.array(data.draw(st.lists(st.floats(-1.0, 2.0), max_size=30)))
+    u = np.concatenate((x[0] + frac * (x[-1] - x[0]), x,
+                        [x[0] - 50.0, x[-1] + 50.0, np.nan, np.inf, -np.inf]))
+    tab = TabulatedPotential(x, y)
+    ref = PchipInterpolator(x, y, extrapolate=True)
+    assert np.array_equal(tab.phi(u), ref(u), equal_nan=True)
+    assert np.array_equal(tab.phi_prime(u), ref.derivative()(u), equal_nan=True)
