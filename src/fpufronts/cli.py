@@ -170,8 +170,20 @@ def write_profile_csv(path: Path, profile: GridProfile) -> None:
 
 
 def read_profile_csv(path: Path, L: float, D: int) -> GridProfile:
-    rows = path.read_text().strip().splitlines()
-    values = np.array([float(line.split(",")[1]) for line in rows[1:]])
+    """The W column of a ``profile.csv`` on the grid (L, D).
+
+    Raises ConfigError for a row without a number in that column, a row
+    count other than D + 1, or a value that is not finite.
+    """
+    rows = path.read_text().strip().splitlines()[1:]
+    try:
+        values = np.array([float(line.split(",")[1]) for line in rows])
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"malformed profile {path}: {exc}") from None
+    if values.size != D + 1:
+        raise ConfigError(f"profile {path} has {values.size} rows, not D + 1 = {D + 1}")
+    if not np.isfinite(values).all():
+        raise ConfigError(f"profile {path} holds a value that is not finite")
     return GridProfile(L, D, values)
 
 
@@ -239,13 +251,23 @@ def flow_gamma(pot: Potential) -> tuple[float, str]:
         return 2.0, "fallback"
 
 
+# Every file a solve or a verify writes into a run directory.
+_RUN_ARTIFACTS = ("profile.csv", "history.csv", "profile_physical.csv",
+                  "summary.json", "timings.json", "verify.json")
+
+
 def run_solve(config: dict) -> dict:
     """Full solve pipeline; returns the summary dict and writes artifacts.
 
     ``summary.json`` is byte-reproducible; the wall time of the run goes to
-    ``timings.json`` beside it.
+    ``timings.json`` beside it.  The run artifacts of an earlier run in the
+    output directory are removed first, so a solve that fails leaves none
+    behind for ``verify`` or ``diagnose`` to read as its own.
     """
     t0 = time.monotonic()
+    out_dir = Path(config.get("output_dir", "."))
+    for name in _RUN_ARTIFACTS:
+        (out_dir / name).unlink(missing_ok=True)
     pot = build_potential(config)
     states = config.get("states")
     fd = NORMALIZED
@@ -259,7 +281,6 @@ def run_solve(config: dict) -> dict:
     cfg = build_solver_config(config, gamma=max(gamma, 1.0))
     result = minimize(cfg, pot_run)
 
-    out_dir = Path(config.get("output_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_profile_csv(out_dir / "profile.csv", result.profile)
     write_history_csv(out_dir / "history.csv", result.history, result.lambda_history)

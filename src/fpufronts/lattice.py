@@ -13,7 +13,8 @@ The integrator advances only an active window of atoms.  Every atom outside
 it sits exactly at the left or the right asymptotic state, where the step
 would leave it unchanged (zero force, zero strain rate); the window widens
 before a departure from the states can reach past its edges, so the result
-is bit for bit that of stepping the whole chain.
+is bit for bit that of stepping the whole chain.  A strain beyond ten times
+the invariant bound, or one that is not a number, stops the run (BlowUp).
 
 The checks read the chain snapshot by snapshot, so a long run keeps no
 full-chain copies.  ``evolve(..., observe=f)`` calls ``f`` with a
@@ -24,12 +25,21 @@ reductions, and ``measure_front_speed`` and ``check_energy_law`` are loops
 over them, so a snapshot list and a stream give the same floats.
 
 ``EnergyLaw`` keeps, of each snapshot, only the interior atoms between the
-runs exactly at the left and the right state, and its report rebuilds the
-pooled profile only near their phases.  That is exact: every pooled sample
-left of the kept phases is exactly at the left state and every one right of
-them at the right state, and ``np.interp`` between two equal samples returns
-that value exactly (slope 0), so the interpolated profile, and with it the
-residual, are the floats a sort of every snapshot's whole interior gives.
+runs exactly at the left and the right state, and its report interpolates
+the pooled profile only near their phases.  That is exact: every pooled
+sample left of the kept phases is exactly at the left state and every one
+right of them at the right state, and ``np.interp`` between two equal samples
+returns that value exactly (slope 0), so the interpolated profile, and with it
+the residual, are the floats a sort of every snapshot's whole interior gives.
+
+The report interpolates block by block, each block of the phase grid from a
+pool of only the samples near it, so its memory grows with one block and not
+with the snapshots times the phase span.  That is exact too: ``np.interp`` at
+x reads only the last pooled sample at or below x in sorted order and the
+one after it.  A block's pool keeps every sample from the last one at or
+below its first grid point to the first one above its last grid point, so it
+holds both for each of its grid points, and it sorts equal phases in the same
+order as the whole pool, snapshot by snapshot.
 """
 
 from __future__ import annotations
@@ -112,11 +122,14 @@ def _at_state(r: np.ndarray, v: np.ndarray, r_state: float, v_state: float) -> n
     return (r == r_state) & (v == v_state)
 
 
-def _forces(r: np.ndarray, pot: Potential, fp_ghost, out: np.ndarray) -> None:
-    """out_j = phi'(r_j) - phi'(r_{j-1}), with phi'(r_{-1}) = ``fp_ghost``."""
+def _forces(r: np.ndarray, pot: Potential, fp_ghost, out: np.ndarray, out_tail: np.ndarray) -> None:
+    """out_j = phi'(r_j) - phi'(r_{j-1}), with phi'(r_{-1}) = ``fp_ghost``.
+
+    ``out_tail`` is the view ``out[1:]``, made once by the caller.
+    """
     fp = pot.phi_prime(r)
     out[0] = fp[0] - fp_ghost
-    np.subtract(fp[1:], fp[:-1], out=out[1:])
+    np.subtract(fp[1:], fp[:-1], out_tail)
 
 
 def evolve(
@@ -132,9 +145,11 @@ def evolve(
     Each step is a half velocity kick, a full strain drift, and a second half
     kick; the scheme is time-reversible up to rounding.  The force of the
     second kick is that of the next step's first kick, so it is evaluated
-    once per step.  Raises BlowUp when a strain leaves ten times the
-    invariant interval.  With ``snapshot_stride`` set, also returns the
-    intermediate states every that many steps.
+    once per step.  Raises BlowUp at the first step after which a strain
+    leaves ten times the invariant interval or is not finite (a NaN strain
+    compares false with every bound, so the test is ``not |r| <= bound``).
+    With ``snapshot_stride`` set, also returns the intermediate states every
+    that many steps.
 
     With ``observe`` set as well, ``observe(s)`` is called with each
     intermediate state instead, and only the final state is returned.  ``s``
@@ -163,6 +178,7 @@ def evolve(
     dt = state.dt
     half_dt = 0.5 * dt
     bound = 10.0 * gamma
+    v_plus = state.v_plus
     r = state.r.copy()
     v = state.v.copy()
     n = r.size
@@ -182,26 +198,33 @@ def evolve(
         def observe(s: ChainState) -> None:
             snapshots.append(ChainState(s.r.copy(), s.v.copy(), s.t, s.dt,
                                         s.r_minus, s.v_minus, s.r_plus, s.v_plus))
+    # the steps after which to observe a snapshot and to check the guard bands
+    snap_at = snapshot_stride - 1 if snapshot_stride else -1
+    check_at = _CHECK_EVERY - 1
     for step in range(n_steps):
         if resize:
             rw, vw, fw, sw = r[lo:hi], v[lo:hi], force[lo:hi], scratch[lo:hi]
-            _forces(rw, pot, fp_ghost, fw)
-            outside_peak = max(abs(state.r_minus) if lo > 0 else 0.0,
-                               abs(state.r_plus) if hi < n else 0.0)
+            v_next, v_prev, sw_head, fw_tail = vw[1:], vw[:-1], sw[:-1], fw[1:]
+            _forces(rw, pot, fp_ghost, fw, fw_tail)
             resize = False
-        np.add(vw, np.multiply(fw, half_dt, out=sw), out=vw)
-        np.subtract(vw[1:], vw[:-1], out=sw[:-1])
-        sw[-1] = state.v_plus - vw[-1]
-        np.add(rw, np.multiply(sw, dt, out=sw), out=rw)
-        _forces(rw, pot, fp_ghost, fw)
-        np.add(vw, np.multiply(fw, half_dt, out=sw), out=vw)
-        if np.maximum(np.abs(rw, out=sw).max(), outside_peak) > bound:
+        np.add(vw, np.multiply(fw, half_dt, sw), vw)
+        np.subtract(v_next, v_prev, sw_head)
+        sw[-1] = v_plus - vw[-1]
+        np.add(rw, np.multiply(sw, dt, sw), rw)
+        _forces(rw, pot, fp_ghost, fw, fw_tail)
+        np.add(vw, np.multiply(fw, half_dt, sw), vw)
+        # Also true for a NaN strain.  The atoms left out are at a state, and
+        # the first window holds some of them, so a state beyond the bound
+        # raises here at step 0.
+        if not np.abs(rw, sw).max() <= bound:
             raise BlowUp(f"strain exceeded 10*gamma at step {step}")
-        if snapshot_stride and (step + 1) % snapshot_stride == 0:
+        if step == snap_at:
+            snap_at += snapshot_stride
             observe(ChainState(r, v, state.t + (step + 1) * dt, dt,
                                state.r_minus, state.v_minus,
                                state.r_plus, state.v_plus))
-        if (step + 1) % _CHECK_EVERY == 0:
+        if step == check_at:
+            check_at += _CHECK_EVERY
             if lo > 0 and not _at_state(rw[:_GUARD], vw[:_GUARD],
                                         state.r_minus, state.v_minus).all():
                 lo, resize = max(0, lo - _CHUNK), True
@@ -233,6 +256,37 @@ class EnergyLawReport:
     energy_drift_rel: float
 
 
+# EnergyLaw.report interpolates its phase grid in blocks of _BLOCK phase
+# units, each from a pool of the samples near that block alone.
+_BLOCK = 32
+
+
+def _searchsorted_phases(x: float, shifts: np.ndarray, first: int, stop: int,
+                         side: str = "left") -> np.ndarray:
+    """``np.searchsorted(j - c, x, side)`` over the atoms j in [first, stop), per shift c.
+
+    Returns, for every shift at once, the atom index at which the search
+    lands: the first atom whose phase ``j - c`` is >= x (side ``"left"``) or
+    > x (``"right"``), and ``stop`` where none is.  ``ceil(x + c)`` is within
+    one atom of it, and the comparisons on the float phase ``j - c`` correct
+    it, so the index is that of the search itself.
+    """
+    below = np.less if side == "left" else np.less_equal
+    j = np.clip(np.ceil(x + shifts), first, stop).astype(np.int64)
+    j += (j < stop) & below(j - shifts, x)
+    j -= (j > first) & ~below(j - 1 - shifts, x)
+    return j
+
+
+def _grown(buf: np.ndarray, used: int, size: int) -> np.ndarray:
+    """``buf`` with room for at least ``size`` entries; its first ``used`` kept."""
+    if size <= buf.size:
+        return buf
+    out = np.empty(max(size, 2 * buf.size))
+    out[:used] = buf[:used]
+    return out
+
+
 class EnergyLaw:
     """Travelling-wave energy law, accumulated one snapshot at a time.
 
@@ -242,7 +296,13 @@ class EnergyLaw:
     and a copy of the interior atoms between the runs of atoms exactly at the
     left and the right state.  That window holds at least one atom, so every
     interior atom left of it is exactly at ``(r_minus, v_minus)`` and every
-    one right of it at ``(r_plus, v_plus)``.
+    one right of it at ``(r_plus, v_plus)``.  The windows go into one flat,
+    growing pair of buffers; ``_windows`` holds each one's ``(lo, size,
+    offset)``: its first atom, its length and where it starts in the buffers.
+
+    ``report`` interpolates the pooled samples onto the phase grid block by
+    block, so its memory grows with one block's pool (``_BLOCK`` phase units
+    of every snapshot), not with the snapshots times the phase span.
     """
 
     def __init__(self, pot: Potential, sigma: float, margin_atoms: int = 20, dphi: float = 0.05):
@@ -253,7 +313,10 @@ class EnergyLaw:
         self.times: list[float] = []
         self.energies: list[float] = []
         self.fluxes: list[float] = []
-        self._windows: list[tuple[int, np.ndarray, np.ndarray]] = []
+        self._windows: list[tuple[int, int, int]] = []
+        self._r = np.empty(0)
+        self._v = np.empty(0)
+        self._kept = 0  # entries of _r and _v in use
         self._chain = None  # (n, r_minus, v_minus, r_plus, v_plus), from the first snapshot
 
     def add(self, state: ChainState) -> None:
@@ -269,43 +332,53 @@ class EnergyLaw:
         self.times.append(state.t)
         self.energies.append(total_energy(state, self.pot))
         self.fluxes.append(boundary_flux(state, self.pot))
-        self._windows.append((lo, state.r[lo:hi].copy(), state.v[lo:hi].copy()))
+        start, end = self._kept, self._kept + hi - lo
+        self._r = _grown(self._r, start, end)
+        self._v = _grown(self._v, start, end)
+        self._r[start:end] = state.r[lo:hi]
+        self._v[start:end] = state.v[lo:hi]
+        self._windows.append((lo, hi - lo, start))
+        self._kept = end
 
-    def _pool(self, phi_lo: float, phi_hi: float):
-        """The pooled samples with phases in [phi_lo, phi_hi], sorted by phase.
+    def _block_pool(self, x_first: float, x_last: float, shifts: np.ndarray, windows: np.ndarray):
+        """The pooled samples that ``np.interp`` reads on [x_first, x_last], sorted by phase.
 
-        Each snapshot contributes its interior atoms j at phase j - sigma*t:
-        the window's values and the states on either side of it.  The stable
-        sort puts equal phases in snapshot order, as a sort of the whole
-        pool does.
+        Of every snapshot's interior atoms, at phases ``j - c``, these are the
+        ones with phases in [a, b]: a is the largest phase <= x_first and b
+        the smallest > x_last, both of which exist for points of the grid.
+        They are laid out snapshot by snapshot, atoms in order, as in a pool
+        of every snapshot's whole interior, so the stable sort puts equal
+        phases in the same order as a sort of that pool does.
         """
         n, r_minus, v_minus, r_plus, v_plus = self._chain
-        j = np.arange(n)[self.margin:n - self.margin]
-        spans = []
-        for t in self.times:
-            phi = j - self.sigma * t
-            spans.append((int(np.searchsorted(phi, phi_lo)),
-                          int(np.searchsorted(phi, phi_hi, side="right"))))
-        size = sum(b - a for a, b in spans)
-        phi_all, r_all, v_all = np.empty(size), np.empty(size), np.empty(size)
-        start = 0
-        for t, (lo, r, v), (a, b) in zip(self.times, self._windows, spans):
-            end = start + b - a
-            k0 = start + lo - int(j[a])  # the window's first sample
-            k1 = k0 + r.size
-            phi_all[start:end] = j[a:b] - self.sigma * t
-            for out, left, window, right in ((r_all, r_minus, r, r_plus),
-                                             (v_all, v_minus, v, v_plus)):
-                out[start:k0] = left
-                out[k0:k1] = window
-                out[k1:end] = right
-            start = end
-        order = np.argsort(phi_all, kind="stable")
-        # one array at a time, so that each unsorted copy is freed as it goes
-        phi_all = phi_all[order]
-        r_all = r_all[order]
-        v_all = v_all[order]
-        return phi_all, r_all, v_all
+        first, stop = self.margin, n - self.margin  # the interior atoms
+        j = _searchsorted_phases(x_first, shifts, first, stop, "right")
+        a = np.max((j - 1 - shifts)[j > first])
+        j = _searchsorted_phases(x_last, shifts, first, stop, "right")
+        b = np.min((j - shifts)[j < stop])
+        j0 = _searchsorted_phases(a, shifts, first, stop, "left")
+        width = _searchsorted_phases(b, shifts, first, stop, "right") - j0
+
+        # A (snapshots x widest) grid of atoms, which flattens snapshot by
+        # snapshot, atoms in order; cells past a snapshot's width get phase
+        # +inf, so that they sort last and are cut off.
+        lo, size, offset = windows
+        cols = np.arange(width.max())
+        j = j0[:, None] + cols
+        phi = j - shifts[:, None]
+        phi[cols >= width[:, None]] = np.inf
+        order = np.argsort(phi, axis=None, kind="stable")[:width.sum()]
+        k = j - lo[:, None]  # each atom's place in its snapshot's window
+        at = (offset[:, None] + np.clip(k, 0, size[:, None] - 1)).ravel()[order]
+        left = (k < 0).ravel()[order]
+        right = (k >= size[:, None]).ravel()[order]
+        out = [phi.ravel()[order]]
+        for buf, l_state, r_state in ((self._r, r_minus, r_plus), (self._v, v_minus, v_plus)):
+            x = buf[at]
+            x[left] = l_state
+            x[right] = r_state
+            out.append(x)
+        return out
 
     def _residual(self) -> tuple[int, np.ndarray]:
         """The energy-law residual on the uniform phase grid, from index ``g0``.
@@ -313,12 +386,14 @@ class EnergyLaw:
         Returns ``(g0, res)``: ``res`` is the grid residual from index ``g0``
         on, and every entry outside it is exactly 0.
         """
-        n, r_minus, v_minus, r_plus, v_plus = self._chain
+        n = self._chain[0]
         sigma, dphi, m = self.sigma, self.dphi, self.margin
-        shifts = [sigma * t for t in self.times]
+        shifts = sigma * np.array(self.times)
+        windows = np.array(self._windows).T  # rows: lo, size, offset
+        lo, size = windows[0], windows[1]
         # The grid spans the phases of every snapshot's whole interior ...
-        first = min(m - c for c in shifts)
-        last = max(n - m - 1 - c for c in shifts)
+        first = np.min(m - shifts)
+        last = np.max(n - m - 1 - shifts)
         shift = int(round(1.0 / dphi))
         grid = np.arange(first + 1.5, last - 1.5, dphi)
         if grid.size <= 2 * shift:
@@ -328,15 +403,23 @@ class EnergyLaw:
         # the left (right) state, which makes the energy gradient and the
         # residual exactly 0 there; 2*shift + 2 state points on each side of
         # the slice cover every residual that reads a point off the states.
-        p_lo = min(lo - c for (lo, _, _), c in zip(self._windows, shifts)) - 2.0
-        p_hi = max(lo + r.size - 1 - c for (lo, r, _), c in zip(self._windows, shifts)) + 2.0
+        p_lo = np.min(lo - shifts) - 2.0
+        p_hi = np.max(lo + size - 1 - shifts) + 2.0
         pad = 2 * shift + 2
         g0 = max(0, int(np.searchsorted(grid, p_lo)) - pad)
         g1 = min(grid.size, int(np.searchsorted(grid, p_hi, side="right")) + pad)
         grid = grid[g0:g1]
-        phi_all, r_all, v_all = self._pool(p_lo, p_hi)
-        r_g = np.interp(grid, phi_all, r_all, left=r_minus, right=r_plus)
-        v_g = np.interp(grid, phi_all, v_all, left=v_minus, right=v_plus)
+        # Block by block: np.interp at x reads only the last pooled sample at
+        # or below x and the one after it in the sorted pool, and the block's
+        # pool holds both, in the same order (see _block_pool).  Every grid
+        # point lies inside the pool's phases, so neither end value is used.
+        r_g, v_g = np.empty(grid.size), np.empty(grid.size)
+        block = max(1, int(round(_BLOCK / dphi)))
+        for b0 in range(0, grid.size, block):
+            x = grid[b0:b0 + block]
+            phi, r, v = self._block_pool(x[0], x[-1], shifts, windows)
+            r_g[b0:b0 + block] = np.interp(x, phi, r)
+            v_g[b0:b0 + block] = np.interp(x, phi, v)
         e_g = 0.5 * v_g**2 + self.pot.phi(r_g)
 
         de = np.gradient(e_g, dphi)

@@ -378,6 +378,73 @@ def test_verify_malformed_summary_exits_2(solved_run, tmp_path, capsys):
     assert "front_data" in err["message"]
 
 
+def test_failed_solve_leaves_no_stale_artifacts(solved_run, tmp_path, capsys):
+    # A solve that fails (here on inadmissible states, exit 1) into the
+    # directory of a converged run leaves none of that run's files behind
+    # for verify to read as its own.
+    import shutil
+    run2 = tmp_path / "rerun"
+    shutil.copytree(solved_run["run_dir"], run2)
+    cfg = write_config(tmp_path / "inadmissible.json", output_dir=str(run2),
+                       states={"r_minus": -0.8, "r_plus": 1.0})
+    assert main(["solve", str(cfg)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "InadmissibleFront"
+    assert not any((run2 / name).exists() for name in cli._RUN_ARTIFACTS)
+    assert main(["verify", str(solved_run["config"]), str(run2)]) == 2
+    assert "run artifacts not found" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_solve_without_states_removes_old_physical_profile(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "profile_physical.csv").write_text("phi,R,V\n")
+    cfg = write_config(tmp_path / "plain.json", grid={"L": 20.0, "D": 800},
+                       output_dir=str(run))
+    assert main(["solve", str(cfg)]) == 0
+    assert (run / "summary.json").exists()
+    assert not (run / "profile_physical.csv").exists()
+
+
+def _spoil_profile(lines, defect):
+    """``profile.csv`` lines with one defect put in."""
+    phi, w, u = lines[1600].split(",")
+    if defect == "non_numeric":
+        lines[1600] = f"{phi},abc,{u}"
+    elif defect == "missing_cell":
+        lines[1600] = phi
+    elif defect == "short":
+        del lines[1600]
+    elif defect == "nan":
+        lines[1600] = f"{phi},nan,{u}"
+    return lines
+
+
+@pytest.mark.parametrize("command", ["verify", "diagnose"])
+@pytest.mark.parametrize("defect, fragment", [
+    ("non_numeric", "malformed profile"),
+    ("missing_cell", "malformed profile"),
+    ("short", "3200 rows, not D + 1 = 3201"),
+    ("nan", "not finite"),
+], ids=["non_numeric", "missing_cell", "short", "nan"])
+def test_malformed_profile_exits_2(solved_run, tmp_path, capsys, command, defect, fragment):
+    import shutil
+    run2 = tmp_path / "spoiled"
+    shutil.copytree(solved_run["run_dir"], run2)
+    lines = (run2 / "profile.csv").read_text().splitlines()
+    (run2 / "profile.csv").write_text("\n".join(_spoil_profile(lines, defect)) + "\n")
+    if command == "verify":
+        argv = ["verify", str(solved_run["config"]), str(run2), "--time", "1"]
+    else:
+        argv = ["diagnose", str(solved_run["config"]), str(run2 / "profile.csv")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert fragment in err["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["--dt", "0"],
     ["--dt", "-0.01"],

@@ -19,6 +19,8 @@ from fpufronts import (
 from fpufronts import lattice
 from fpufronts.errors import BlowUp, NotAFront
 
+from conftest import full_pool_energy_law
+
 
 def constant_state(r0, v0, n=100, dt=0.01):
     return ChainState(r=np.full(n, r0), v=np.full(n, v0), t=0.0, dt=dt,
@@ -200,6 +202,33 @@ def test_blow_up_step_matches_full_chain(front_005):
         evolve(state, pot, 50.0, gamma=gamma)
 
 
+@pytest.mark.parametrize("inexact_tails", [False, True], ids=["windowed", "inexact_tails"])
+def test_nan_strain_blows_up_at_step_0(front_005, inexact_tails):
+    # NaN compares false with any bound: a test written as |r| > bound
+    # would integrate it, and the NaN would spread through the chain.
+    res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
+    state = init_from_front(res, NORMALIZED, n_atoms=600, dt=0.01)
+    if inexact_tails:
+        state.r[[0, -1]] += 1e-13  # the whole chain is integrated
+    state.r[300] = np.nan  # on the front, inside the window
+    with pytest.raises(BlowUp, match="at step 0$"):
+        evolve(state, pot, 5.0, gamma=gamma)
+
+
+def test_tail_state_beyond_bound_blows_up_at_step_0():
+    # The atoms left of the window sit at a strain beyond 10*gamma = 20:
+    # the window's check of the atoms it leaves out finds it at step 0, as
+    # the full chain does.
+    pot = QuarticPotential(0.2)
+    left = np.arange(400) < 200
+    state = ChainState(r=np.where(left, 25.0, 0.0), v=np.zeros(400), t=0.0, dt=0.01,
+                       r_minus=25.0, v_minus=0.0, r_plus=0.0, v_plus=0.0)
+    *_, ref_step = full_chain_leapfrog(state, pot, 1.0, 2.0)
+    assert ref_step == 0
+    with pytest.raises(BlowUp, match="at step 0$"):
+        evolve(state, pot, 1.0)
+
+
 def test_second_order_convergence(front_005):
     res = front_005["result"]
     pot = front_005["pot"]
@@ -252,41 +281,6 @@ def test_total_energy_and_flux_bookkeeping():
     assert e == pytest.approx(50 * (0.5 * 0.04 + float(pot.phi(0.5))), abs=1e-12)
     # constant state: flux in equals flux out
     assert boundary_flux(state, pot) == pytest.approx(0.0, abs=1e-14)
-
-
-def full_pool_energy_law(snapshots, pot, sigma, margin_atoms=20, dphi=0.05):
-    """Energy-law residual from a sort of every snapshot's whole interior.
-
-    The reference ``check_energy_law`` must match: it pools only the atoms
-    off the asymptotic states and interpolates only near their phases.
-    Returns (residual on the phase grid, energy_drift_rel).
-    """
-    n = snapshots[0].n_atoms
-    j = np.arange(n)
-    interior = slice(margin_atoms, n - margin_atoms)
-    phi_all = np.concatenate([j[interior] - sigma * s.t for s in snapshots])
-    order = np.argsort(phi_all, kind="stable")
-    phi_all = phi_all[order]
-    r_all = np.concatenate([s.r[interior] for s in snapshots])[order]
-    v_all = np.concatenate([s.v[interior] for s in snapshots])[order]
-
-    shift = int(round(1.0 / dphi))
-    grid = np.arange(phi_all[0] + 1.5, phi_all[-1] - 1.5, dphi)
-    r_g = np.interp(grid, phi_all, r_all)
-    v_g = np.interp(grid, phi_all, v_all)
-    de = np.gradient(0.5 * v_g**2 + pot.phi(r_g), dphi)
-    fp = pot.phi_prime(r_g)
-    res = (sigma * de[shift:-shift]
-           + fp[shift:-shift] * v_g[2 * shift:]
-           - fp[:-2 * shift] * v_g[shift:-shift])
-
-    times = np.array([s.t for s in snapshots])
-    energies = np.array([total_energy(s, pot) for s in snapshots])
-    fluxes = np.array([boundary_flux(s, pot) for s in snapshots])
-    flux_int = np.concatenate([[0.0], np.cumsum(
-        0.5 * (fluxes[1:] + fluxes[:-1]) * np.diff(times))])
-    drift = np.max(np.abs(energies - energies[0] - flux_int))
-    return res, float(drift / max(abs(energies[0]), 1.0))
 
 
 def assert_energy_law_is_full_pool(snaps, pot, sigma):
@@ -349,7 +343,7 @@ def test_energy_law_equals_full_pool(front_005, chain):
     snaps = [state] + snaps
     law = assert_energy_law_is_full_pool(snaps, pot, 1.0)
     assert measure_front_speed(snaps) == reference_front_speed(snaps)
-    kept = sum(r.size for _, r, _ in law._windows)
+    kept = sum(size for _, size, _ in law._windows)
     interior = len(snaps) * (state.n_atoms - 40)
     if chain is _inexact_tails_chain:
         assert kept == interior
@@ -385,3 +379,32 @@ def test_observe_sees_the_returned_snapshots(front_005):
         assert np.array_equal(v, s.v)
     with pytest.raises(ValueError, match="snapshot_stride"):
         evolve(state, pot, 1.0, observe=seen.append)
+
+
+def test_energy_law_report_memory_is_one_block():
+    # The windows of the 8000-atom verify over T = 400 (stride 73, dt 0.01):
+    # 548 snapshots whose kept atoms reach from the front back to the
+    # radiation behind it, 38 to about 750 atoms, about 760 phase units in
+    # all.  A pool of every snapshot over that whole span is 416 k samples,
+    # and a report that sorts it at once peaks at 18 MB; block by block the
+    # report peaks near 3 MB, most of it the phase grid.
+    import tracemalloc
+
+    pot = QuarticPotential(0.05)
+    n = 8000
+    j = np.arange(n)
+    rng = np.random.default_rng(0)
+    law = EnergyLaw(pot, 1.0)
+    for k in range(548):
+        t = k * 73 * 0.01
+        lo, hi = 3981 - int(0.8 * t), 4019 + int(t)
+        r = np.where(j < lo, -1.0, np.where(j < hi, rng.uniform(-0.9, 0.9, n), 1.0))
+        v = np.where(j < lo, 1.0, np.where(j < hi, rng.uniform(-0.9, 0.9, n), -1.0))
+        law.add(ChainState(r, v, t, 0.01, -1.0, 1.0, 1.0, -1.0))
+    tracemalloc.start()
+    try:
+        law.report()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6

@@ -1,6 +1,7 @@
 """Property tests of the averaging operator, the quadratic part and the
 gradient over random aligned grids, at the tolerances of the fixed-grid tests,
-and of the tabulated potential against SciPy's PCHIP as an oracle.
+of the tabulated potential against SciPy's PCHIP as an oracle, and of the
+block-wise energy-law pool against a sort of every snapshot's whole interior.
 
 A grid is aligned when half the unit window is K whole cells: L = m/4 with
 D = m K gives h = 1/(2K) for every integer m >= 8 (L >= 2) and K >= 1.
@@ -10,10 +11,12 @@ seed and, where it matters, an extension value or a padding width.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fpufronts import (
+    ChainState,
+    EnergyLaw,
     GridProfile,
     QuarticPotential,
     TabulatedPotential,
@@ -26,6 +29,9 @@ from fpufronts import (
     n_identity_check,
     window_kernel,
 )
+from fpufronts import lattice
+
+from conftest import full_pool_energy_law
 
 grids = st.tuples(st.integers(8, 100), st.integers(1, 40)).map(
     lambda mk: (mk[0] / 4, mk[0] * mk[1]))
@@ -173,3 +179,75 @@ def test_table_matches_scipy_pchip(x0, h, data):
     ref = PchipInterpolator(x, y, extrapolate=True)
     assert np.array_equal(tab.phi(u), ref(u), equal_nan=True)
     assert np.array_equal(tab.phi_prime(u), ref.derivative()(u), equal_nan=True)
+
+
+@examples
+@given(st.floats(-1e4, 1e4), st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=20),
+       st.integers(0, 50), st.integers(0, 300), st.booleans(), st.sampled_from(["left", "right"]))
+# x + c = 1023.0000000000001 rounds up, but 1023 - c rounds to x: ceil lands
+# one atom past the search
+@example(x=1024.5, shifts=[-1.5 + 8e-14], first=1000, count=50, tie=False, side="left")
+def test_searchsorted_phases_matches_numpy(x, shifts, first, count, tie, side):
+    shifts = np.array(shifts)
+    if tie:  # x exactly on the phase of an atom of the first snapshot
+        x = (first + count // 2) - shifts[0]
+    stop = first + count
+    j = np.arange(first, stop)
+    expected = [first + np.searchsorted(j - c, x, side) for c in shifts]
+    found = lattice._searchsorted_phases(x, shifts, first, stop, side)
+    assert found.tolist() == expected
+
+
+def window_snapshots(n, sigma, dt, stride, n_snaps, gap, seed):
+    """Snapshots of an n-atom chain at times (k * stride) * dt, as evolve takes them.
+
+    Each holds random strains and velocities on a random window of atoms and
+    sits exactly at (-1, 1) left of it and at (1, -1) right of it.  The first
+    window spans half the chain or more.  With ``gap``, the second half of the
+    snapshots comes so much later that their phases do not meet the first's.
+    """
+    rng = np.random.default_rng(seed)
+    jump = int(np.ceil(2 * n / abs(sigma * dt * stride))) if gap else 0
+    atoms = np.arange(n)
+    snaps = []
+    for k in range(n_snaps):
+        if k == 0:
+            lo, hi = rng.integers(0, n // 4), rng.integers(3 * n // 4, n + 1)
+        else:
+            lo, hi = np.sort(rng.integers(0, n + 1, size=2))
+        r = np.where(atoms < lo, -1.0, np.where(atoms < hi, rng.uniform(-1.5, 1.5, n), 1.0))
+        v = np.where(atoms < lo, 1.0, np.where(atoms < hi, rng.uniform(-1.5, 1.5, n), -1.0))
+        steps = (k + (jump if 2 * k >= n_snaps else 0)) * stride
+        snaps.append(ChainState(r, v, steps * dt, dt, -1.0, 1.0, 1.0, -1.0))
+    return snaps
+
+
+# sigma * dt * stride is often a short binary fraction, so that phases repeat
+# exactly across snapshots; dphi = 0.25 and 0.5 put grid points, and with
+# them block edges, exactly on such repeated phases.
+@settings(max_examples=30, deadline=None)
+@given(st.integers(300, 500), st.sampled_from([0.25, 0.5, 1.0, 0.3, 1.7]), st.booleans(),
+       st.sampled_from([0.01, 0.05, 0.0625, 0.25]), st.integers(1, 12),
+       st.sampled_from([0.05, 0.25, 0.5]), st.integers(2, 12), st.booleans(), seeds)
+@example(n=400, sigma=0.25, negative=False, dt=0.25, stride=4, dphi=0.25, n_snaps=12,
+         gap=False, seed=0)
+@example(n=300, sigma=1.0, negative=True, dt=0.05, stride=4, dphi=0.05, n_snaps=6,
+         gap=True, seed=1)
+def test_block_pool_equals_full_pool(n, sigma, negative, dt, stride, dphi, n_snaps, gap, seed):
+    sigma = -sigma if negative else sigma
+    snaps = window_snapshots(n, sigma, dt, stride, n_snaps, gap, seed)
+    pot = QuarticPotential(0.05)
+    res, drift = full_pool_energy_law(snaps, pot, sigma, dphi=dphi)
+    law = EnergyLaw(pot, sigma, dphi=dphi)
+    for s in snaps:
+        law.add(s)
+    report = law.report()
+    g0, part = law._residual()
+    assert np.array_equal(part, res[g0:g0 + part.size])
+    assert not res[:g0].any() and not res[g0 + part.size:].any()
+    assert report.residual_sup == float(np.max(np.abs(res)))
+    assert report.energy_drift_rel == drift
+    # the kept phases span at least three blocks
+    lo, size, _ = np.array(law._windows).T
+    phases = np.concatenate([lo - sigma * np.array(law.times), lo + size - sigma * np.array(law.times)])
+    assert np.ptp(phases) >= 3 * lattice._BLOCK
