@@ -45,6 +45,7 @@ from .lattice import (
     ChainState,
     EnergyLaw,
     EnergyLawReport,
+    FrontVerification,
     boundary_flux,
     check_energy_law,
     evolve,
@@ -54,6 +55,7 @@ from .lattice import (
     measure_front_speed,
     sample_front,
     total_energy,
+    verify_front,
 )
 from .macroscopic import (
     NORMALIZED,
@@ -121,6 +123,7 @@ __all__ = [
     "ChainState", "sample_front", "init_from_front", "evolve",
     "total_energy", "boundary_flux", "EnergyLaw", "EnergyLawReport",
     "check_energy_law", "front_crossing", "front_speed", "measure_front_speed",
+    "FrontVerification", "verify_front",
     # errors
     "FpuFrontsError", "InadmissibleFront", "NotAdmissible",
     "InvariantBoundNotFound", "WindowMisaligned", "GridMismatch",

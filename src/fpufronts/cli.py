@@ -28,7 +28,7 @@ from . import __version__
 from .action import ActionReport
 from .errors import ConfigInvalid, EmptyZeroSet, FpuFrontsError, WindowMisaligned
 from .grid import GridProfile, apply_averaging, check_grid
-from .lattice import ChainState, EnergyLaw, evolve, front_crossing, front_speed, init_from_front
+from .lattice import verify_front
 from .macroscopic import NORMALIZED, FrontData, denormalize_profile, normalize_potential, solve_front_data
 from .phases import separate_phases
 from .potentials import Potential, check_assumptions, compute_invariant_bound, make_potential
@@ -172,19 +172,28 @@ def write_profile_csv(path: Path, profile: GridProfile) -> None:
 def read_profile_csv(path: Path, L: float, D: int) -> GridProfile:
     """The W column of a ``profile.csv`` on the grid (L, D).
 
-    Raises ConfigError for a row without a number in that column, a row
-    count other than D + 1, or a value that is not finite.
+    Raises ConfigError for a row without a number in the ``phi`` or the W
+    column, a row count other than D + 1, a W value that is not finite, or
+    a ``phi`` column other than the grid's nodes (``write_profile_csv``
+    writes them with ``repr``, which reads back exactly), as a profile
+    solved on another grid has.
     """
     rows = path.read_text().strip().splitlines()[1:]
     try:
-        values = np.array([float(line.split(",")[1]) for line in rows])
+        cells = [line.split(",", 2)[:2] for line in rows]
+        phi = np.array([float(c[0]) for c in cells])
+        values = np.array([float(c[1]) for c in cells])
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"malformed profile {path}: {exc}") from None
     if values.size != D + 1:
         raise ConfigError(f"profile {path} has {values.size} rows, not D + 1 = {D + 1}")
     if not np.isfinite(values).all():
         raise ConfigError(f"profile {path} holds a value that is not finite")
-    return GridProfile(L, D, values)
+    profile = GridProfile(L, D, values)
+    if not np.array_equal(phi, profile.nodes):
+        raise ConfigError(f"profile {path}: its phi column is not the nodes of the grid "
+                          f"L={L}, D={D}")
+    return profile
 
 
 def write_history_csv(path: Path, history: list[ActionReport], lambdas: list[float]) -> None:
@@ -355,6 +364,7 @@ def cmd_verify(args) -> int:
         summary = json.loads(summary_path.read_text())
         outcome, final_grad_norm = summary["outcome"], summary["final_grad_norm"]
         L, D = summary["grid"]["L"], int(summary["grid"]["D"])
+        gamma = summary["gamma"]
         front = summary["front_data"]
         fd = FrontData(
             r_minus=front["r_minus"],
@@ -366,6 +376,7 @@ def cmd_verify(args) -> int:
         )
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"malformed run summary {summary_path}: {exc!r}") from None
+    _check_number(gamma, f"run summary {summary_path}: gamma")  # bounds the chain's strains
     if outcome != "front_converged":
         raise FpuFrontsError(f"profile outcome is {outcome!r}, not a front")
 
@@ -373,46 +384,22 @@ def cmd_verify(args) -> int:
     profile = read_profile_csv(profile_path, L, D)
     result = RunResult(profile=profile, history=[], outcome="front_converged",
                        final_grad_norm=final_grad_norm)
-
-    n_atoms = args.atoms
-    state = init_from_front(result, fd, n_atoms=n_atoms, dt=args.dt)
-
-    # Each snapshot is reduced as evolve makes it: its sup error against the
-    # profile denormalized once, its front crossing, and the energy law's row.
-    j = np.arange(n_atoms, dtype=float)
-    r_prof, _ = denormalize_profile(profile, fd)
-    margin = slice(20, n_atoms - 20)
-    level = 0.5 * (fd.v_minus + fd.v_plus)
-    errors, crossings = [], []
-    law = EnergyLaw(pot, fd.sigma)
-
-    def observe(s: ChainState) -> None:
-        # sample_front's strain at the phases j - n/2 - sigma t
-        r_ref = np.interp(j - n_atoms / 2.0 - fd.sigma * s.t, profile.nodes, r_prof,
-                          left=fd.r_minus, right=fd.r_plus)
-        errors.append({"t": s.t,
-                       "sup_error": float(np.max(np.abs(s.r[margin] - r_ref[margin])))})
-        crossings.append(front_crossing(s.v, level))
-        law.add(s)
-
-    observe(state)
-    evolve(state, pot, args.time, gamma=summary.get("gamma", 2.0),
-           snapshot_stride=args.stride, observe=observe)
-    speed = front_speed(law.times, crossings)
-    energy = law.report()
+    check = verify_front(result, fd, pot, gamma=gamma, n_atoms=args.atoms, T=args.time,
+                         dt=args.dt, stride=args.stride)
     budget = 0.05
-    ok = errors[-1]["sup_error"] <= budget and abs(speed - fd.sigma) <= 0.02 * abs(fd.sigma)
+    ok = (check.sup_errors[-1] <= budget
+          and abs(check.speed - fd.sigma) <= 0.02 * abs(fd.sigma))
     out = {
         "passed": bool(ok),
         "budget": budget,
-        "errors": errors,
-        "measured_speed": speed,
+        "errors": [{"t": t, "sup_error": e} for t, e in zip(check.times, check.sup_errors)],
+        "measured_speed": check.speed,
         "sigma": fd.sigma,
-        "energy_residual_sup": energy.residual_sup,
-        "energy_drift_rel": energy.energy_drift_rel,
+        "energy_residual_sup": check.energy.residual_sup,
+        "energy_drift_rel": check.energy.energy_drift_rel,
         "trajectory": [
             {"t": t, "crossing": c, "energy": e, "boundary_flux": f}
-            for t, c, e, f in zip(law.times, crossings, law.energies, law.fluxes)
+            for t, c, e, f in zip(check.times, check.crossings, check.energies, check.fluxes)
         ],
     }
     out_path = run_dir / "verify.json"

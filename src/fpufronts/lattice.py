@@ -16,6 +16,16 @@ before a departure from the states can reach past its edges, so the result
 is bit for bit that of stepping the whole chain.  A strain beyond ten times
 the invariant bound, or one that is not a number, stops the run (BlowUp).
 
+A step costs a fixed number of ufunc calls on the window's slices.  ``v``
+has one trailing ghost slot holding ``v_plus`` and ``phi'(r)`` one leading
+ghost slot holding ``phi'(r_minus)``, so the drift ``v_{j+1} - v_j`` and the
+force ``phi'(r_j) - phi'(r_{j-1})`` are one subtraction each, with no
+scalar fix-up at a window edge: the slot an edge reads beyond the window is
+the ghost or an atom exactly at that state, the same float.  The product
+``force * dt/2`` is made once per step, at its end, and added in that
+step's second half kick and in the next step's first: it is the float
+each of the two kicks would compute.
+
 The checks read the chain snapshot by snapshot, so a long run keeps no
 full-chain copies.  ``evolve(..., observe=f)`` calls ``f`` with a
 ``ChainState`` over the integrator's live arrays every ``snapshot_stride``
@@ -23,6 +33,21 @@ steps; those arrays change after ``f`` returns, so ``f`` copies what it
 keeps.  ``front_crossing`` and ``EnergyLaw.add`` are such per-snapshot
 reductions, and ``measure_front_speed`` and ``check_energy_law`` are loops
 over them, so a snapshot list and a stream give the same floats.
+
+``verify_front``, the check ``fpufronts verify`` runs, reduces each snapshot
+to its sup error against the translated profile, its front crossing and its
+energy-law row, and reads for the first two only a window of atoms: those
+off the states, widened for the sup error by the atoms whose reference
+phase lies on the profile's nodes and for the crossing by one atom on each
+side.  Outside it both reductions see exact equalities.  An atom at a state
+and ``np.interp``'s ``left=``/``right=`` value for a phase beyond the nodes
+are the same float, so their difference is 0.  Two neighbours at one state
+give ``(v - level)**2 > 0``, which is no crossing (a state at the level
+itself makes the crossing search the whole chain).  So the window gives the
+whole chain's floats, provided the window's offset is added to the integer
+atom index before the fraction, as the whole-chain search adds it.  The
+snapshot's total energy stays a sum over the whole chain: ``np.sum`` adds
+pairwise, and a sum over part of the chain rounds differently.
 
 ``EnergyLaw`` keeps, of each snapshot, only the interior atoms between the
 runs exactly at the left and the right state, and its report interpolates
@@ -44,6 +69,7 @@ order as the whole pool, snapshot by snapshot.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -122,14 +148,12 @@ def _at_state(r: np.ndarray, v: np.ndarray, r_state: float, v_state: float) -> n
     return (r == r_state) & (v == v_state)
 
 
-def _forces(r: np.ndarray, pot: Potential, fp_ghost, out: np.ndarray, out_tail: np.ndarray) -> None:
-    """out_j = phi'(r_j) - phi'(r_{j-1}), with phi'(r_{-1}) = ``fp_ghost``.
-
-    ``out_tail`` is the view ``out[1:]``, made once by the caller.
-    """
-    fp = pot.phi_prime(r)
-    out[0] = fp[0] - fp_ghost
-    np.subtract(fp[1:], fp[:-1], out_tail)
+def _state_runs(state: ChainState) -> tuple[int, int]:
+    """Lengths of the runs of atoms exactly at the left state (from the left
+    end) and at the right state (from the right end)."""
+    head = _run_length(_at_state(state.r, state.v, state.r_minus, state.v_minus))
+    tail = _run_length(_at_state(state.r[::-1], state.v[::-1], state.r_plus, state.v_plus))
+    return head, tail
 
 
 def evolve(
@@ -144,12 +168,12 @@ def evolve(
 
     Each step is a half velocity kick, a full strain drift, and a second half
     kick; the scheme is time-reversible up to rounding.  The force of the
-    second kick is that of the next step's first kick, so it is evaluated
-    once per step.  Raises BlowUp at the first step after which a strain
-    leaves ten times the invariant interval or is not finite (a NaN strain
-    compares false with every bound, so the test is ``not |r| <= bound``).
-    With ``snapshot_stride`` set, also returns the intermediate states every
-    that many steps.
+    second kick is that of the next step's first kick, so it is evaluated,
+    and multiplied by ``dt/2``, once per step.  Raises BlowUp at the first
+    step after which a strain leaves ten times the invariant interval or is
+    not finite (a NaN strain compares false with every bound, so the test is
+    ``not |r| <= bound``).  With ``snapshot_stride`` set, also returns the
+    intermediate states every that many steps.
 
     With ``observe`` set as well, ``observe(s)`` is called with each
     intermediate state instead, and only the final state is returned.  ``s``
@@ -168,7 +192,9 @@ def evolve(
     touched.  Inside the window every atom is updated by the same expressions
     as on the full chain, which makes ``r``, ``v``, the snapshots and the step
     of a BlowUp those of the full-chain integration.  A chain whose tails are
-    not at the states integrates all of its atoms.
+    not at the states integrates all of its atoms.  The returned ``v`` is a
+    view of the velocity buffer, whose last slot is the ghost ``v_plus``
+    (see the module docstring).
     """
     if state.dt > 0.05:
         raise ValueError("dt must be at most 0.05")
@@ -178,16 +204,17 @@ def evolve(
     dt = state.dt
     half_dt = 0.5 * dt
     bound = 10.0 * gamma
-    v_plus = state.v_plus
+    n = state.n_atoms
     r = state.r.copy()
-    v = state.v.copy()
-    n = r.size
-    force = np.empty(n)
+    v_buf = np.append(state.v, state.v_plus)  # v, then the ghost v_plus
+    v = v_buf[:n]
+    # phi'(r_minus), then phi'(r); a slot left of the window keeps the ghost
+    # value: the window only widens, and it writes only right of its lo
+    fp_buf = np.full(n + 1, pot.phi_prime(state.r_minus))
+    kick = np.empty(n)  # (phi'(r_j) - phi'(r_{j-1})) * dt/2, for both half kicks
     scratch = np.empty(n)
-    fp_ghost = pot.phi_prime(state.r_minus)
 
-    head = _run_length(_at_state(r, v, state.r_minus, state.v_minus))
-    tail = _run_length(_at_state(r[::-1], v[::-1], state.r_plus, state.v_plus))
+    head, tail = _state_runs(state)
     lo = max(0, min(head, n - tail) - _GUARD)
     hi = min(n, max(head, n - tail) + _GUARD)
     resize = True
@@ -201,22 +228,24 @@ def evolve(
     # the steps after which to observe a snapshot and to check the guard bands
     snap_at = snapshot_stride - 1 if snapshot_stride else -1
     check_at = _CHECK_EVERY - 1
+    maximum = np.maximum.reduce
     for step in range(n_steps):
         if resize:
-            rw, vw, fw, sw = r[lo:hi], v[lo:hi], force[lo:hi], scratch[lo:hi]
-            v_next, v_prev, sw_head, fw_tail = vw[1:], vw[:-1], sw[:-1], fw[1:]
-            _forces(rw, pot, fp_ghost, fw, fw_tail)
+            rw, vw, v_next = r[lo:hi], v_buf[lo:hi], v_buf[lo + 1:hi + 1]
+            fp_prev, fpw = fp_buf[lo:hi], fp_buf[lo + 1:hi + 1]
+            kw, sw = kick[lo:hi], scratch[lo:hi]
+            fpw[...] = pot.phi_prime(rw)
+            np.multiply(np.subtract(fpw, fp_prev, kw), half_dt, kw)
             resize = False
-        np.add(vw, np.multiply(fw, half_dt, sw), vw)
-        np.subtract(v_next, v_prev, sw_head)
-        sw[-1] = v_plus - vw[-1]
-        np.add(rw, np.multiply(sw, dt, sw), rw)
-        _forces(rw, pot, fp_ghost, fw, fw_tail)
-        np.add(vw, np.multiply(fw, half_dt, sw), vw)
+        np.add(vw, kw, vw)
+        np.add(rw, np.multiply(np.subtract(v_next, vw, sw), dt, sw), rw)
+        fpw[...] = pot.phi_prime(rw)
+        np.multiply(np.subtract(fpw, fp_prev, kw), half_dt, kw)
+        np.add(vw, kw, vw)
         # Also true for a NaN strain.  The atoms left out are at a state, and
         # the first window holds some of them, so a state beyond the bound
         # raises here at step 0.
-        if not np.abs(rw, sw).max() <= bound:
+        if not maximum(np.abs(rw, sw)) <= bound:
             raise BlowUp(f"strain exceeded 10*gamma at step {step}")
         if step == snap_at:
             snap_at += snapshot_stride
@@ -287,6 +316,42 @@ def _grown(buf: np.ndarray, used: int, size: int) -> np.ndarray:
     return out
 
 
+class _ArangeGrid:
+    """The points of ``np.arange(start, stop, step)``, without building the array.
+
+    numpy sizes the array ``ceil((stop - start) / step)``, writes ``start``
+    and ``start + step`` into its first two entries, and fills entry
+    ``i >= 2`` with ``start + i * delta``, ``delta = (start + step) - start``.
+    ``points`` and ``searchsorted`` repeat those floats, so a slice of the
+    grid costs its own length.
+    """
+
+    def __init__(self, start: float, stop: float, step: float):
+        self.start = start
+        self.second = start + step
+        self.delta = self.second - start
+        self.size = max(0, math.ceil((stop - start) / step))
+
+    def points(self, i0: int, i1: int) -> np.ndarray:
+        """``np.arange(start, stop, step)[i0:i1]``, for 0 <= i0 <= i1 <= size."""
+        out = self.start + np.arange(i0, i1) * self.delta
+        for i, x in ((0, self.start), (1, self.second)):
+            if i0 <= i < i1:
+                out[i - i0] = x
+        return out
+
+    def searchsorted(self, x: float, side: str = "left") -> int:
+        """``np.searchsorted(np.arange(start, stop, step), x, side)``.
+
+        The points differ from ``start + i * step`` by rounding alone, far
+        less than a step, so the index lies among the five points around
+        ``(x - start) / delta``, or at an end of the grid.
+        """
+        k = math.floor((x - self.start) / self.delta)
+        i0, i1 = (min(max(i, 0), self.size) for i in (k - 2, k + 3))
+        return i0 + int(np.searchsorted(self.points(i0, i1), x, side))
+
+
 class EnergyLaw:
     """Travelling-wave energy law, accumulated one snapshot at a time.
 
@@ -320,13 +385,15 @@ class EnergyLaw:
         self._chain = None  # (n, r_minus, v_minus, r_plus, v_plus), from the first snapshot
 
     def add(self, state: ChainState) -> None:
+        self._add(state, *_state_runs(state))
+
+    def _add(self, state: ChainState, head: int, tail: int) -> None:
+        """``add``, given the snapshot's ``_state_runs``."""
         n, m = state.n_atoms, self.margin
         if n <= 2 * m:
             raise ValueError(f"a chain of {n} atoms has no interior inside two {m}-atom margins")
         if not self.times:
             self._chain = (n, state.r_minus, state.v_minus, state.r_plus, state.v_plus)
-        head = _run_length(_at_state(state.r, state.v, state.r_minus, state.v_minus))
-        tail = _run_length(_at_state(state.r[::-1], state.v[::-1], state.r_plus, state.v_plus))
         lo = min(max(head, m), n - m - 1)
         hi = max(min(n - tail, n - m), lo + 1)
         self.times.append(state.t)
@@ -395,7 +462,7 @@ class EnergyLaw:
         first = np.min(m - shifts)
         last = np.max(n - m - 1 - shifts)
         shift = int(round(1.0 / dphi))
-        grid = np.arange(first + 1.5, last - 1.5, dphi)
+        grid = _ArangeGrid(first + 1.5, last - 1.5, dphi)
         if grid.size <= 2 * shift:
             raise ValueError("snapshot phases span too short a profile")
         # ... but is interpolated only near the windows' phases.  Below p_lo
@@ -406,9 +473,9 @@ class EnergyLaw:
         p_lo = np.min(lo - shifts) - 2.0
         p_hi = np.max(lo + size - 1 - shifts) + 2.0
         pad = 2 * shift + 2
-        g0 = max(0, int(np.searchsorted(grid, p_lo)) - pad)
-        g1 = min(grid.size, int(np.searchsorted(grid, p_hi, side="right")) + pad)
-        grid = grid[g0:g1]
+        g0 = max(0, grid.searchsorted(p_lo) - pad)
+        g1 = min(grid.size, grid.searchsorted(p_hi, side="right") + pad)
+        grid = grid.points(g0, g1)
         # Block by block: np.interp at x reads only the last pooled sample at
         # or below x and the one after it in the sorted pool, and the block's
         # pool holds both, in the same order (see _block_pool).  Every grid
@@ -478,13 +545,22 @@ def front_crossing(v: np.ndarray, level: float) -> float | None:
     Linear interpolation between atoms ``i`` and ``i + 1``; None when the
     profile stays on one side of ``level``.
     """
-    d = v - level
+    return _crossing(v - level, 0)
+
+
+def _crossing(d: np.ndarray, offset: int) -> float | None:
+    """``front_crossing`` of a run of atoms from atom ``offset`` on, given
+    ``d = v[offset:stop] - level``, as a position on the whole chain.
+
+    The offset is added to the integer index before ``frac``, as on the
+    whole chain: added after, it can change the last bit.
+    """
     idx = np.nonzero(d[:-1] * d[1:] <= 0)[0]
     if idx.size == 0:
         return None
     i = idx[0]
     frac = d[i] / (d[i] - d[i + 1]) if d[i] != d[i + 1] else 0.0
-    return float(i + frac)
+    return float((offset + i) + frac)
 
 
 def front_speed(times: list[float], crossings: list[float | None]) -> float:
@@ -507,3 +583,84 @@ def measure_front_speed(snapshots: list[ChainState], level: float | None = None)
     if level is None:
         level = 0.5 * (s0.v_minus + s0.v_plus)
     return front_speed([s.t for s in snapshots], [front_crossing(s.v, level) for s in snapshots])
+
+
+@dataclass
+class FrontVerification:
+    """What ``verify_front`` measured, one entry per snapshot, ``t = 0`` first."""
+
+    times: list[float]
+    sup_errors: list[float]
+    crossings: list[float | None]
+    energies: list[float]
+    fluxes: list[float]
+    speed: float
+    energy: EnergyLawReport
+
+
+def verify_front(
+    result: RunResult,
+    fd: FrontData,
+    pot: Potential,
+    *,
+    gamma: float,
+    n_atoms: int,
+    T: float,
+    dt: float,
+    stride: int,
+) -> FrontVerification:
+    """Chain check of a solved front: does it travel rigidly at speed sigma?
+
+    Seeds ``n_atoms`` atoms with the front centred mid-chain, evolves them for
+    ``T`` at step ``dt`` and reduces the start and every ``stride``-th step,
+    each as ``evolve`` makes it, to three things: the sup error, over the
+    atoms inside two 20-atom margins, between the strain and the front
+    profile translated to the phases ``j - n_atoms/2 - sigma t``; the
+    mid-level ``front_crossing`` of the velocity; and the snapshot's row of
+    the ``EnergyLaw``.  Then fits the front speed through the crossings and
+    reports the energy law.  The sup error and the crossing read only a
+    window of atoms and give the whole chain's floats (see the module
+    docstring for why).
+    """
+    margin = 20
+    state = init_from_front(result, fd, n_atoms=n_atoms, dt=dt)
+    nodes = result.profile.nodes
+    r_prof, _ = denormalize_profile(result.profile, fd)
+    level = 0.5 * (fd.v_minus + fd.v_plus)
+    d_minus, d_plus = fd.v_minus - level, fd.v_plus - level
+    states_cross = not (d_minus * d_minus > 0 and d_plus * d_plus > 0)
+    sup_errors, crossings = [], []
+    law = EnergyLaw(pot, fd.sigma, margin_atoms=margin)
+
+    def sup_error(s: ChainState, head: int, tail: int) -> float:
+        # the atoms whose phase j - c may lie on [nodes[0], nodes[-1]], with
+        # two atoms to spare for rounding ...
+        c = n_atoms / 2.0 + fd.sigma * s.t
+        on_nodes = math.floor(nodes[0] + c) - 1, math.ceil(nodes[-1] + c) + 2
+        # ... spanned together with the atoms off the states, inside the
+        # margins; every other atom is at the state np.interp returns there
+        a = max(min(head, on_nodes[0]), margin)
+        b = min(max(n_atoms - tail, on_nodes[1]), n_atoms - margin)
+        if a >= b:
+            return 0.0
+        r_ref = np.interp(np.arange(a, b, dtype=float) - n_atoms / 2.0 - fd.sigma * s.t,
+                          nodes, r_prof, left=fd.r_minus, right=fd.r_plus)
+        return float(np.max(np.abs(s.r[a:b] - r_ref)))
+
+    def observe(s: ChainState) -> None:
+        head, tail = _state_runs(s)
+        sup_errors.append(sup_error(s, head, tail))
+        if states_cross:
+            crossings.append(front_crossing(s.v, level))
+        else:
+            a = max(head - 1, 0)
+            crossings.append(_crossing(s.v[a:n_atoms - tail + 1] - level, a))
+        law._add(s, head, tail)
+
+    observe(state)
+    evolve(state, pot, T, gamma=gamma, snapshot_stride=stride, observe=observe)
+    return FrontVerification(
+        times=law.times, sup_errors=sup_errors, crossings=crossings,
+        energies=law.energies, fluxes=law.fluxes,
+        speed=front_speed(law.times, crossings), energy=law.report(),
+    )

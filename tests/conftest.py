@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 
 from fpufronts import (
+    FrontVerification,
     GridProfile,
     Potential,
     QuarticPotential,
     SolverConfig,
     boundary_flux,
+    check_energy_law,
     compute_invariant_bound,
+    evolve,
+    front_crossing,
+    front_speed,
+    init_from_front,
     minimize,
+    sample_front,
     total_energy,
 )
 
@@ -119,6 +126,34 @@ def full_pool_energy_law(snapshots, pot, sigma, margin_atoms=20, dphi=0.05):
         0.5 * (fluxes[1:] + fluxes[:-1]) * np.diff(times))])
     drift = np.max(np.abs(energies - energies[0] - flux_int))
     return res, float(drift / max(abs(energies[0]), 1.0))
+
+
+def whole_chain_verify(result, fd, pot, *, gamma, n_atoms, T, dt, stride):
+    """``verify_front`` written out on ``evolve``'s snapshot list.
+
+    Every reduction runs over the whole chain: the sup error over all atoms
+    inside the margins against ``sample_front``, and ``front_crossing`` over
+    every atom.  ``verify_front`` must return the same floats.
+    """
+    state = init_from_front(result, fd, n_atoms=n_atoms, dt=dt)
+    _, snaps = evolve(state, pot, T, gamma=gamma, snapshot_stride=stride)
+    snaps = [state] + snaps
+    j = np.arange(n_atoms, dtype=float)
+    margin = slice(20, n_atoms - 20)
+    level = 0.5 * (fd.v_minus + fd.v_plus)
+    times = [s.t for s in snaps]
+    sup_errors = []
+    for s in snaps:
+        r_ref, _ = sample_front(result, fd, j - n_atoms / 2.0 - fd.sigma * s.t)
+        sup_errors.append(float(np.max(np.abs(s.r[margin] - r_ref[margin]))))
+    crossings = [front_crossing(s.v, level) for s in snaps]
+    return FrontVerification(
+        times=times, sup_errors=sup_errors, crossings=crossings,
+        energies=[total_energy(s, pot) for s in snaps],
+        fluxes=[boundary_flux(s, pot) for s in snaps],
+        speed=front_speed(times, crossings),
+        energy=check_energy_law(snaps, pot, fd.sigma),
+    )
 
 
 @pytest.fixture(scope="session")

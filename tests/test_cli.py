@@ -365,17 +365,23 @@ def test_verify_missing_run_exits_2(solved_run, tmp_path, capsys):
     assert main(["verify", str(solved_run["config"]), str(tmp_path / "void")]) == 2
 
 
-def test_verify_malformed_summary_exits_2(solved_run, tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("front_data", None), ("gamma", None), ("gamma", "2.0")],
+                         ids=["front_data", "gamma", "gamma_string"])
+def test_verify_malformed_summary_exits_2(solved_run, tmp_path, capsys, key, value):
+    # a summary without a number for gamma leaves the BlowUp bound to a guess
     import shutil
     run2 = tmp_path / "malformed"
     shutil.copytree(solved_run["run_dir"], run2)
     summary = json.loads((run2 / "summary.json").read_text())
-    del summary["front_data"]
+    if value is None:
+        del summary[key]
+    else:
+        summary[key] = value
     (run2 / "summary.json").write_text(json.dumps(summary))
     assert main(["verify", str(solved_run["config"]), str(run2)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
-    assert "front_data" in err["message"]
+    assert key in err["message"]
 
 
 def test_failed_solve_leaves_no_stale_artifacts(solved_run, tmp_path, capsys):
@@ -416,6 +422,10 @@ def _spoil_profile(lines, defect):
         del lines[1600]
     elif defect == "nan":
         lines[1600] = f"{phi},nan,{u}"
+    elif defect == "phi_of_L_40":
+        # the phi column of a profile solved at L = 40, D = 3200
+        nodes = np.linspace(-40.0, 40.0, 3201)
+        lines[1:] = [f"{float(x)!r},{line.split(',', 1)[1]}" for x, line in zip(nodes, lines[1:])]
     return lines
 
 
@@ -425,7 +435,8 @@ def _spoil_profile(lines, defect):
     ("missing_cell", "malformed profile"),
     ("short", "3200 rows, not D + 1 = 3201"),
     ("nan", "not finite"),
-], ids=["non_numeric", "missing_cell", "short", "nan"])
+    ("phi_of_L_40", "phi column is not the nodes of the grid L=20.0, D=3200"),
+], ids=["non_numeric", "missing_cell", "short", "nan", "phi_of_L_40"])
 def test_malformed_profile_exits_2(solved_run, tmp_path, capsys, command, defect, fragment):
     import shutil
     run2 = tmp_path / "spoiled"

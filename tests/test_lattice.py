@@ -7,19 +7,24 @@ from fpufronts import (
     NORMALIZED,
     QuarticPotential,
     RunResult,
+    TabulatedPotential,
     boundary_flux,
     check_energy_law,
     evolve,
+    front_crossing,
     init_from_front,
     measure_front_speed,
+    normalize_potential,
     sample_front,
     shock_profile,
+    solve_front_data,
     total_energy,
+    verify_front,
 )
 from fpufronts import lattice
 from fpufronts.errors import BlowUp, NotAFront
 
-from conftest import full_pool_energy_law
+from conftest import full_pool_energy_law, whole_chain_verify
 
 
 def constant_state(r0, v0, n=100, dt=0.01):
@@ -177,6 +182,42 @@ def test_active_window_matches_full_chain_from_a_jump():
     # in the first step
     assert exact_run(final.r, final.v, -0.01, 0.02) == n // 2 - 100
     assert exact_run(final.r[::-1], final.v[::-1], 0.01, -0.02) == n // 2 - 101
+
+
+def _family(family, beta):
+    """The quartic of ``beta`` as a ``user_table`` or renormalized to its states +-1."""
+    base = QuarticPotential(beta)
+    if family == "user_table":
+        u = np.linspace(-4.0, 4.0, 801)
+        return TabulatedPotential(u, base.phi(u))
+    return normalize_potential(base, solve_front_data(-1.0, 1.0, None, 1, base))
+
+
+@pytest.mark.parametrize("family", ["user_table", "normalized"])
+def test_evolve_matches_full_chain_for_other_families(front_005, family):
+    # The ghost slots hold phi'(r_minus) and v_plus; with another potential
+    # family, phi' of the ghost and of an atom at the state must still agree
+    # bit for bit, window widenings and the step of a BlowUp included.
+    res, gamma = front_005["result"], front_005["gamma"]
+    pot = _family(family, 0.05)
+    state = init_from_front(res, NORMALIZED, n_atoms=1000, dt=0.05)
+    final, snaps = evolve(state, pot, 100.0, gamma=gamma, snapshot_stride=13)
+    r, v, ref_snaps, blowup = full_chain_leapfrog(state, pot, 100.0, gamma, 13)
+    assert blowup is None
+    assert np.array_equal(final.r, r)
+    assert np.array_equal(final.v, v)
+    for s, (rs, vs) in zip(snaps, ref_snaps, strict=True):
+        assert np.array_equal(s.r, rs)
+        assert np.array_equal(s.v, vs)
+    assert exact_run(state.r, state.v, -1.0, 1.0) - exact_run(final.r, final.v, -1.0, 1.0) \
+        > lattice._CHUNK
+
+    unstable = _family(family, 0.3)
+    state = init_from_front(res, NORMALIZED, n_atoms=1000, dt=0.01)
+    *_, ref_step = full_chain_leapfrog(state, unstable, 50.0, gamma)
+    assert ref_step is not None
+    with pytest.raises(BlowUp, match=f"at step {ref_step}$"):
+        evolve(state, unstable, 50.0, gamma=gamma)
 
 
 def test_inexact_tails_integrate_the_whole_chain(front_005):
@@ -408,3 +449,25 @@ def test_energy_law_report_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+def test_verify_front_default_run_equals_whole_chain(front_005):
+    # The default verify: 400 atoms over T = 20, a snapshot every 73 steps.
+    # Its window-only sup errors and crossings are the whole chain's floats.
+    res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
+    args = dict(gamma=gamma, n_atoms=400, T=20.0, dt=0.01, stride=73)
+    check = verify_front(res, NORMALIZED, pot, **args)
+    assert check == whole_chain_verify(res, NORMALIZED, pot, **args)
+    assert len(check.times) == 28
+    assert check.sup_errors[-1] < 0.05
+    assert check.speed == pytest.approx(1.0, rel=0.02)
+
+    # Adding the window's offset after frac, not before, would change the
+    # last bit of several of these crossings.
+    state = init_from_front(res, NORMALIZED, n_atoms=400, dt=0.01)
+    _, snaps = evolve(state, pot, 20.0, gamma=gamma, snapshot_stride=73)
+    late = []
+    for s, c in zip([state] + snaps, check.crossings, strict=True):
+        a = max(lattice._state_runs(s)[0] - 1, 0)
+        late.append(a + front_crossing(s.v[a:], 0.0) != c)
+    assert sum(late) >= 3

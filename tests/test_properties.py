@@ -1,7 +1,9 @@
 """Property tests of the averaging operator, the quadratic part and the
 gradient over random aligned grids, at the tolerances of the fixed-grid tests,
-of the tabulated potential against SciPy's PCHIP as an oracle, and of the
-block-wise energy-law pool against a sort of every snapshot's whole interior.
+of the tabulated potential against SciPy's PCHIP as an oracle, of the
+block-wise energy-law pool against a sort of every snapshot's whole interior
+and of its phase grid against ``np.arange``, and of ``verify_front``'s
+window-only reductions against the whole chain.
 
 A grid is aligned when half the unit window is K whole cells: L = m/4 with
 D = m K gives h = 1/(2K) for every integer m >= 8 (L >= 2) and K >= 1.
@@ -15,8 +17,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fpufronts import (
+    NORMALIZED,
     ChainState,
     EnergyLaw,
+    FrontData,
     GridProfile,
     QuarticPotential,
     TabulatedPotential,
@@ -27,11 +31,13 @@ from fpufronts import (
     inner_product,
     interior_plateau,
     n_identity_check,
+    verify_front,
     window_kernel,
 )
 from fpufronts import lattice
+from fpufronts.errors import BlowUp
 
-from conftest import full_pool_energy_law
+from conftest import full_pool_energy_law, whole_chain_verify
 
 grids = st.tuples(st.integers(8, 100), st.integers(1, 40)).map(
     lambda mk: (mk[0] / 4, mk[0] * mk[1]))
@@ -251,3 +257,61 @@ def test_block_pool_equals_full_pool(n, sigma, negative, dt, stride, dphi, n_sna
     lo, size, _ = np.array(law._windows).T
     phases = np.concatenate([lo - sigma * np.array(law.times), lo + size - sigma * np.array(law.times)])
     assert np.ptp(phases) >= 3 * lattice._BLOCK
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-5000.0, 5000.0), st.floats(0.0, 3000.0),
+       st.sampled_from([0.05, 0.01, 0.1, 0.25, 0.03]), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(-10.0, 3010.0))
+@example(first=-7.0, span=400.0, dphi=0.05, u0=0.0, u1=1.0, x=0.0)
+def test_arange_grid_equals_np_arange(first, span, dphi, u0, u1, x):
+    # EnergyLaw._residual's phase grid, np.arange(first + 1.5, last - 1.5,
+    # dphi), only as the slice [g0, g1) it interpolates
+    start, stop = first + 1.5, first + span - 1.5
+    full = np.arange(start, stop, dphi)
+    grid = lattice._ArangeGrid(start, stop, dphi)
+    assert grid.size == full.size
+    g0, g1 = sorted(int(u * full.size) for u in (u0, u1))
+    assert np.array_equal(grid.points(g0, g1), full[g0:g1])
+    for side in ("left", "right"):
+        for y in (first + x, *full[g0:g0 + 1]):
+            assert grid.searchsorted(y, side) == np.searchsorted(full, y, side)
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the repr of the BlowUp or ValueError it raises."""
+    try:
+        return run()
+    except (BlowUp, ValueError) as exc:
+        return repr(exc)
+
+
+fronts = st.one_of(
+    st.just(NORMALIZED),
+    st.builds(lambda rm, rp, vm, vp, same_v, sigma: FrontData(
+        rm, rp, vm, vm if same_v else vp, sigma, (sigma**2, 0.0, 0.0)),
+        st.floats(-1.2, 1.2), st.floats(-1.2, 1.2), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
+        st.booleans(), st.floats(-3.0, 3.0)),
+)
+
+
+# Any front data.  Where the chain's front does not move at sigma, the atoms
+# off the states part from those whose reference phase lies on the profile,
+# and the sup error is read over the span of both.  Where v_minus == v_plus,
+# both states sit at the crossing level and the crossing search reads the
+# whole chain.  The first example is the default verify, in which adding the
+# window offset after frac changes the last bit of 6 of 28 crossings.
+@settings(max_examples=40, deadline=None)
+@given(fronts, st.integers(60, 700), st.sampled_from([0.01, 0.02, 0.05]),
+       st.integers(1, 60), st.integers(1, 500))
+@example(fd=NORMALIZED, n_atoms=400, dt=0.01, stride=73, steps=2000)
+@example(fd=FrontData(-1.0, 1.0, 0.5, 0.5, 1.0, (1.0, 0.0, 0.0)), n_atoms=300, dt=0.05,
+         stride=7, steps=300)
+@example(fd=FrontData(-1.0, 1.0, 1.0, -1.0, 2.5, (6.25, 0.0, 0.0)), n_atoms=500, dt=0.05,
+         stride=9, steps=400)
+def test_verify_front_equals_whole_chain(front_005, fd, n_atoms, dt, stride, steps):
+    assume(steps >= stride)
+    args = dict(gamma=front_005["gamma"], n_atoms=n_atoms, T=steps * dt, dt=dt, stride=stride)
+    res, pot = front_005["result"], front_005["pot"]
+    assert (_outcome(lambda: verify_front(res, fd, pot, **args))
+            == _outcome(lambda: whole_chain_verify(res, fd, pot, **args)))
