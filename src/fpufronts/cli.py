@@ -21,18 +21,21 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .action import ActionReport
 from .errors import ConfigInvalid, EmptyZeroSet, FpuFrontsError, WindowMisaligned
-from .grid import GridProfile, apply_averaging, check_grid
-from .lattice import verify_front
-from .macroscopic import NORMALIZED, FrontData, denormalize_profile, normalize_potential, solve_front_data
-from .phases import separate_phases
 from .potentials import Potential, check_assumptions, compute_invariant_bound, make_potential
-from .solver import RunResult, SolverConfig, minimize
+
+# Every command builds a potential; the other modules are imported by the
+# functions that use them, so that a command loads only what it runs.
+if TYPE_CHECKING:
+    from .action import ActionReport
+    from .grid import GridProfile
+    from .macroscopic import FrontData
+    from .solver import SolverConfig
 
 _CONFIG_KEYS = {"potential", "grid", "solver", "states", "verify", "output_dir"}
 _POTENTIAL_KEYS = {"family", "params"}
@@ -119,6 +122,8 @@ def build_potential(config: dict) -> Potential:
 
 def config_front_data(states: dict, pot: Potential) -> FrontData:
     """Front data for the ``states`` section of a config."""
+    from .macroscopic import solve_front_data
+
     try:
         return solve_front_data(
             states["r_minus"], states["r_plus"], states.get("v_minus"),
@@ -130,6 +135,8 @@ def config_front_data(states: dict, pot: Potential) -> FrontData:
 
 def config_grid(config: dict) -> tuple[float, int]:
     """The grid (L, D) of a config, checked so that the averaging window aligns."""
+    from .grid import check_grid
+
     grid = config.get("grid", {})
     L, D = grid.get("L", 20.0), grid.get("D", 3200)
     try:
@@ -140,6 +147,8 @@ def config_grid(config: dict) -> tuple[float, int]:
 
 
 def build_solver_config(config: dict, gamma: float) -> SolverConfig:
+    from .solver import SolverConfig
+
     L, D = config_grid(config)
     solver = config.get("solver", {})
     cfg = SolverConfig(
@@ -162,6 +171,8 @@ def _fmt(x: float) -> str:
 
 
 def write_profile_csv(path: Path, profile: GridProfile) -> None:
+    from .grid import apply_averaging
+
     u = apply_averaging(profile)
     lines = ["phi,W,U"]
     for phi, w, uu in zip(profile.nodes, profile.values, u.values):
@@ -178,6 +189,8 @@ def read_profile_csv(path: Path, L: float, D: int) -> GridProfile:
     writes them with ``repr``, which reads back exactly), as a profile
     solved on another grid has.
     """
+    from .grid import GridProfile
+
     rows = path.read_text().strip().splitlines()[1:]
     try:
         cells = [line.split(",", 2)[:2] for line in rows]
@@ -207,6 +220,8 @@ def write_history_csv(path: Path, history: list[ActionReport], lambdas: list[flo
 
 
 def write_physical_csv(path: Path, profile: GridProfile, fd: FrontData) -> None:
+    from .macroscopic import denormalize_profile
+
     r_prof, v_prof = denormalize_profile(profile, fd)
     lines = ["phi,R,V"]
     for phi, r, v in zip(profile.nodes, r_prof, v_prof):
@@ -231,6 +246,8 @@ def cmd_check_potential(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from .macroscopic import normalize_potential
+
     config = load_config(args.config)
     pot = build_potential(config)
     states = config.get("states")
@@ -273,6 +290,11 @@ def run_solve(config: dict) -> dict:
     output directory are removed first, so a solve that fails leaves none
     behind for ``verify`` or ``diagnose`` to read as its own.
     """
+    from .grid import apply_averaging
+    from .macroscopic import NORMALIZED, normalize_potential
+    from .phases import separate_phases
+    from .solver import minimize
+
     t0 = time.monotonic()
     out_dir = Path(config.get("output_dir", "."))
     for name in _RUN_ARTIFACTS:
@@ -352,7 +374,53 @@ def _check_verify_args(args) -> None:
         )
 
 
+# The number fields of a run summary that verify reads; grid.D is an integer.
+_SUMMARY_NUMBERS = ("final_grad_norm", "gamma", "grid.L", "grid.D", "front_data.r_minus",
+                    "front_data.r_plus", "front_data.v_minus", "front_data.v_plus",
+                    "front_data.sigma")
+
+
+def read_run_summary(path: Path) -> dict:
+    """The ``summary.json`` of a solve, with every field ``verify`` reads checked.
+
+    Raises ConfigError for a file that is not JSON, a field that is missing,
+    or a field of another type: ``outcome`` must be a string,
+    ``front_data.parabola`` a list of three finite numbers, ``grid.D`` an
+    integer and the other fields of ``_SUMMARY_NUMBERS`` finite numbers.
+    """
+    where = f"run summary {path}"
+    try:
+        summary = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"malformed {where}: {exc!r}") from None
+
+    def field(name: str):
+        value = summary
+        for key in name.split("."):
+            if not isinstance(value, dict) or key not in value:
+                raise ConfigError(f"malformed {where}: it has no field {name}")
+            value = value[key]
+        return value
+
+    outcome = field("outcome")
+    if not isinstance(outcome, str):
+        raise ConfigError(f"{where}: outcome must be a string, not {json.dumps(outcome)}")
+    for name in _SUMMARY_NUMBERS:
+        _check_number(field(name), f"{where}: {name}", integer=name == "grid.D")
+    parabola = field("front_data.parabola")
+    if not (isinstance(parabola, list) and len(parabola) == 3):
+        raise ConfigError(f"{where}: front_data.parabola must be a list of three numbers, "
+                          f"not {json.dumps(parabola)}")
+    for x in parabola:
+        _check_number(x, f"{where}: front_data.parabola")
+    return summary
+
+
 def cmd_verify(args) -> int:
+    from .lattice import verify_front
+    from .macroscopic import FrontData
+    from .solver import RunResult
+
     _check_verify_args(args)
     config = load_config(args.config)
     run_dir = Path(args.run_dir)
@@ -360,23 +428,19 @@ def cmd_verify(args) -> int:
     profile_path = run_dir / "profile.csv"
     if not summary_path.exists() or not profile_path.exists():
         raise FileNotFoundError(f"run artifacts not found in {run_dir}")
-    try:
-        summary = json.loads(summary_path.read_text())
-        outcome, final_grad_norm = summary["outcome"], summary["final_grad_norm"]
-        L, D = summary["grid"]["L"], int(summary["grid"]["D"])
-        gamma = summary["gamma"]
-        front = summary["front_data"]
-        fd = FrontData(
-            r_minus=front["r_minus"],
-            r_plus=front["r_plus"],
-            v_minus=front["v_minus"],
-            v_plus=front["v_plus"],
-            sigma=front["sigma"],
-            parabola=tuple(front["parabola"]),
-        )
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"malformed run summary {summary_path}: {exc!r}") from None
-    _check_number(gamma, f"run summary {summary_path}: gamma")  # bounds the chain's strains
+    summary = read_run_summary(summary_path)
+    outcome, final_grad_norm = summary["outcome"], summary["final_grad_norm"]
+    L, D = summary["grid"]["L"], summary["grid"]["D"]
+    gamma = summary["gamma"]  # bounds the chain's strains
+    front = summary["front_data"]
+    fd = FrontData(
+        r_minus=front["r_minus"],
+        r_plus=front["r_plus"],
+        v_minus=front["v_minus"],
+        v_plus=front["v_plus"],
+        sigma=front["sigma"],
+        parabola=tuple(front["parabola"]),
+    )
     if outcome != "front_converged":
         raise FpuFrontsError(f"profile outcome is {outcome!r}, not a front")
 
@@ -409,6 +473,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from .grid import apply_averaging
+    from .phases import separate_phases
+
     config = load_config(args.config)
     pot = build_potential(config)
     L, D = config_grid(config)
@@ -455,6 +522,9 @@ def cmd_sweep(args) -> int:
         name = f"beta_{beta:g}"  # distinct, see _parse_betas
         sub["output_dir"] = str(base_dir / name)
         jobs.append((sub, name))
+    # run_solve's modules, imported once here for the forked workers to inherit
+    from . import grid, macroscopic, phases, solver  # noqa: F401
+
     results = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
         for name, outcome, action_value in pool.map(_sweep_job, jobs):

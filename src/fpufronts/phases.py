@@ -174,6 +174,21 @@ def is_monotone(w: GridProfile, tol: float = 1e-12) -> bool:
     return bool(np.all(np.diff(w.values) >= -tol))
 
 
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a nonempty NaN-free array, bit for bit.
+
+    np.median checks for NaN through ``np.ma``, whose import costs more than
+    a plateau check.  It averages the middle one or two entries of a
+    partition with np.mean, whose sum starts from 0.0 (turning a -0.0 into
+    0.0); both are repeated here.
+    """
+    k, m = (a.size - 1) // 2, a.size // 2
+    p = np.partition(a, [k, m])
+    if k == m:
+        return float(0.0 + p[k])
+    return float(((0.0 + p[k]) + p[m]) / 2)
+
+
 def interior_plateau(
     w: GridProfile,
     min_nodes: int = 50,
@@ -198,7 +213,7 @@ def interior_plateau(
     cand = cand[np.minimum(np.abs(cand - 1.0), np.abs(cand + 1.0)) > distinct_tol]
     if cand.size == 0:
         return None
-    val = float(np.median(cand))
+    val = _median(cand)  # cand holds no NaN: a NaN node is never flat
     close = np.abs(v - val) <= value_tol
     # Longest consecutive run at that level: the padded mask flips at the
     # start and one past the end of every run.

@@ -1,11 +1,18 @@
+import contextlib
+import importlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpufronts import cli
 from fpufronts.cli import main
@@ -141,6 +148,67 @@ def test_cli_runs_with_scipy_unimportable(tmp_path):
         "sys.meta_path.insert(0, NoScipy())\n"
     )
     assert run_fresh_cli(tmp_path, prelude) == "[]"
+
+
+def fresh_cli_footprints(tmp_path):
+    """Run import, check-potential, normalize, solve and sweep in turn in one
+    fresh interpreter.
+
+    Returns, after each step, the fpufronts submodules loaded so far and
+    whether ``numpy.ma`` is loaded; the sets only grow from step to step.
+    """
+    cfg = write_config(tmp_path / "quartic.json", states={"r_minus": -1.0, "r_plus": 1.0},
+                       output_dir=str(tmp_path / "run"))
+    steps = [
+        ["check-potential", str(cfg)],
+        ["normalize", str(cfg)],
+        ["solve", str(cfg)],
+        ["sweep", str(cfg), "--betas", "0.05,0.1", "--output-dir", str(tmp_path / "sw")],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "def footprint():\n"
+        "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'fpufronts')\n"
+        "    return [loaded, 'numpy.ma' in sys.modules]\n"
+        "from fpufronts.cli import main\n"
+        "footprints = [footprint()]\n"
+        f"for argv in {steps!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    footprints.append(footprint())\n"
+        "print(json.dumps(footprints))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = ["import", "check-potential", "normalize", "solve", "sweep"]
+    return dict(zip(names, json.loads(proc.stdout.splitlines()[-1])))
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    footprints = fresh_cli_footprints(tmp_path)
+    pkg = "fpufronts."
+    assert footprints["import"] == [
+        ["fpufronts", pkg + "cli", pkg + "errors", pkg + "potentials"], False]
+    solve_modules = {pkg + m for m in ("action", "solver", "phases", "lattice")}
+    assert not solve_modules & set(footprints["normalize"][0])  # check-potential ran first
+    assert pkg + "lattice" not in footprints["sweep"][0]  # solve ran first
+    assert footprints["sweep"][1] is False  # the plateau median leaves numpy.ma unloaded
+
+
+def test_lazy_namespace_resolves_every_export():
+    import fpufronts
+
+    namespace = {}
+    exec("from fpufronts import *", namespace)
+    for name in fpufronts.__all__:
+        module = fpufronts._MODULE_OF.get(name)
+        owner = fpufronts if module is None else importlib.import_module(f"fpufronts.{module}")
+        assert namespace[name] is getattr(owner, name), name
+    assert set(fpufronts.__all__) <= set(dir(fpufronts))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fpufronts.no_such_name
 
 
 @pytest.mark.parametrize("u, phi, fragment", [
@@ -347,7 +415,6 @@ def test_verify_memory_stays_bounded(solved_run):
 
 
 def test_verify_corrupted_profile_fails(solved_run, tmp_path, capsys):
-    import shutil
     run2 = tmp_path / "corrupt"
     shutil.copytree(solved_run["run_dir"], run2)
     lines = (run2 / "profile.csv").read_text().splitlines()
@@ -365,30 +432,90 @@ def test_verify_missing_run_exits_2(solved_run, tmp_path, capsys):
     assert main(["verify", str(solved_run["config"]), str(tmp_path / "void")]) == 2
 
 
-@pytest.mark.parametrize("key, value", [("front_data", None), ("gamma", None), ("gamma", "2.0")],
-                         ids=["front_data", "gamma", "gamma_string"])
-def test_verify_malformed_summary_exits_2(solved_run, tmp_path, capsys, key, value):
-    # a summary without a number for gamma leaves the BlowUp bound to a guess
-    import shutil
-    run2 = tmp_path / "malformed"
-    shutil.copytree(solved_run["run_dir"], run2)
-    summary = json.loads((run2 / "summary.json").read_text())
-    if value is None:
+DELETE = object()  # a summary field removed, not set
+
+
+def _set_field(summary, path, value):
+    """Set the field at ``path`` (a sequence of keys) of a summary, or remove it."""
+    *sections, key = path
+    for section in sections:
+        summary = summary[section]
+    if value is DELETE:
         del summary[key]
     else:
         summary[key] = value
+
+
+@pytest.mark.parametrize("field, value", [
+    ("front_data", DELETE),
+    ("gamma", DELETE),
+    ("gamma", "2.0"),
+    ("outcome", ["front_converged"]),
+    ("final_grad_norm", None),
+    ("grid", "x"),
+    ("grid.L", "x"),
+    ("grid.D", None),
+    ("grid.D", 3200.0),
+    ("front_data.sigma", "fast"),
+    ("front_data.v_plus", float("nan")),
+    ("front_data.parabola", [1.0, 0.0]),
+    ("front_data.parabola", [1.0, 0.0, True]),
+], ids=["front_data", "gamma", "gamma_string", "outcome_list", "final_grad_norm_null",
+        "grid_string", "L_string", "D_null", "D_float", "sigma_string", "v_plus_nan",
+        "parabola_short", "parabola_bool"])
+def test_verify_malformed_summary_exits_2(solved_run, tmp_path, capsys, field, value):
+    # a summary without a number for gamma leaves the BlowUp bound to a guess;
+    # a field of another type would end in a TypeError traceback
+    run2 = tmp_path / "malformed"
+    shutil.copytree(solved_run["run_dir"], run2)
+    summary = json.loads((run2 / "summary.json").read_text())
+    _set_field(summary, field.split("."), value)
     (run2 / "summary.json").write_text(json.dumps(summary))
     assert main(["verify", str(solved_run["config"]), str(run2)]) == 2
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConfigError"
-    assert key in err["message"]
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ConfigError"
+    assert field in payload["message"]
+
+
+def _field_paths(mapping, prefix=()):
+    """The path of every key of a JSON object, nested objects included."""
+    for key, value in mapping.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _field_paths(value, (*prefix, key))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_verify_any_one_summary_field_changed_exits_legibly(solved_run, data):
+    # one field of a valid summary deleted or given a value of another kind;
+    # verify runs on its defaults (400 atoms, T = 20)
+    summary = json.loads((solved_run["run_dir"] / "summary.json").read_text())
+    path = data.draw(st.sampled_from(sorted(_field_paths(summary))))
+    value = data.draw(st.sampled_from(
+        [DELETE, "x", None, [1.0], True, float("nan"), float("inf")]))
+    _set_field(summary, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        run2 = Path(tmp) / "run"
+        shutil.copytree(solved_run["run_dir"], run2)
+        (run2 / "summary.json").write_text(json.dumps(summary))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(solved_run["config"]), str(run2)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error", "message"}
 
 
 def test_failed_solve_leaves_no_stale_artifacts(solved_run, tmp_path, capsys):
     # A solve that fails (here on inadmissible states, exit 1) into the
     # directory of a converged run leaves none of that run's files behind
     # for verify to read as its own.
-    import shutil
     run2 = tmp_path / "rerun"
     shutil.copytree(solved_run["run_dir"], run2)
     cfg = write_config(tmp_path / "inadmissible.json", output_dir=str(run2),
@@ -438,7 +565,6 @@ def _spoil_profile(lines, defect):
     ("phi_of_L_40", "phi column is not the nodes of the grid L=20.0, D=3200"),
 ], ids=["non_numeric", "missing_cell", "short", "nan", "phi_of_L_40"])
 def test_malformed_profile_exits_2(solved_run, tmp_path, capsys, command, defect, fragment):
-    import shutil
     run2 = tmp_path / "spoiled"
     shutil.copytree(solved_run["run_dir"], run2)
     lines = (run2 / "profile.csv").read_text().splitlines()

@@ -2,8 +2,9 @@
 gradient over random aligned grids, at the tolerances of the fixed-grid tests,
 of the tabulated potential against SciPy's PCHIP as an oracle, of the
 block-wise energy-law pool against a sort of every snapshot's whole interior
-and of its phase grid against ``np.arange``, and of ``verify_front``'s
-window-only reductions against the whole chain.
+and of its phase grid against ``np.arange``, of ``verify_front``'s
+window-only reductions against the whole chain, and of the plateau median
+against ``np.median``.
 
 A grid is aligned when half the unit window is K whole cells: L = m/4 with
 D = m K gives h = 1/(2K) for every integer m >= 8 (L >= 2) and K >= 1.
@@ -21,21 +22,26 @@ from fpufronts import (
     ChainState,
     EnergyLaw,
     FrontData,
+    GraphViolatingPotential,
     GridProfile,
     QuarticPotential,
+    SolverConfig,
     TabulatedPotential,
+    TiltedPotential,
     apply_averaging,
     averaged_extended,
     functional_L,
     gradient,
     inner_product,
     interior_plateau,
+    minimize,
     n_identity_check,
     verify_front,
     window_kernel,
 )
-from fpufronts import lattice
+from fpufronts import lattice, solver
 from fpufronts.errors import BlowUp
+from fpufronts.phases import _median
 
 from conftest import full_pool_energy_law, whole_chain_verify
 
@@ -161,6 +167,44 @@ def test_plateau_run_length_matches_loop(grid, seed, level, mean_run, min_nodes)
     values = np.where(on, level + rng.uniform(-4e-4, 4e-4, D + 1), rng.uniform(-3, 3, D + 1))
     w = GridProfile(L, D, values)
     assert interior_plateau(w, min_nodes=min_nodes) == plateau_reference(w, min_nodes=min_nodes)
+
+
+# finite samples, drawn often from signed zeros, subnormals and one repeated
+# value, in arrays of odd and even size
+median_samples = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0]),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(median_samples)
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([1.7e308])
+def test_median_equals_np_median(values):
+    a = np.array(values)
+    with np.errstate(over="ignore"):  # the mean of two huge values overflows in both
+        assert np.float64(_median(a)).tobytes() == np.median(a).tobytes()
+
+
+@pytest.mark.parametrize("pot", [GraphViolatingPotential(0.1, -0.5), TiltedPotential(0.1, 0.1)],
+                         ids=["graph_violating", "tilted"])
+def test_diverging_flows_read_the_np_median_plateau(pot, monkeypatch):
+    # every plateau check of the flow reads what np.median gave, so the
+    # flow and its plateau_value are unchanged
+    readings = []
+
+    def checked(w):
+        found = interior_plateau(w)
+        assert found == plateau_reference(w)
+        readings.append(found)
+        return found
+
+    monkeypatch.setattr(solver, "interior_plateau", checked)
+    res = minimize(SolverConfig(gamma=2.0), pot)
+    assert res.outcome == "plateau_diverging"
+    assert readings[-1][0] == res.plateau_value
 
 
 # knot gaps of mixed size, and value steps that are often exactly 0 (flat
