@@ -24,7 +24,8 @@ def main():
     print(f"variational solve: {res.outcome}")
 
     n, T = 400, 20.0
-    check = verify_front(res, NORMALIZED, pot, gamma=gamma, n_atoms=n, T=T, dt=0.01, stride=73)
+    check = verify_front(res.profile, NORMALIZED, pot, gamma=gamma, n_atoms=n, T=T, dt=0.01,
+                         stride=73)
     print(f"integrated {n} atoms to t = {T:.1f} "
           f"({len(check.times)} snapshots, the last at t = {check.times[-1]:.2f})")
     print(f"sup distance to the translated front profile there: {check.sup_errors[-1]:.2e}")

@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from itertools import dropwhile, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -43,6 +44,7 @@ _GRID_KEYS = {"L", "D"}
 _SOLVER_KEYS = {"lambda0", "grad_tol", "max_iters"}
 _STATES_KEYS = {"r_minus", "r_plus", "v_minus", "sigma_sign"}
 _INTEGER_KEYS = {"D", "max_iters"}
+_SAMPLE_KEYS = {"u_samples", "phi_samples"}
 
 
 class ConfigError(Exception):
@@ -78,8 +80,8 @@ def _check_numbers(raw: dict) -> None:
     if not isinstance(params, dict):
         raise ConfigError("potential params must be a JSON object")
     for key, value in params.items():
-        # a tabulated potential takes lists of samples
-        for x in value if isinstance(value, list) else [value]:
+        # a tabulated potential takes lists of samples, every other parameter a number
+        for x in value if key in _SAMPLE_KEYS and isinstance(value, list) else [value]:
             _check_number(x, f"potential params {key}")
     for section in ("grid", "solver", "states"):
         for key, value in raw.get(section, {}).items():
@@ -170,14 +172,56 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+# Profile CSVs are written and read this many rows at a time, so that the
+# text and the Python objects held at once stay a block, not the file.
+_CSV_BLOCK = 1024
+
+
+def _write_rows(path: Path, header: str, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
+    """Write ``header`` and a row ``x,y,z`` per entry, each float formatted with
+    ``repr`` (as ``_fmt`` does), ``_CSV_BLOCK`` rows at a time."""
+    with path.open("w") as f:
+        f.write(header + "\n")
+        for a in range(0, len(x), _CSV_BLOCK):
+            b = a + _CSV_BLOCK
+            rows = zip(x[a:b].tolist(), y[a:b].tolist(), z[a:b].tolist())
+            f.write("".join([f"{p!r},{q!r},{r!r}\n" for p, q, r in rows]))
+
+
 def write_profile_csv(path: Path, profile: GridProfile) -> None:
     from .grid import apply_averaging
 
     u = apply_averaging(profile)
-    lines = ["phi,W,U"]
-    for phi, w, uu in zip(profile.nodes, profile.values, u.values):
-        lines.append(f"{_fmt(phi)},{_fmt(w)},{_fmt(uu)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_rows(path, "phi,W,U", profile.nodes, profile.values, u.values)
+
+
+def _profile_rows(f):
+    """The data rows of an open ``profile.csv``, in lists of about ``_CSV_BLOCK``.
+
+    They are the lines after the first of the file's text with its leading
+    and trailing whitespace stripped, as ``str.strip`` and
+    ``str.splitlines`` give them: blank lines before the header and after
+    the last row are dropped and the last row loses its trailing whitespace,
+    while a blank line between two rows is a row.
+    """
+    held, header = [], False  # held: the last line not blank, and blank lines after it
+    for chunk in iter(lambda: list(islice(f, _CSV_BLOCK)), []):
+        lines = held + "".join(chunk).splitlines()
+        if not header:
+            lines = list(dropwhile(lambda line: not line.strip(), lines))
+            if not lines:
+                continue
+            lines, header = lines[1:], True
+        k = len(lines)
+        while k and not lines[k - 1].strip():
+            k -= 1
+        if k:
+            yield lines[:k - 1]
+            held = lines[k - 1:]
+        else:
+            held = lines
+    if held and held[0].strip():
+        yield [held[0].rstrip()]
 
 
 def read_profile_csv(path: Path, L: float, D: int) -> GridProfile:
@@ -187,19 +231,35 @@ def read_profile_csv(path: Path, L: float, D: int) -> GridProfile:
     column, a row count other than D + 1, a W value that is not finite, or
     a ``phi`` column other than the grid's nodes (``write_profile_csv``
     writes them with ``repr``, which reads back exactly), as a profile
-    solved on another grid has.
+    solved on another grid has.  A bad ``phi`` cell is reported before a bad
+    W cell, and either before a wrong row count.
+
+    The file is parsed a block of lines at a time into two arrays of a
+    float per row.
     """
+    from array import array
+
     from .grid import GridProfile
 
-    rows = path.read_text().strip().splitlines()[1:]
+    phi, values = array("d"), array("d")
+    w_error = None
     try:
-        cells = [line.split(",", 2)[:2] for line in rows]
-        phi = np.array([float(c[0]) for c in cells])
-        values = np.array([float(c[1]) for c in cells])
+        with path.open() as f:
+            for rows in _profile_rows(f):
+                cells = [row.split(",", 2) for row in rows]
+                phi.fromlist([float(c[0]) for c in cells])
+                if w_error is None:
+                    try:
+                        values.fromlist([float(c[1]) for c in cells])
+                    except (IndexError, ValueError) as exc:
+                        w_error = exc
+        if w_error is not None:
+            raise w_error
     except (IndexError, ValueError) as exc:
         raise ConfigError(f"malformed profile {path}: {exc}") from None
-    if values.size != D + 1:
-        raise ConfigError(f"profile {path} has {values.size} rows, not D + 1 = {D + 1}")
+    if len(values) != D + 1:
+        raise ConfigError(f"profile {path} has {len(values)} rows, not D + 1 = {D + 1}")
+    phi, values = np.frombuffer(phi), np.frombuffer(values)
     if not np.isfinite(values).all():
         raise ConfigError(f"profile {path} holds a value that is not finite")
     profile = GridProfile(L, D, values)
@@ -223,10 +283,7 @@ def write_physical_csv(path: Path, profile: GridProfile, fd: FrontData) -> None:
     from .macroscopic import denormalize_profile
 
     r_prof, v_prof = denormalize_profile(profile, fd)
-    lines = ["phi,R,V"]
-    for phi, r, v in zip(profile.nodes, r_prof, v_prof):
-        lines.append(f"{_fmt(phi)},{_fmt(r)},{_fmt(v)}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_rows(path, "phi,R,V", profile.nodes, r_prof, v_prof)
 
 
 def _emit_error(exc: Exception, code: int) -> int:
@@ -419,7 +476,6 @@ def read_run_summary(path: Path) -> dict:
 def cmd_verify(args) -> int:
     from .lattice import verify_front
     from .macroscopic import FrontData
-    from .solver import RunResult
 
     _check_verify_args(args)
     config = load_config(args.config)
@@ -429,7 +485,7 @@ def cmd_verify(args) -> int:
     if not summary_path.exists() or not profile_path.exists():
         raise FileNotFoundError(f"run artifacts not found in {run_dir}")
     summary = read_run_summary(summary_path)
-    outcome, final_grad_norm = summary["outcome"], summary["final_grad_norm"]
+    outcome = summary["outcome"]
     L, D = summary["grid"]["L"], summary["grid"]["D"]
     gamma = summary["gamma"]  # bounds the chain's strains
     front = summary["front_data"]
@@ -446,9 +502,7 @@ def cmd_verify(args) -> int:
 
     pot = build_potential(config)
     profile = read_profile_csv(profile_path, L, D)
-    result = RunResult(profile=profile, history=[], outcome="front_converged",
-                       final_grad_norm=final_grad_norm)
-    check = verify_front(result, fd, pot, gamma=gamma, n_atoms=args.atoms, T=args.time,
+    check = verify_front(profile, fd, pot, gamma=gamma, n_atoms=args.atoms, T=args.time,
                          dt=args.dt, stride=args.stride)
     budget = 0.05
     ok = (check.sup_errors[-1] <= budget
@@ -586,7 +640,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:
         return _emit_error(exc, 2)
-    except FpuFrontsError as exc:
+    except (FpuFrontsError, OverflowError) as exc:
+        # Python float arithmetic raises OverflowError where numpy gives inf,
+        # e.g. on the square of a configured velocity of 1e300
         return _emit_error(exc, 1)
 
 

@@ -72,13 +72,19 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BlowUp, NotAFront
 from .macroscopic import FrontData, denormalize_profile
 from .potentials import Potential
-from .solver import RunResult
+
+# A solved run is read only for its profile and outcome; importing the solver
+# to name its type would load it into ``fpufronts verify``, which never runs it.
+if TYPE_CHECKING:
+    from .grid import GridProfile
+    from .solver import RunResult
 
 
 @dataclass
@@ -101,8 +107,12 @@ class ChainState:
 
 def sample_front(result: RunResult, fd: FrontData, phi: np.ndarray):
     """Linear interpolation of the denormalized front profiles at phases ``phi``."""
-    r_prof, v_prof = denormalize_profile(result.profile, fd)
-    nodes = result.profile.nodes
+    return _profile_at(result.profile, fd, phi)
+
+
+def _profile_at(profile: GridProfile, fd: FrontData, phi: np.ndarray):
+    r_prof, v_prof = denormalize_profile(profile, fd)
+    nodes = profile.nodes
     r = np.interp(phi, nodes, r_prof, left=fd.r_minus, right=fd.r_plus)
     v = np.interp(phi, nodes, v_prof, left=fd.v_minus, right=fd.v_plus)
     return r, v
@@ -123,8 +133,13 @@ def init_from_front(
         raise NotAFront(f"solver outcome was {result.outcome!r}")
     if offset is None:
         offset = n_atoms / 2.0
+    return _chain_on(result.profile, fd, n_atoms, offset, dt)
+
+
+def _chain_on(profile: GridProfile, fd: FrontData, n_atoms: int, offset: float,
+              dt: float) -> ChainState:
     j = np.arange(n_atoms, dtype=float)
-    r, v = sample_front(result, fd, j - offset)
+    r, v = _profile_at(profile, fd, j - offset)
     return ChainState(r=r, v=v, t=0.0, dt=dt,
                       r_minus=fd.r_minus, v_minus=fd.v_minus,
                       r_plus=fd.r_plus, v_plus=fd.v_plus)
@@ -599,7 +614,7 @@ class FrontVerification:
 
 
 def verify_front(
-    result: RunResult,
+    profile: GridProfile,
     fd: FrontData,
     pot: Potential,
     *,
@@ -611,9 +626,10 @@ def verify_front(
 ) -> FrontVerification:
     """Chain check of a solved front: does it travel rigidly at speed sigma?
 
-    Seeds ``n_atoms`` atoms with the front centred mid-chain, evolves them for
-    ``T`` at step ``dt`` and reduces the start and every ``stride``-th step,
-    each as ``evolve`` makes it, to three things: the sup error, over the
+    ``profile`` is the W profile of a converged solve.  Seeds ``n_atoms``
+    atoms with the front centred mid-chain, evolves them for ``T`` at step
+    ``dt`` and reduces the start and every ``stride``-th step, each as
+    ``evolve`` makes it, to three things: the sup error, over the
     atoms inside two 20-atom margins, between the strain and the front
     profile translated to the phases ``j - n_atoms/2 - sigma t``; the
     mid-level ``front_crossing`` of the velocity; and the snapshot's row of
@@ -623,9 +639,9 @@ def verify_front(
     docstring for why).
     """
     margin = 20
-    state = init_from_front(result, fd, n_atoms=n_atoms, dt=dt)
-    nodes = result.profile.nodes
-    r_prof, _ = denormalize_profile(result.profile, fd)
+    state = _chain_on(profile, fd, n_atoms, n_atoms / 2.0, dt)
+    nodes = profile.nodes
+    r_prof, _ = denormalize_profile(profile, fd)
     level = 0.5 * (fd.v_minus + fd.v_plus)
     d_minus, d_plus = fd.v_minus - level, fd.v_plus - level
     states_cross = not (d_minus * d_minus > 0 and d_plus * d_plus > 0)

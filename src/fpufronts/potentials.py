@@ -12,6 +12,7 @@ nonnegative and vanishes exactly at the asymptotic states ``u = -1, +1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,10 +274,9 @@ _FAMILIES = {
 
 def make_potential(family: str, params: dict) -> Potential:
     """Construct a built-in potential from a family name and parameter map."""
-    try:
-        factory = _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown potential family {family!r}") from None
+    factory = _FAMILIES.get(family) if isinstance(family, str) else None
+    if factory is None:
+        raise ValueError(f"unknown potential family {family!r}")
     return factory(params)
 
 
@@ -333,6 +333,19 @@ class AssumptionReport:
         }
 
 
+# The scans below evaluate the potential on consecutive slices of this many
+# samples of their np.linspace arrays, so that the potential's temporaries
+# stay a few small arrays whatever the sample count.
+_SCAN_BLOCK = 8192
+
+
+def _blocks(u: np.ndarray):
+    """The slices of ``u`` of ``_SCAN_BLOCK`` samples (the last may be shorter),
+    each with the index of its first sample."""
+    for a in range(0, u.size, _SCAN_BLOCK):
+        yield a, u[a:a + _SCAN_BLOCK]
+
+
 def check_assumptions(
     pot: Potential,
     scan_halfwidth: float = 6.0,
@@ -344,6 +357,16 @@ def check_assumptions(
     All conditions are stated on the whole real line; for the polynomial
     built-in families a dense scan of ``[-scan_halfwidth, scan_halfwidth]``
     plus tail-sign checks is conclusive at desk scale.
+
+    The scan evaluates psi block by block (``_SCAN_BLOCK`` samples at a
+    time) and folds each block into two running results: the first minimum
+    of psi with its sample, and whether psi stays positive away from the
+    states.  Both equal the whole-array results exactly, because neither
+    depends on how the samples are grouped.  The minimum is the least pair
+    (psi, index) with a NaN counted least, ``np.argmin``'s rule, which the
+    fold keeps by replacing the running pair only with a NaN or a strictly
+    smaller value from a later block; positivity is a conjunction.  The
+    tail test reads psi' only at the two ends of the scan.
     """
     if scan_halfwidth < 2:
         raise InvalidScan("scan_halfwidth must be at least 2")
@@ -352,33 +375,34 @@ def check_assumptions(
 
     u = np.linspace(-scan_halfwidth, scan_halfwidth, n_samples)
     spacing = u[1] - u[0]
-    psi = np.asarray(pot.psi(u))
-    psi_prime = np.asarray(pot.psi_prime(u))
+    delta = 10.0 * spacing
 
-    i_min = int(np.argmin(psi))
-    psi_min = float(psi[i_min])
+    # psi's first minimum, and whether psi is strictly positive away from
+    # small neighbourhoods of +-1
+    i_min, psi_min, positive_away = -1, math.nan, True
+    for a, ub in _blocks(u):
+        psi = np.asarray(pot.psi(ub))
+        j = int(np.argmin(psi))
+        value = float(psi[j])
+        if i_min < 0 or (not math.isnan(psi_min) and (math.isnan(value) or value < psi_min)):
+            i_min, psi_min = a + j, value
+        away = np.abs(np.abs(ub) - 1.0) > delta
+        positive_away = positive_away and bool(np.all(psi[away] > tol))
     psi_argmin = float(u[i_min])
     graph_ok = bool(psi_min >= -tol)
 
     # Genericity: strictly positive curvature at the states, and psi strictly
-    # positive away from small neighbourhoods of +-1.
-    delta = 10.0 * spacing
+    # positive away from small neighbourhoods of +-1 (the scan above).
     curv = pot.psi_second(np.array([-1.0, 1.0]))
-    away = (np.abs(np.abs(u) - 1.0) > delta)
-    genericity_ok = bool(np.all(curv > tol) and np.all(psi[away] > tol))
+    genericity_ok = bool(np.all(curv > tol) and positive_away)
 
     supersonic_ok = bool(np.all(pot.phi_second(np.array([-1.0, 1.0])) < 1.0 + tol))
 
     # Monotone tails: the sign of psi' must be constant on a nonempty run that
-    # reaches the scan boundary on each side.
-    right = psi_prime[u > 1.0]
-    left = psi_prime[u < -1.0]
-    monotone_tails_ok = bool(
-        right.size > 0
-        and left.size > 0
-        and right[-1] > 0
-        and left[0] < 0
-    )
+    # reaches the scan boundary on each side.  Both ends of the scan lie
+    # beyond the states (scan_halfwidth >= 2), and the sign is read there.
+    ends = np.asarray(pot.psi_prime(u[[0, -1]]))
+    monotone_tails_ok = bool(ends[-1] > 0 and ends[0] < 0)
 
     try:
         gamma = compute_invariant_bound(pot, search_limit=scan_halfwidth)
@@ -408,6 +432,13 @@ def compute_invariant_bound(
     below), then enlarges by the interior force maximum and verifies the
     containment by dense sampling.  Raises InvariantBoundNotFound when the
     tail condition never holds below ``search_limit``.
+
+    Both scans evaluate the force block by block (``_SCAN_BLOCK`` samples at
+    a time) and fold each block into a running result: the last sample
+    where the tail condition fails, and the force's reach, the largest
+    ``|phi'|``, NaN if any sample is NaN, as ``np.max`` gives.  Both equal
+    the whole-array results exactly, because neither depends on how the
+    samples are grouped: each is a maximum.
     """
     if search_limit <= 1:
         raise InvariantBoundNotFound("search_limit must exceed 1")
@@ -415,16 +446,20 @@ def compute_invariant_bound(
     u = np.linspace(1.0, search_limit, n_samples)[1:]
     # Tail condition in terms of the defect: psi'(u) > 0 for u > gamma_tilde
     # and, by symmetry of the check, psi'(-u) < 0.
-    ok = (pot.psi_prime(u) > 0) & (pot.psi_prime(-u) < 0)
-    if not ok[-1]:
+    last_bad = -1
+    for a, ub in _blocks(u):
+        ok = (pot.psi_prime(ub) > 0) & (pot.psi_prime(-ub) < 0)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            last_bad = a + int(bad[-1])
+    if last_bad == u.size - 1:
         raise InvariantBoundNotFound("tail condition fails at the search limit")
-    bad = np.nonzero(~ok)[0]
-    gamma_tilde = float(u[bad[-1] + 1]) if bad.size else float(u[0])
+    gamma_tilde = float(u[last_bad + 1])
 
     gamma = gamma_tilde
     for _ in range(64):
         dense = np.linspace(-gamma, gamma, n_samples)
-        reach = float(np.max(np.abs(pot.phi_prime(dense))))
+        reach = float(np.max([np.max(np.abs(pot.phi_prime(b))) for _, b in _blocks(dense)]))
         if reach <= gamma * (1.0 + 1e-12):
             return gamma
         if reach > search_limit:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fpufronts import (
+    AssumptionReport,
     FrontVerification,
     GridProfile,
     Potential,
@@ -18,6 +19,7 @@ from fpufronts import (
     sample_front,
     total_energy,
 )
+from fpufronts.errors import InvalidScan, InvariantBoundNotFound
 
 L_DEFAULT = 20.0
 D_DEFAULT = 3200
@@ -154,6 +156,87 @@ def whole_chain_verify(result, fd, pot, *, gamma, n_atoms, T, dt, stride):
         speed=front_speed(times, crossings),
         energy=check_energy_law(snaps, pot, fd.sigma),
     )
+
+
+def whole_array_check_assumptions(pot, scan_halfwidth=6.0, n_samples=100_000, tol=1e-10):
+    """``check_assumptions`` on whole sample arrays: psi and psi' at every
+    sample at once, ``np.argmin`` over all of psi.
+
+    The blocked scan must give the same report; its invariant bound comes
+    from ``whole_array_invariant_bound``.
+    """
+    if scan_halfwidth < 2:
+        raise InvalidScan("scan_halfwidth must be at least 2")
+    if n_samples < 1000:
+        raise InvalidScan("n_samples must be at least 1000")
+
+    u = np.linspace(-scan_halfwidth, scan_halfwidth, n_samples)
+    spacing = u[1] - u[0]
+    psi = np.asarray(pot.psi(u))
+    psi_prime = np.asarray(pot.psi_prime(u))
+
+    i_min = int(np.argmin(psi))
+    psi_min = float(psi[i_min])
+    psi_argmin = float(u[i_min])
+    graph_ok = bool(psi_min >= -tol)
+
+    delta = 10.0 * spacing
+    curv = pot.psi_second(np.array([-1.0, 1.0]))
+    away = (np.abs(np.abs(u) - 1.0) > delta)
+    genericity_ok = bool(np.all(curv > tol) and np.all(psi[away] > tol))
+
+    supersonic_ok = bool(np.all(pot.phi_second(np.array([-1.0, 1.0])) < 1.0 + tol))
+
+    right = psi_prime[u > 1.0]
+    left = psi_prime[u < -1.0]
+    monotone_tails_ok = bool(
+        right.size > 0
+        and left.size > 0
+        and right[-1] > 0
+        and left[0] < 0
+    )
+
+    try:
+        gamma = whole_array_invariant_bound(pot, search_limit=scan_halfwidth)
+    except InvariantBoundNotFound:
+        gamma = None
+
+    return AssumptionReport(
+        graph_ok=graph_ok,
+        genericity_ok=genericity_ok,
+        monotone_tails_ok=monotone_tails_ok,
+        supersonic_ok=supersonic_ok,
+        gamma=gamma,
+        psi_min=psi_min,
+        psi_argmin=psi_argmin,
+        scan_interval=(-scan_halfwidth, scan_halfwidth),
+        tolerance=tol,
+    )
+
+
+def whole_array_invariant_bound(pot, search_limit=6.0, n_samples=100_000):
+    """``compute_invariant_bound`` on whole sample arrays: the tail condition
+    at every sample at once, and ``np.max`` over every sample of the force."""
+    if search_limit <= 1:
+        raise InvariantBoundNotFound("search_limit must exceed 1")
+
+    u = np.linspace(1.0, search_limit, n_samples)[1:]
+    ok = (pot.psi_prime(u) > 0) & (pot.psi_prime(-u) < 0)
+    if not ok[-1]:
+        raise InvariantBoundNotFound("tail condition fails at the search limit")
+    bad = np.nonzero(~ok)[0]
+    gamma_tilde = float(u[bad[-1] + 1]) if bad.size else float(u[0])
+
+    gamma = gamma_tilde
+    for _ in range(64):
+        dense = np.linspace(-gamma, gamma, n_samples)
+        reach = float(np.max(np.abs(pot.phi_prime(dense))))
+        if reach <= gamma * (1.0 + 1e-12):
+            return gamma
+        if reach > search_limit:
+            raise InvariantBoundNotFound("force escapes the searched range")
+        gamma = reach
+    raise InvariantBoundNotFound("containment iteration did not settle")
 
 
 @pytest.fixture(scope="session")

@@ -197,6 +197,26 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     assert footprints["sweep"][1] is False  # the plateau median leaves numpy.ma unloaded
 
 
+def test_verify_loads_no_solver(solved_run):
+    # verify reads a solved profile; it runs neither the solver nor the
+    # action and phase code under it
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from fpufronts.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['verify', {str(solved_run['config'])!r}, "
+        f"{str(solved_run['run_dir'])!r}]) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'fpufronts')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    pkg = "fpufronts."
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["fpufronts"] + [
+        pkg + m for m in ("cli", "errors", "grid", "lattice", "macroscopic", "potentials")]
+
+
 def test_lazy_namespace_resolves_every_export():
     import fpufronts
 
@@ -282,6 +302,46 @@ def test_profile_round_trip(solved_run):
     g = fpufronts.gradient(prof, pot)
     interior = np.abs(prof.nodes) <= prof.L - 1
     assert np.max(np.abs(g.values[interior])) < 1e-7
+
+
+def _written_row_by_row(header, *columns):
+    """A profile CSV as written one ``_fmt``-formatted row at a time."""
+    rows = [",".join(cli._fmt(x) for x in row) for row in zip(*columns)]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _random_profile(L, D):
+    from fpufronts import GridProfile
+
+    noise = np.random.default_rng(D).uniform(-1e-3, 1e-3, D + 1)
+    return GridProfile(L, D, np.tanh(np.linspace(-L, L, D + 1)) + noise)
+
+
+# 1024 rows fill one write block exactly; 1025 and 3201 rows do not.
+@pytest.mark.parametrize("L, D", [(2.75, 1023), (2.0, 1024), (2.5, 3200)])
+def test_profile_writers_match_row_by_row(tmp_path, L, D):
+    from fpufronts import NORMALIZED, apply_averaging, denormalize_profile
+
+    prof = _random_profile(L, D)
+    cli.write_profile_csv(tmp_path / "profile.csv", prof)
+    assert (tmp_path / "profile.csv").read_text() == _written_row_by_row(
+        "phi,W,U", prof.nodes, prof.values, apply_averaging(prof).values)
+    cli.write_physical_csv(tmp_path / "physical.csv", prof, NORMALIZED)
+    assert (tmp_path / "physical.csv").read_text() == _written_row_by_row(
+        "phi,R,V", prof.nodes, *denormalize_profile(prof, NORMALIZED))
+
+
+# Blank lines after the last row are not rows (a blank line between rows is,
+# see test_malformed_profile_exits_2); 3201 rows span four read blocks.
+@pytest.mark.parametrize("tail", ["", "\n", "\n \n\t\n"],
+                         ids=["as_written", "trailing_blank_line", "trailing_blank_lines"])
+@pytest.mark.parametrize("L, D", [(2.0, 1024), (2.5, 3200)])
+def test_profile_reads_back_exactly(tmp_path, L, D, tail):
+    prof = _random_profile(L, D)
+    path = tmp_path / "profile.csv"
+    cli.write_profile_csv(path, prof)
+    path.write_text(path.read_text() + tail)
+    assert cli.read_profile_csv(path, L, D).values.tobytes() == prof.values.tobytes()
 
 
 def test_deterministic_artifacts(solved_run, tmp_path, capsys):
@@ -549,6 +609,14 @@ def _spoil_profile(lines, defect):
         del lines[1600]
     elif defect == "nan":
         lines[1600] = f"{phi},nan,{u}"
+    elif defect == "interior_blank":
+        lines.insert(1600, "")
+    elif defect == "extra_row":
+        lines.append(lines[-1])
+    elif defect == "header_only":
+        del lines[1:]
+    elif defect == "undecodable":
+        lines[1600] += "\udcff"  # the byte 0xff, which is not UTF-8
     elif defect == "phi_of_L_40":
         # the phi column of a profile solved at L = 40, D = 3200
         nodes = np.linspace(-40.0, 40.0, 3201)
@@ -563,12 +631,18 @@ def _spoil_profile(lines, defect):
     ("short", "3200 rows, not D + 1 = 3201"),
     ("nan", "not finite"),
     ("phi_of_L_40", "phi column is not the nodes of the grid L=20.0, D=3200"),
-], ids=["non_numeric", "missing_cell", "short", "nan", "phi_of_L_40"])
+    ("interior_blank", "could not convert string to float: ''"),
+    ("extra_row", "3202 rows, not D + 1 = 3201"),
+    ("header_only", "0 rows, not D + 1 = 3201"),
+    ("undecodable", "can't decode byte 0xff"),
+], ids=["non_numeric", "missing_cell", "short", "nan", "phi_of_L_40", "interior_blank",
+        "extra_row", "header_only", "undecodable"])
 def test_malformed_profile_exits_2(solved_run, tmp_path, capsys, command, defect, fragment):
     run2 = tmp_path / "spoiled"
     shutil.copytree(solved_run["run_dir"], run2)
     lines = (run2 / "profile.csv").read_text().splitlines()
-    (run2 / "profile.csv").write_text("\n".join(_spoil_profile(lines, defect)) + "\n")
+    text = "\n".join(_spoil_profile(lines, defect)) + "\n"
+    (run2 / "profile.csv").write_bytes(text.encode(errors="surrogateescape"))
     if command == "verify":
         argv = ["verify", str(solved_run["config"]), str(run2), "--time", "1"]
     else:
@@ -646,3 +720,77 @@ def test_sweep_bad_arguments_exit_2(tmp_path, capsys, argv, fragment):
     assert err["error"] == "ConfigError"
     assert fragment in err["message"]
     assert not (tmp_path / "sw").exists()
+
+
+# A small aligned config (L = 2.5, D = 40, K = 4) and the values a mutation
+# may put at one of its keys or remove.  D and max_iters stay small whatever
+# is drawn, so that no example allocates a large grid or runs long.
+_SMALL_CONFIG = {
+    "potential": {"family": "quartic", "params": {"beta": 0.05}},
+    "grid": {"L": 2.5, "D": 40},
+    "solver": {"max_iters": 300},
+    "states": {"r_minus": -1.0, "r_plus": 1.0},
+}
+_json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 400), st.text(max_size=3),
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-300, 1e300, float("nan"), float("inf")]),
+    st.lists(st.floats(-5.0, 5.0), max_size=5), st.builds(dict),
+)
+_MUTABLE = {
+    ("potential", "family"): st.one_of(
+        st.sampled_from(["quartic", "graph_violating", "tilted", "user_table", "nope"]),
+        _json_values),
+    **{("potential", "params", key): _json_values
+       for key in ("beta", "c", "eps", "u_samples", "phi_samples")},
+    ("potential", "params"): _json_values,
+    ("grid", "L"): _json_values,
+    ("grid", "D"): st.one_of(st.integers(-5, 400), _json_values),
+    ("grid",): _json_values,
+    ("solver", "lambda0"): _json_values,
+    ("solver", "grad_tol"): _json_values,
+    ("solver", "max_iters"): _json_values,
+    ("states",): _json_values,
+    **{("states", key): _json_values for key in ("r_minus", "r_plus", "v_minus", "sigma_sign")},
+    ("unknown",): _json_values,
+}
+# max_iters is never removed: the default, 200 000 steps, would make an
+# example that does not converge run for seconds
+_REMOVABLE = [path for path in _MUTABLE if path != ("solver", "max_iters")]
+
+
+@st.composite
+def mutated_configs(draw):
+    config = json.loads(json.dumps(_SMALL_CONFIG))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(sorted(_MUTABLE)))
+        parent = config
+        for key in path[:-1]:
+            parent = parent.get(key) if isinstance(parent, dict) else None
+        if not isinstance(parent, dict):
+            continue
+        if path in _REMOVABLE and draw(st.booleans()):
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = draw(_MUTABLE[path])
+    return config
+
+
+@settings(max_examples=50, deadline=None)
+@given(mutated_configs(), st.sampled_from(["check-potential", "normalize", "solve"]))
+def test_commands_on_mutated_configs_exit_legibly(config, command):
+    # Exit 0, 1 or 2; a non-zero exit writes one JSON object on stderr, save
+    # check-potential's report of a violated assumption, which goes to stdout
+    # with exit 1; and nothing raises out of main.
+    with tempfile.TemporaryDirectory() as tmp:
+        config = {**config, "output_dir": str(Path(tmp) / "run")}
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if command == "check-potential" and code == 1 and not err.getvalue():
+        assert json.loads(out.getvalue())["failed"]
+    elif code:
+        assert isinstance(json.loads(err.getvalue()), dict)

@@ -456,7 +456,7 @@ def test_verify_front_default_run_equals_whole_chain(front_005):
     # Its window-only sup errors and crossings are the whole chain's floats.
     res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
     args = dict(gamma=gamma, n_atoms=400, T=20.0, dt=0.01, stride=73)
-    check = verify_front(res, NORMALIZED, pot, **args)
+    check = verify_front(res.profile, NORMALIZED, pot, **args)
     assert check == whole_chain_verify(res, NORMALIZED, pot, **args)
     assert len(check.times) == 28
     assert check.sup_errors[-1] < 0.05

@@ -3,14 +3,17 @@ gradient over random aligned grids, at the tolerances of the fixed-grid tests,
 of the tabulated potential against SciPy's PCHIP as an oracle, of the
 block-wise energy-law pool against a sort of every snapshot's whole interior
 and of its phase grid against ``np.arange``, of ``verify_front``'s
-window-only reductions against the whole chain, and of the plateau median
-against ``np.median``.
+window-only reductions against the whole chain, of the plateau median
+against ``np.median``, and of the blocked admissibility scans against the
+same scans on whole sample arrays.
 
 A grid is aligned when half the unit window is K whole cells: L = m/4 with
 D = m K gives h = 1/(2K) for every integer m >= 8 (L >= 2) and K >= 1.
 Profile values come from a seeded generator, so each example is a grid, a
 seed and, where it matters, an extension value or a padding width.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,12 +27,15 @@ from fpufronts import (
     FrontData,
     GraphViolatingPotential,
     GridProfile,
+    Potential,
     QuarticPotential,
     SolverConfig,
     TabulatedPotential,
     TiltedPotential,
     apply_averaging,
     averaged_extended,
+    check_assumptions,
+    compute_invariant_bound,
     functional_L,
     gradient,
     inner_product,
@@ -39,11 +45,16 @@ from fpufronts import (
     verify_front,
     window_kernel,
 )
-from fpufronts import lattice, solver
-from fpufronts.errors import BlowUp
+from fpufronts import lattice, potentials, solver
+from fpufronts.errors import BlowUp, InvariantBoundNotFound
 from fpufronts.phases import _median
 
-from conftest import full_pool_energy_law, whole_chain_verify
+from conftest import (
+    full_pool_energy_law,
+    whole_array_check_assumptions,
+    whole_array_invariant_bound,
+    whole_chain_verify,
+)
 
 grids = st.tuples(st.integers(8, 100), st.integers(1, 40)).map(
     lambda mk: (mk[0] / 4, mk[0] * mk[1]))
@@ -357,5 +368,106 @@ def test_verify_front_equals_whole_chain(front_005, fd, n_atoms, dt, stride, ste
     assume(steps >= stride)
     args = dict(gamma=front_005["gamma"], n_atoms=n_atoms, T=steps * dt, dt=dt, stride=stride)
     res, pot = front_005["result"], front_005["pot"]
-    assert (_outcome(lambda: verify_front(res, fd, pot, **args))
+    assert (_outcome(lambda: verify_front(res.profile, fd, pot, **args))
             == _outcome(lambda: whole_chain_verify(res, fd, pot, **args)))
+
+
+class DefectPotential(Potential):
+    """A test potential given by its defect psi and psi', with phi = u^2/2 - psi."""
+
+    def __init__(self, psi, psi_prime):
+        self._psi, self._psi_prime = psi, psi_prime
+
+    def psi(self, u):
+        return self._psi(np.asarray(u, dtype=float))
+
+    def psi_prime(self, u):
+        return self._psi_prime(np.asarray(u, dtype=float))
+
+    def phi(self, u):
+        u = np.asarray(u, dtype=float)
+        return 0.5 * u**2 - self._psi(u)
+
+    def phi_prime(self, u):
+        u = np.asarray(u, dtype=float)
+        return u - self._psi_prime(u)
+
+
+def tied_minima(level, centre, width):
+    """psi = ``level`` on |u| within ``width`` of ``centre`` and 1 + u^2
+    elsewhere: equal minima on both sides, far apart in the scan."""
+    return DefectPotential(
+        lambda u: np.where(np.abs(np.abs(u) - centre) < width, level, 1.0 + u * u),
+        lambda u: 2.0 * u)
+
+
+def nan_inside(beta, centre, width, force):
+    """The quartic defect, NaN on |u - centre| < width: psi only, or also
+    psi' and so the force."""
+    def hole(u, f):
+        return np.where(np.abs(u - centre) < width, np.nan, f)
+
+    return DefectPotential(
+        lambda u: hole(u, beta * (u * u - 1.0) ** 2),
+        lambda u: hole(u, 4.0 * beta * u * (u * u - 1.0)) if force else
+        4.0 * beta * u * (u * u - 1.0))
+
+
+def random_table(seed, n):
+    """A user_table on n random knots of [-7, 7] with random values."""
+    rng = np.random.default_rng(seed)
+    u = np.unique(rng.uniform(-7.0, 7.0, n))
+    assume(u.size >= 2)
+    phi = 0.5 * u**2 - rng.uniform(0.0, 0.3) * (u**2 - 1.0) ** 2 + rng.normal(0.0, 0.01, u.size)
+    return TabulatedPotential(u, phi)
+
+
+scan_potentials = st.one_of(
+    st.builds(QuarticPotential, st.floats(0.01, 5.0)),
+    st.builds(GraphViolatingPotential, st.floats(0.01, 2.0), st.floats(-0.99, -0.01)),
+    st.builds(TiltedPotential, st.floats(0.01, 2.0), st.floats(-0.5, 0.5)),
+    st.builds(random_table, seeds, st.integers(2, 40)),
+    st.builds(tied_minima, st.sampled_from([-1e-3, 0.0, 1e-3]), st.floats(1.5, 5.0),
+              st.floats(0.01, 0.3)),
+    st.builds(nan_inside, st.floats(0.01, 1.0), st.floats(-6.0, 6.0), st.floats(1e-3, 0.5),
+              st.booleans()),
+)
+# the module's block, and blocks that split the scans into many pieces
+scan_blocks = st.sampled_from([potentials._SCAN_BLOCK, 1000, 97])
+
+
+def _scan_outcome(run):
+    """The repr of what ``run()`` returns, a report as its dict, or of the
+    InvariantBoundNotFound it raises; the repr tells -0.0 from 0.0 and
+    equates two NaNs."""
+    try:
+        out = run()
+    except InvariantBoundNotFound as exc:
+        return repr(exc)
+    return repr(out.to_dict() if hasattr(out, "to_dict") else out)
+
+
+# A scan whose size is not a multiple of the block, psi with equal minima in
+# different blocks (the first is the minimum), and psi that is NaN somewhere
+# in the scan (the first NaN is the minimum).
+@settings(max_examples=40, deadline=None)
+@given(scan_potentials, st.integers(1000, 30_000), st.floats(2.0, 7.0), scan_blocks)
+@example(pot=tied_minima(0.0, 3.0, 0.2), n_samples=2 * 8192 + 1, halfwidth=6.0, block=8192)
+@example(pot=tied_minima(0.0, 3.0, 0.2), n_samples=100_000, halfwidth=6.0, block=8192)
+@example(pot=nan_inside(0.05, 3.0, 0.01, False), n_samples=100_000, halfwidth=6.0, block=8192)
+@example(pot=QuarticPotential(0.05), n_samples=100_000, halfwidth=6.0, block=8192)
+def test_check_assumptions_equals_whole_arrays(pot, n_samples, halfwidth, block):
+    with mock.patch.object(potentials, "_SCAN_BLOCK", block):
+        got = _scan_outcome(lambda: check_assumptions(pot, halfwidth, n_samples))
+    assert got == _scan_outcome(lambda: whole_array_check_assumptions(pot, halfwidth, n_samples))
+
+
+# The tail scan's last failing sample and the force's reach, NaN included.
+@settings(max_examples=40, deadline=None)
+@given(scan_potentials, st.integers(2, 20_000), st.floats(1.5, 8.0), scan_blocks)
+@example(pot=nan_inside(0.05, 0.5, 0.1, True), n_samples=2000, limit=6.0, block=97)
+@example(pot=QuarticPotential(0.3), n_samples=100_000, limit=6.0, block=8192)
+def test_invariant_bound_equals_whole_arrays(pot, n_samples, limit, block):
+    with mock.patch.object(potentials, "_SCAN_BLOCK", block):
+        got = _scan_outcome(lambda: compute_invariant_bound(pot, limit, n_samples))
+    assert got == _scan_outcome(lambda: whole_array_invariant_bound(pot, limit, n_samples))
