@@ -174,7 +174,7 @@ def _fmt(x: float) -> str:
 
 # Profile CSVs are written and read this many rows at a time, so that the
 # text and the Python objects held at once stay a block, not the file.
-_CSV_BLOCK = 1024
+_CSV_BLOCK = 128
 
 
 def _write_rows(path: Path, header: str, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
@@ -502,8 +502,12 @@ def cmd_verify(args) -> int:
 
     pot = build_potential(config)
     profile = read_profile_csv(profile_path, L, D)
-    check = verify_front(profile, fd, pot, gamma=gamma, n_atoms=args.atoms, T=args.time,
-                         dt=args.dt, stride=args.stride)
+    try:
+        check = verify_front(profile, fd, pot, gamma=gamma, n_atoms=args.atoms, T=args.time,
+                             dt=args.dt, stride=args.stride)
+    except ValueError as exc:  # a chain run too short or too small to read
+        raise ConfigError(f"verify --atoms {args.atoms} --time {args.time!r} "
+                          f"leaves too little to check: {exc}") from None
     budget = 0.05
     ok = (check.sup_errors[-1] <= budget
           and abs(check.speed - fd.sigma) <= 0.02 * abs(fd.sigma))
@@ -590,8 +594,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so that they
+    exit 2 with one JSON object on stderr like every other config error;
+    ``--help`` and ``--version`` still print and exit 0."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fpufronts")
+    parser = _Parser(prog="fpufronts")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -634,11 +647,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+        args = build_parser().parse_args(argv)
+        # numpy would print a RuntimeWarning for an overflow or an invalid
+        # value beside the JSON error; the non-finite results themselves are
+        # refused where they are read
+        with np.errstate(all="ignore"):
+            return args.func(args)
+    except (ConfigError, OSError) as exc:  # OSError: a path that cannot be read or written
         return _emit_error(exc, 2)
     except (FpuFrontsError, OverflowError) as exc:
         # Python float arithmetic raises OverflowError where numpy gives inf,

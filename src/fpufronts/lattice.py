@@ -57,20 +57,30 @@ right of them at the right state, and ``np.interp`` between two equal samples
 returns that value exactly (slope 0), so the interpolated profile, and with it
 the residual, are the floats a sort of every snapshot's whole interior gives.
 
-The report interpolates block by block, each block of the phase grid from a
-pool of only the samples near it, so its memory grows with one block and not
-with the snapshots times the phase span.  That is exact too: ``np.interp`` at
-x reads only the last pooled sample at or below x in sorted order and the
-one after it.  A block's pool keeps every sample from the last one at or
-below its first grid point to the first one above its last grid point, so it
-holds both for each of its grid points, and it sorts equal phases in the same
-order as the whole pool, snapshot by snapshot.
+The report evaluates the residual block by block, each block of the phase
+grid interpolated from a pool of only the samples near it, so its memory
+grows with one block and not with the snapshots times the phase span, nor
+with the grid.  That is exact too: ``np.interp`` at x reads only the last
+pooled sample at or below x in sorted order and the one after it.  A block's
+pool keeps every sample from the last one at or below its first grid point
+to the first one above its last grid point, so it holds both for each of its
+grid points, and it sorts equal phases in the same order as the whole pool,
+snapshot by snapshot.  A block of residuals reads the profile on its own
+grid points and on the two phase units (``2/dphi`` points) beyond them,
+which the next block carries over, and of ``np.gradient`` only the central
+differences, never its one-sided ends; the report keeps a running
+``max|res|``.
+
+The front speed is the least-squares slope through the visible crossings in
+closed form, ``sum(t*c) / sum(t*t)`` over the centred times and crossings,
+summed by numpy reductions: a two-parameter fit needs no LAPACK call, and
+its float does not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -300,9 +310,9 @@ class EnergyLawReport:
     energy_drift_rel: float
 
 
-# EnergyLaw.report interpolates its phase grid in blocks of _BLOCK phase
-# units, each from a pool of the samples near that block alone.
-_BLOCK = 32
+# EnergyLaw.report evaluates the residual in blocks of _BLOCK phase units,
+# each interpolated from a pool of the samples near that block alone.
+_BLOCK = 8
 
 
 def _searchsorted_phases(x: float, shifts: np.ndarray, first: int, stop: int,
@@ -316,7 +326,7 @@ def _searchsorted_phases(x: float, shifts: np.ndarray, first: int, stop: int,
     it, so the index is that of the search itself.
     """
     below = np.less if side == "left" else np.less_equal
-    j = np.clip(np.ceil(x + shifts), first, stop).astype(np.int64)
+    j = np.minimum(np.maximum(np.ceil(x + shifts), first), stop).astype(np.int64)
     j += (j < stop) & below(j - shifts, x)
     j -= (j > first) & ~below(j - 1 - shifts, x)
     return j
@@ -380,9 +390,10 @@ class EnergyLaw:
     growing pair of buffers; ``_windows`` holds each one's ``(lo, size,
     offset)``: its first atom, its length and where it starts in the buffers.
 
-    ``report`` interpolates the pooled samples onto the phase grid block by
-    block, so its memory grows with one block's pool (``_BLOCK`` phase units
-    of every snapshot), not with the snapshots times the phase span.
+    ``report`` interpolates the pooled samples onto the phase grid and
+    evaluates the residual block by block, so its memory grows with one
+    block's pool (``_BLOCK`` phase units of every snapshot) and grid points,
+    not with the snapshots times the phase span.
     """
 
     def __init__(self, pot: Potential, sigma: float, margin_atoms: int = 20, dphi: float = 0.05):
@@ -434,12 +445,18 @@ class EnergyLaw:
         """
         n, r_minus, v_minus, r_plus, v_plus = self._chain
         first, stop = self.margin, n - self.margin  # the interior atoms
+        # Phases rise with the atom index, so a snapshot's first atom at or
+        # above a is its last one at or below x_first if that is at a, and
+        # the next one if not; its last atom at or below b is likewise its
+        # first one above x_last or the one before.
         j = _searchsorted_phases(x_first, shifts, first, stop, "right")
-        a = np.max((j - 1 - shifts)[j > first])
+        below, found = j - 1 - shifts, j > first
+        a = np.max(below[found])
+        j0 = j - (found & (below == a))
         j = _searchsorted_phases(x_last, shifts, first, stop, "right")
-        b = np.min((j - shifts)[j < stop])
-        j0 = _searchsorted_phases(a, shifts, first, stop, "left")
-        width = _searchsorted_phases(b, shifts, first, stop, "right") - j0
+        above, found = j - shifts, j < stop
+        b = np.min(above[found])
+        width = j + (found & (above == b)) - j0
 
         # A (snapshots x widest) grid of atoms, which flattens snapshot by
         # snapshot, atoms in order; cells past a snapshot's width get phase
@@ -462,11 +479,12 @@ class EnergyLaw:
             out.append(x)
         return out
 
-    def _residual(self) -> tuple[int, np.ndarray]:
-        """The energy-law residual on the uniform phase grid, from index ``g0``.
+    def _residual(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The energy-law residual on the uniform phase grid, block by block.
 
-        Returns ``(g0, res)``: ``res`` is the grid residual from index ``g0``
-        on, and every entry outside it is exactly 0.
+        Yields ``(g, res)``: ``res`` is the grid residual from index ``g``
+        on.  The blocks follow each other without a gap, and every entry
+        outside them is exactly 0.
         """
         n = self._chain[0]
         sigma, dphi, m = self.sigma, self.dphi, self.margin
@@ -490,31 +508,39 @@ class EnergyLaw:
         pad = 2 * shift + 2
         g0 = max(0, grid.searchsorted(p_lo) - pad)
         g1 = min(grid.size, grid.searchsorted(p_hi, side="right") + pad)
-        grid = grid.points(g0, g1)
         # Block by block: np.interp at x reads only the last pooled sample at
         # or below x and the one after it in the sorted pool, and the block's
         # pool holds both, in the same order (see _block_pool).  Every grid
         # point lies inside the pool's phases, so neither end value is used.
-        r_g, v_g = np.empty(grid.size), np.empty(grid.size)
+        # Residual i reads the profile at grid points i to i + 2*shift, so a
+        # block of residuals [b0, b1) needs the points [b0, b1 + 2*shift):
+        # the last 2*shift of the previous block's points, and new ones.
+        # np.gradient's central difference (e[k+1] - e[k-1]) / (2*dphi) is
+        # all the residual reads of it: its one-sided ends fall in the cut
+        # shift points at each end.
+        n_res = g1 - g0 - 2 * shift
         block = max(1, int(round(_BLOCK / dphi)))
-        for b0 in range(0, grid.size, block):
-            x = grid[b0:b0 + block]
+        r_g = v_g = np.empty(0)
+        for b0 in range(0, n_res, block):
+            k = min(block, n_res - b0)  # residuals in this block
+            x = grid.points(g0 + b0 + r_g.size, g0 + b0 + k + 2 * shift)
             phi, r, v = self._block_pool(x[0], x[-1], shifts, windows)
-            r_g[b0:b0 + block] = np.interp(x, phi, r)
-            v_g[b0:b0 + block] = np.interp(x, phi, v)
-        e_g = 0.5 * v_g**2 + self.pot.phi(r_g)
-
-        de = np.gradient(e_g, dphi)
-        fp = self.pot.phi_prime(r_g)
-        return g0, (sigma * de[shift:-shift]
-                    + fp[shift:-shift] * v_g[2 * shift:]
-                    - fp[:-2 * shift] * v_g[shift:-shift])
+            r_g = np.concatenate((r_g, np.interp(x, phi, r)))
+            v_g = np.concatenate((v_g, np.interp(x, phi, v)))
+            e = 0.5 * v_g**2 + self.pot.phi(r_g)
+            de = (e[shift + 1:shift + 1 + k] - e[shift - 1:shift - 1 + k]) / (2.0 * dphi)
+            fp = self.pot.phi_prime(r_g)
+            yield g0 + b0, (sigma * de
+                            + fp[shift:shift + k] * v_g[2 * shift:]
+                            - fp[:k] * v_g[shift:shift + k])
+            r_g, v_g = r_g[k:], v_g[k:]
 
     def report(self) -> EnergyLawReport:
         if len(self.times) < 2:
             raise ValueError("need at least two snapshots")
-        _, res = self._residual()
-        residual_sup = float(np.max(np.abs(res), initial=0.0))
+        residual_sup = 0.0
+        for _, res in self._residual():
+            residual_sup = float(np.max(np.abs(res), initial=residual_sup))
 
         # Energy bookkeeping: drift of total energy minus time-integrated flux.
         e0 = self.energies[0]
@@ -579,12 +605,19 @@ def _crossing(d: np.ndarray, offset: int) -> float | None:
 
 
 def front_speed(times: list[float], crossings: list[float | None]) -> float:
-    """Slope of a least-squares line through the visible crossings."""
+    """Slope of a least-squares line through the visible crossings.
+
+    The closed form over the centred times and crossings, ``sum(t*c) /
+    sum(t*t)``, summed by plain numpy reductions: a two-parameter fit needs
+    no LAPACK call, and its float does not depend on the BLAS kernel.
+    """
     visible = [(t, c) for t, c in zip(times, crossings) if c is not None]
     if len(visible) < 2:
         raise ValueError("front crossing not visible in snapshots")
-    times, crossings = zip(*visible)
-    return float(np.polyfit(times, crossings, 1)[0])
+    t, c = np.array(visible).T
+    t = t - np.mean(t)
+    c = c - np.mean(c)
+    return float(np.sum(t * c) / np.sum(t * t))
 
 
 def measure_front_speed(snapshots: list[ChainState], level: float | None = None) -> float:

@@ -1,3 +1,6 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -128,6 +131,22 @@ def full_pool_energy_law(snapshots, pot, sigma, margin_atoms=20, dphi=0.05):
         0.5 * (fluxes[1:] + fluxes[:-1]) * np.diff(times))])
     drift = np.max(np.abs(energies - energies[0] - flux_int))
     return res, float(drift / max(abs(energies[0]), 1.0))
+
+
+@contextlib.contextmanager
+def no_least_squares():
+    """``np.polyfit`` and ``np.linalg.lstsq`` raise while the block runs."""
+    with (mock.patch("numpy.polyfit", side_effect=AssertionError("np.polyfit called")),
+          mock.patch("numpy.linalg.lstsq", side_effect=AssertionError("lstsq called"))):
+        yield
+
+
+def joined_residual(law):
+    """``law._residual()``'s blocks joined into ``(g0, res)``, after checking
+    that each block starts where the one before it ends."""
+    starts, parts = zip(*law._residual())
+    assert list(starts) == [starts[0] + sum(p.size for p in parts[:i]) for i in range(len(parts))]
+    return starts[0], np.concatenate(parts)
 
 
 def whole_chain_verify(result, fd, pot, *, gamma, n_atoms, T, dt, stride):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from fpufronts import cli
 from fpufronts.cli import main
 
-from conftest import NaNBeyondPotential, UphillForcePotential
+from conftest import NaNBeyondPotential, UphillForcePotential, no_least_squares
 
 
 def write_config(path, **overrides):
@@ -317,11 +317,13 @@ def _random_profile(L, D):
     return GridProfile(L, D, np.tanh(np.linspace(-L, L, D + 1)) + noise)
 
 
-# 1024 rows fill one write block exactly; 1025 and 3201 rows do not.
+# 1024 rows fill whole write blocks of cli._CSV_BLOCK = 128 rows; 1025 and
+# 3201 rows end in a part block.
 @pytest.mark.parametrize("L, D", [(2.75, 1023), (2.0, 1024), (2.5, 3200)])
 def test_profile_writers_match_row_by_row(tmp_path, L, D):
     from fpufronts import NORMALIZED, apply_averaging, denormalize_profile
 
+    assert ((D + 1) % cli._CSV_BLOCK == 0) == (D == 1023)
     prof = _random_profile(L, D)
     cli.write_profile_csv(tmp_path / "profile.csv", prof)
     assert (tmp_path / "profile.csv").read_text() == _written_row_by_row(
@@ -332,11 +334,13 @@ def test_profile_writers_match_row_by_row(tmp_path, L, D):
 
 
 # Blank lines after the last row are not rows (a blank line between rows is,
-# see test_malformed_profile_exits_2); 3201 rows span four read blocks.
+# see test_malformed_profile_exits_2); the 1026 and 3202 lines of the files
+# span 9 and 26 read blocks, the last of them a part block.
 @pytest.mark.parametrize("tail", ["", "\n", "\n \n\t\n"],
                          ids=["as_written", "trailing_blank_line", "trailing_blank_lines"])
 @pytest.mark.parametrize("L, D", [(2.0, 1024), (2.5, 3200)])
 def test_profile_reads_back_exactly(tmp_path, L, D, tail):
+    assert (D + 2) % cli._CSV_BLOCK
     prof = _random_profile(L, D)
     path = tmp_path / "profile.csv"
     cli.write_profile_csv(path, prof)
@@ -440,8 +444,9 @@ def test_physical_profile_emitted(tmp_path, capsys):
 
 
 def test_verify_command(solved_run, capsys):
-    code = main(["verify", str(solved_run["config"]), str(solved_run["run_dir"]),
-                 "--time", "10"])
+    with no_least_squares():  # the speed is fitted in closed form
+        code = main(["verify", str(solved_run["config"]), str(solved_run["run_dir"]),
+                     "--time", "10"])
     assert code == 0
     report = json.loads((solved_run["run_dir"] / "verify.json").read_text())
     assert report["passed"]
@@ -667,8 +672,10 @@ def test_malformed_profile_exits_2(solved_run, tmp_path, capsys, command, defect
     ["--atoms", "40"],
     ["--stride", "0"],
     ["--stride", "100000"],
+    ["--atoms", "41", "--time", "0.5", "--dt", "0.05", "--stride", "1"],
 ], ids=["zero_dt", "negative_dt", "large_dt", "zero_time", "negative_time",
-        "infinite_time", "zero_atoms", "margins_only", "zero_stride", "stride_beyond_run"])
+        "infinite_time", "zero_atoms", "margins_only", "zero_stride", "stride_beyond_run",
+        "too_short_a_run"])
 def test_verify_bad_arguments_exit_2(solved_run, capsys, argv):
     code = main(["verify", str(solved_run["config"]), str(solved_run["run_dir"]), *argv])
     assert code == 2
@@ -677,6 +684,47 @@ def test_verify_bad_arguments_exit_2(solved_run, capsys, argv):
     err = json.loads(captured.err)
     assert err["error"] == "ConfigError"
     assert argv[0] in err["message"]
+
+
+# argparse's own refusals: each prints one JSON ConfigError, not usage text
+@pytest.mark.parametrize("argv, fragment", [
+    (["verify", "{config}", "{run_dir}", "--atoms", "abc"], "--atoms: invalid int value"),
+    (["bogus", "{config}"], "invalid choice: 'bogus'"),
+    (["verify", "{config}"], "required: run_dir"),
+    ([], "required: command"),
+    (["solve", "{config}", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+    (["sweep", "{config}"], "required: --betas"),
+], ids=["non_integer_atoms", "unknown_command", "missing_run_dir", "no_command",
+        "unknown_option", "missing_betas"])
+def test_usage_errors_exit_2(solved_run, capsys, argv, fragment):
+    argv = [a.format(config=solved_run["config"], run_dir=solved_run["run_dir"]) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ConfigError"
+    assert fragment in err["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out and not captured.err
+
+
+def test_overflowing_states_print_one_json_error(tmp_path):
+    # phi(1e300) overflows inside numpy, which would print RuntimeWarnings on
+    # stderr beside the JSON error; in a fresh interpreter, as a user runs it
+    cfg = write_config(tmp_path / "big.json", states={"r_minus": 1e300, "r_plus": 1.0})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "fpufronts.cli", "normalize", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "InadmissibleFront"
 
 
 def test_diagnose_command(solved_run, capsys):
@@ -794,3 +842,102 @@ def test_commands_on_mutated_configs_exit_legibly(config, command):
         assert json.loads(out.getvalue())["failed"]
     elif code:
         assert isinstance(json.loads(err.getvalue()), dict)
+
+
+@pytest.fixture(scope="module")
+def argv_paths(solved_run, tmp_path_factory):
+    """Paths for random command lines: a small L = 2.5, D = 40 config with
+    its run (which stops at max_iters), a converged front's run, a missing
+    file and an output directory."""
+    base = tmp_path_factory.mktemp("argv")
+    config = dict(_SMALL_CONFIG, output_dir=str(base / "small_run"))
+    (base / "small.json").write_text(json.dumps(config))
+    assert main(["solve", str(base / "small.json")]) == 0
+    shutil.copytree(solved_run["run_dir"], base / "front_run")
+    return {"config": base / "small.json", "small_run": base / "small_run",
+            "front_run": base / "front_run", "profile": base / "small_run" / "profile.csv",
+            "missing": base / "missing.json", "out": base / "out"}
+
+
+# A random command line is a well-formed line of a command with some of its
+# options, each with a good value or, about a quarter of the time, a bad one; to
+# which up to two defects may happen: a token dropped, replaced by a path or
+# a path inserted, an option of any command added, an extra token added
+# (--help among them), or the tokens shuffled.  Values stay small: --workers
+# starts that many processes, and --atoms, --time and --dt set the chain
+# run's cost (the largest here, 400 atoms over 2000 steps with a snapshot at
+# each, takes about 0.15 s).
+_LINES = {"check-potential": ["{config}"], "normalize": ["{config}"], "solve": ["{config}"],
+          "verify": ["{config}", "{front_run}"], "diagnose": ["{config}", "{profile}"],
+          "sweep": ["{config}"], "bogus": ["{config}"]}
+_PATHS = ["{config}", "{small_run}", "{front_run}", "{profile}", "{missing}"]
+_OPTIONS = {  # (good values, bad values)
+    "--atoms": (["41", "60", "400"], ["40", "abc", "-3"]),
+    "--time": (["0.5", "2", "20"], ["0", "nan", "1e999", "x"]),
+    "--dt": (["0.01", "0.05"], ["0.1", "0", "x"]),
+    "--stride": (["1", "7", "73"], ["0", "2.5"]),
+    "--betas": (["0.05", "0.05,0.1"], ["0.05,5e-2", "x", ""]),
+    "--workers": (["1", "2"], ["0", "-1", "z"]),
+    "--output-dir": (["{out}"], ["{profile}"]),
+}
+_OPTIONS_OF = {"solve": ["--output-dir"], "verify": ["--atoms", "--time", "--dt", "--stride"],
+               "sweep": ["--output-dir", "--workers"]}
+_EXTRAS = ["--help", "--version", "-x", "extra"]
+
+
+def _mostly(common: list, rare: list):
+    """Draws from ``common`` three times as often as from ``rare``."""
+    return st.sampled_from(3 * common + rare)
+
+
+@st.composite
+def command_lines(draw):
+    def option_pair(option):
+        return [option, draw(_mostly(*_OPTIONS[option]))]
+
+    command = draw(st.sampled_from(sorted(_LINES)))
+    argv = [command, *_LINES[command]]
+    if command == "sweep":  # its one required option
+        argv += option_pair("--betas")
+    for option in draw(st.lists(st.sampled_from(_OPTIONS_OF.get(command, [""])), max_size=3,
+                                unique=True)):
+        argv += option_pair(option) if option else []
+    for _ in range(draw(_mostly([0], [1, 2]))):
+        defect = draw(st.sampled_from(["drop", "replace", "insert", "option", "extra", "shuffle"]))
+        at = draw(st.integers(0, len(argv) - 1))
+        if defect == "drop":
+            del argv[at]
+        elif defect == "replace":
+            argv[at] = draw(st.sampled_from(_PATHS))
+        elif defect == "insert":
+            argv.insert(at, draw(st.sampled_from(_PATHS)))
+        elif defect == "option":
+            argv += option_pair(draw(st.sampled_from(sorted(_OPTIONS))))
+        elif defect == "extra":
+            argv.append(draw(st.sampled_from(_EXTRAS)))
+        else:
+            argv = draw(st.permutations(argv))
+        if not argv:
+            break
+    return argv
+
+
+@settings(max_examples=50, deadline=None)
+@given(command_lines())
+def test_random_command_lines_exit_legibly(argv_paths, argv):
+    # Exit 0, 1 or 2, with one JSON object on stderr for a non-zero exit;
+    # only --help and --version leave by SystemExit, and with 0.
+    argv = [token.format(**argv_paths) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 0 and not err.getvalue()
+            return
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code and err.getvalue():
+        assert isinstance(json.loads(err.getvalue()), dict)
+    elif code:  # check-potential reports a violated assumption on stdout
+        assert "check-potential" in argv and json.loads(out.getvalue())["failed"]

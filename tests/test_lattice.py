@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fpufronts import (
     check_energy_law,
     evolve,
     front_crossing,
+    front_speed,
     init_from_front,
     measure_front_speed,
     normalize_potential,
@@ -24,7 +27,7 @@ from fpufronts import (
 from fpufronts import lattice
 from fpufronts.errors import BlowUp, NotAFront
 
-from conftest import full_pool_energy_law, whole_chain_verify
+from conftest import full_pool_energy_law, joined_residual, no_least_squares, whole_chain_verify
 
 
 def constant_state(r0, v0, n=100, dt=0.01):
@@ -283,6 +286,12 @@ def test_second_order_convergence(front_005):
     assert e1 / e2 > 3.0  # ~4x for a second-order scheme
 
 
+def test_front_speed_needs_two_visible_crossings():
+    assert front_speed([0.0, 1.0, 2.0], [None, 3.0, 5.0]) == 2.0
+    with pytest.raises(ValueError, match="not visible"):
+        front_speed([0.0, 1.0, 2.0], [None, 3.0, None])
+
+
 def test_measured_speed_matches_sigma(front_005):
     res = front_005["result"]
     pot = front_005["pot"]
@@ -324,25 +333,34 @@ def test_total_energy_and_flux_bookkeeping():
     assert boundary_flux(state, pot) == pytest.approx(0.0, abs=1e-14)
 
 
+# Block sizes of the energy-law report, in phase units: one block per phase
+# unit, the default, a large one, and one of 7 grid points, which neither
+# divides the others nor covers the residual's 40-point halo.
+REPORT_BLOCKS = (1, 8, 32, 0.35)
+
+
 def assert_energy_law_is_full_pool(snaps, pot, sigma):
     """check_energy_law equals the full-pool reference, and so does every
-    residual entry: those it computes, and the zeros it leaves out."""
+    residual entry: those it computes, and the zeros it leaves out.  Each
+    block size of the report gives these floats."""
     res, drift = full_pool_energy_law(snaps, pot, sigma)
-    report = check_energy_law(snaps, pot, sigma=sigma)
-    assert report.residual_sup == float(np.max(np.abs(res)))
-    assert report.energy_drift_rel == drift
-
     law = EnergyLaw(pot, sigma)
     for s in snaps:
         law.add(s)
-    g0, part = law._residual()
-    assert np.array_equal(part, res[g0:g0 + part.size])
-    assert not res[:g0].any() and not res[g0 + part.size:].any()
+    for block in REPORT_BLOCKS:
+        with mock.patch.object(lattice, "_BLOCK", block):
+            report = check_energy_law(snaps, pot, sigma=sigma)
+            assert report.residual_sup == float(np.max(np.abs(res)))
+            assert report.energy_drift_rel == drift
+            g0, part = joined_residual(law)
+        assert np.array_equal(part, res[g0:g0 + part.size])
+        assert not res[:g0].any() and not res[g0 + part.size:].any()
     return law
 
 
 def reference_front_speed(snapshots):
-    """Mid-level crossing fit written out on the snapshot list."""
+    """Mid-level crossing fit written out on the snapshot list: the
+    least-squares slope in closed form over the centred times and crossings."""
     s0 = snapshots[0]
     level = 0.5 * (s0.v_minus + s0.v_plus)
     times, crossings = [], []
@@ -353,7 +371,9 @@ def reference_front_speed(snapshots):
             i = idx[0]
             crossings.append(i + (d[i] / (d[i] - d[i + 1]) if d[i] != d[i + 1] else 0.0))
             times.append(s.t)
-    return float(np.polyfit(times, crossings, 1)[0])
+    t = np.array(times) - np.mean(times)
+    c = np.array(crossings) - np.mean(crossings)
+    return float(np.sum(t * c) / np.sum(t * t))
 
 
 def _growing_window_chain(front):
@@ -427,8 +447,10 @@ def test_energy_law_report_memory_is_one_block():
     # 548 snapshots whose kept atoms reach from the front back to the
     # radiation behind it, 38 to about 750 atoms, about 760 phase units in
     # all.  A pool of every snapshot over that whole span is 416 k samples,
-    # and a report that sorts it at once peaks at 18 MB; block by block the
-    # report peaks near 3 MB, most of it the phase grid.
+    # and a report that sorts it at once peaks at 18 MB; one that pools by
+    # blocks of 32 phase units but holds its residual's grid-length arrays
+    # near 2 MB; 8-unit blocks with the residual evaluated block by block
+    # near 0.5 MB.
     import tracemalloc
 
     pot = QuarticPotential(0.05)
@@ -448,15 +470,17 @@ def test_energy_law_report_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5e6
+    assert peak < 1e6
 
 
 def test_verify_front_default_run_equals_whole_chain(front_005):
     # The default verify: 400 atoms over T = 20, a snapshot every 73 steps.
     # Its window-only sup errors and crossings are the whole chain's floats.
+    # The speed is fitted in closed form, without LAPACK's least squares.
     res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
     args = dict(gamma=gamma, n_atoms=400, T=20.0, dt=0.01, stride=73)
-    check = verify_front(res.profile, NORMALIZED, pot, **args)
+    with no_least_squares():
+        check = verify_front(res.profile, NORMALIZED, pot, **args)
     assert check == whole_chain_verify(res, NORMALIZED, pot, **args)
     assert len(check.times) == 28
     assert check.sup_errors[-1] < 0.05

@@ -3,7 +3,8 @@ gradient over random aligned grids, at the tolerances of the fixed-grid tests,
 of the tabulated potential against SciPy's PCHIP as an oracle, of the
 block-wise energy-law pool against a sort of every snapshot's whole interior
 and of its phase grid against ``np.arange``, of ``verify_front``'s
-window-only reductions against the whole chain, of the plateau median
+window-only reductions against the whole chain, of the closed-form front
+speed against ``np.polyfit`` and rational arithmetic, of the plateau median
 against ``np.median``, and of the blocked admissibility scans against the
 same scans on whole sample arrays.
 
@@ -13,6 +14,7 @@ Profile values come from a seeded generator, so each example is a grid, a
 seed and, where it matters, an extension value or a padding width.
 """
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -51,6 +53,7 @@ from fpufronts.phases import _median
 
 from conftest import (
     full_pool_energy_law,
+    joined_residual,
     whole_array_check_assumptions,
     whole_array_invariant_bound,
     whole_chain_verify,
@@ -303,7 +306,7 @@ def test_block_pool_equals_full_pool(n, sigma, negative, dt, stride, dphi, n_sna
     for s in snaps:
         law.add(s)
     report = law.report()
-    g0, part = law._residual()
+    g0, part = joined_residual(law)
     assert np.array_equal(part, res[g0:g0 + part.size])
     assert not res[:g0].any() and not res[g0 + part.size:].any()
     assert report.residual_sup == float(np.max(np.abs(res)))
@@ -370,6 +373,44 @@ def test_verify_front_equals_whole_chain(front_005, fd, n_atoms, dt, stride, ste
     res, pot = front_005["result"], front_005["pot"]
     assert (_outcome(lambda: verify_front(res.profile, fd, pot, **args))
             == _outcome(lambda: whole_chain_verify(res, fd, pot, **args)))
+
+
+def decimals(lo, hi):
+    """Floats rounded to 6 decimals, none so tiny that a product underflows."""
+    return st.floats(lo, hi).map(lambda x: round(x, 6))
+
+
+def exact_least_squares_slope(times, crossings):
+    """The least-squares slope in rational arithmetic, rounded once."""
+    t, c = [Fraction(x) for x in times], [Fraction(x) for x in crossings]
+    t_mean, c_mean = sum(t) / len(t), sum(c) / len(c)
+    return float(sum((a - t_mean) * (b - c_mean) for a, b in zip(t, c))
+                 / sum((a - t_mean) ** 2 for a in t))
+
+
+# Snapshot times from t0 at a fixed step, crossings on a line with noise of
+# up to a few atoms, and a random share of the snapshots without a crossing.
+# Both bounds are relative to the data's own slope scale, max|c| / ptp(t),
+# not to the slope, which may be near 0.  np.polyfit's bound also grows with
+# the conditioning of its least-squares matrix [t, 1], max|t| / ptp(t): where
+# two crossings 0.01 apart sit at t = 25 it is off by 1.5e-12 of the scale
+# (and by up to 4e-10 of the slope elsewhere), while the closed form stays
+# within 1e-15 of the scale from the slope in rational arithmetic.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 300), st.floats(0.0, 1000.0), st.sampled_from([0.01, 0.05, 0.73, 2.5]),
+       decimals(-2.0, 2.0), decimals(-1e4, 1e4), decimals(0.0, 3.0), st.floats(0.0, 0.9), seeds)
+def test_front_speed_matches_polyfit(count, t0, step, speed, c0, noise, hidden, seed):
+    rng = np.random.default_rng(seed)
+    times = t0 + step * np.arange(count)
+    crossings = c0 + speed * times + rng.uniform(-noise, noise, count)
+    shown = rng.uniform(size=count) >= hidden
+    assume(shown.sum() >= 2)
+    t, c = times[shown], crossings[shown]
+    scale = np.max(np.abs(c)) / np.ptp(t)
+    conditioning = max(1.0, np.max(np.abs(t)) / np.ptp(t))
+    fit = lattice.front_speed(times.tolist(), np.where(shown, crossings, None).tolist())
+    assert abs(fit - np.polyfit(t, c, 1)[0]) <= 1e-12 * scale * conditioning
+    assert abs(fit - exact_least_squares_slope(t, c)) <= 1e-14 * scale
 
 
 class DefectPotential(Potential):
