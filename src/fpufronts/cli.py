@@ -656,9 +656,11 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ConfigError, OSError) as exc:  # OSError: a path that cannot be read or written
         return _emit_error(exc, 2)
-    except (FpuFrontsError, OverflowError) as exc:
+    except (FpuFrontsError, OverflowError, MemoryError) as exc:
         # Python float arithmetic raises OverflowError where numpy gives inf,
-        # e.g. on the square of a configured velocity of 1e300
+        # e.g. on the square of a configured velocity of 1e300; MemoryError is
+        # an array too large to allocate, such as verify's chain of
+        # --atoms 10000000000 (numpy's subclass of it is named MemoryError)
         return _emit_error(exc, 1)
 
 

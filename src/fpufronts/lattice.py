@@ -30,24 +30,36 @@ The checks read the chain snapshot by snapshot, so a long run keeps no
 full-chain copies.  ``evolve(..., observe=f)`` calls ``f`` with a
 ``ChainState`` over the integrator's live arrays every ``snapshot_stride``
 steps; those arrays change after ``f`` returns, so ``f`` copies what it
-keeps.  ``front_crossing`` and ``EnergyLaw.add`` are such per-snapshot
-reductions, and ``measure_front_speed`` and ``check_energy_law`` are loops
-over them, so a snapshot list and a stream give the same floats.
+keeps.  The state also carries the integrator's window ``(lo, hi)``: every
+atom outside it is exactly at its state and has not changed since the run
+started, so a reduction may read the window alone.  ``front_crossing`` and
+``EnergyLaw.add`` are such per-snapshot reductions, and
+``measure_front_speed`` and ``check_energy_law`` are loops over them, so a
+snapshot list and a stream give the same floats.
 
 ``verify_front``, the check ``fpufronts verify`` runs, reduces each snapshot
 to its sup error against the translated profile, its front crossing and its
 energy-law row, and reads for the first two only a window of atoms: those
 off the states, widened for the sup error by the atoms whose reference
 phase lies on the profile's nodes and for the crossing by one atom on each
-side.  Outside it both reductions see exact equalities.  An atom at a state
-and ``np.interp``'s ``left=``/``right=`` value for a phase beyond the nodes
-are the same float, so their difference is 0.  Two neighbours at one state
-give ``(v - level)**2 > 0``, which is no crossing (a state at the level
-itself makes the crossing search the whole chain).  So the window gives the
-whole chain's floats, provided the window's offset is added to the integer
-atom index before the fraction, as the whole-chain search adds it.  The
-snapshot's total energy stays a sum over the whole chain: ``np.sum`` adds
-pairwise, and a sum over part of the chain rounds differently.
+side.  The runs of atoms at the states that bound it are themselves read
+inside the integrator's window (``_state_runs``).  Outside it both
+reductions see exact equalities.  An atom at a state and ``np.interp``'s
+``left=``/``right=`` value for a phase beyond the nodes are the same float,
+so their difference is 0.  Two neighbours at one state give the product
+``(v - level)**2``, the same float all along the run, which is a crossing
+at the run's first pair if it is <= 0 and none if not.  So the window gives
+the whole chain's floats, provided the window's offset is added to the
+integer atom index before the fraction, as the whole-chain search adds it.
+
+The snapshot's total energy stays one ``np.sum`` over the whole chain
+(``np.sum`` adds pairwise, and a sum over part of the chain rounds
+differently), but of an energy-density array that ``EnergyLaw`` keeps from
+snapshot to snapshot: evaluated in full for a run's first snapshot, and
+after that only inside the window.  An atom outside the window has not
+changed since the run started, and the window only widens, so the atom was
+outside every window since the full evaluation: its entry is the float a
+fresh evaluation gives, and the sum is the whole chain's.
 
 ``EnergyLaw`` keeps, of each snapshot, only the interior atoms between the
 runs exactly at the left and the right state, and its report interpolates
@@ -99,7 +111,14 @@ if TYPE_CHECKING:
 
 @dataclass
 class ChainState:
-    """Distances and velocities of a finite chain with clamped ghost states."""
+    """Distances and velocities of a finite chain with clamped ghost states.
+
+    ``window``, where set, is ``evolve``'s active window ``(lo, hi)`` on a
+    state it hands to an observer: every atom left of ``lo`` is exactly at
+    ``(r_minus, v_minus)``, every one from ``hi`` on exactly at ``(r_plus,
+    v_plus)``, and none of them has changed since ``evolve`` started.
+    ``None`` promises nothing.
+    """
 
     r: np.ndarray
     v: np.ndarray
@@ -109,6 +128,7 @@ class ChainState:
     v_minus: float
     r_plus: float
     v_plus: float
+    window: tuple[int, int] | None = None
 
     @property
     def n_atoms(self) -> int:
@@ -175,10 +195,25 @@ def _at_state(r: np.ndarray, v: np.ndarray, r_state: float, v_state: float) -> n
 
 def _state_runs(state: ChainState) -> tuple[int, int]:
     """Lengths of the runs of atoms exactly at the left state (from the left
-    end) and at the right state (from the right end)."""
-    head = _run_length(_at_state(state.r, state.v, state.r_minus, state.v_minus))
-    tail = _run_length(_at_state(state.r[::-1], state.v[::-1], state.r_plus, state.v_plus))
-    return head, tail
+    end) and at the right state (from the right end).
+
+    With a ``window`` only its atoms are read: the atoms left of it extend
+    the left run and those right of it the right run.  A run that covers
+    the whole window may go on beyond it (where both states are one), so
+    then the whole chain is read.
+    """
+    def runs(lo: int, hi: int) -> tuple[int, int]:
+        r, v = state.r[lo:hi], state.v[lo:hi]
+        return (_run_length(_at_state(r, v, state.r_minus, state.v_minus)),
+                _run_length(_at_state(r[::-1], v[::-1], state.r_plus, state.v_plus)))
+
+    n = state.n_atoms
+    lo, hi = state.window or (0, n)
+    head, tail = runs(lo, hi)
+    if (lo, hi) != (0, n) and hi - lo in (head, tail):
+        lo, hi = 0, n
+        head, tail = runs(lo, hi)
+    return lo + head, n - hi + tail
 
 
 def evolve(
@@ -203,8 +238,9 @@ def evolve(
     With ``observe`` set as well, ``observe(s)`` is called with each
     intermediate state instead, and only the final state is returned.  ``s``
     is a ``ChainState`` over the integrator's live ``r`` and ``v`` arrays,
-    valid only during the call: copy what you keep.  The returned list is
-    what an observer appending copies collects.
+    valid only during the call: copy what you keep.  Its ``window`` is the
+    active window below.  The returned list is what an observer appending
+    copies (without the window) collects.
 
     Only an active window ``[lo, hi)`` of atoms is integrated.  Invariant:
     every atom left of it equals ``(r_minus, v_minus)`` and every atom right
@@ -276,7 +312,7 @@ def evolve(
             snap_at += snapshot_stride
             observe(ChainState(r, v, state.t + (step + 1) * dt, dt,
                                state.r_minus, state.v_minus,
-                               state.r_plus, state.v_plus))
+                               state.r_plus, state.v_plus, (lo, hi)))
         if step == check_at:
             check_at += _CHECK_EVERY
             if lo > 0 and not _at_state(rw[:_GUARD], vw[:_GUARD],
@@ -293,8 +329,12 @@ def evolve(
     return final
 
 
+def _energy_density(r: np.ndarray, v: np.ndarray, pot: Potential) -> np.ndarray:
+    return 0.5 * v**2 + pot.phi(r)
+
+
 def total_energy(state: ChainState, pot: Potential) -> float:
-    return float(np.sum(0.5 * state.v**2 + pot.phi(state.r)))
+    return float(np.sum(_energy_density(state.r, state.v, pot)))
 
 
 def boundary_flux(state: ChainState, pot: Potential) -> float:
@@ -315,7 +355,7 @@ class EnergyLawReport:
 _BLOCK = 8
 
 
-def _searchsorted_phases(x: float, shifts: np.ndarray, first: int, stop: int,
+def _searchsorted_phases(x, shifts: np.ndarray, first: int, stop: int,
                          side: str = "left") -> np.ndarray:
     """``np.searchsorted(j - c, x, side)`` over the atoms j in [first, stop), per shift c.
 
@@ -323,7 +363,8 @@ def _searchsorted_phases(x: float, shifts: np.ndarray, first: int, stop: int,
     lands: the first atom whose phase ``j - c`` is >= x (side ``"left"``) or
     > x (``"right"``), and ``stop`` where none is.  ``ceil(x + c)`` is within
     one atom of it, and the comparisons on the float phase ``j - c`` correct
-    it, so the index is that of the search itself.
+    it, so the index is that of the search itself.  ``x`` is a float, or a
+    column of floats, which gives one row of indices per float.
     """
     below = np.less if side == "left" else np.less_equal
     j = np.minimum(np.maximum(np.ceil(x + shifts), first), stop).astype(np.int64)
@@ -409,6 +450,8 @@ class EnergyLaw:
         self._v = np.empty(0)
         self._kept = 0  # entries of _r and _v in use
         self._chain = None  # (n, r_minus, v_minus, r_plus, v_plus), from the first snapshot
+        self._density = np.empty(0)  # the last snapshot's energy density, atom by atom
+        self._live = None  # that snapshot's r, where it came with a window
 
     def add(self, state: ChainState) -> None:
         self._add(state, *_state_runs(state))
@@ -423,7 +466,7 @@ class EnergyLaw:
         lo = min(max(head, m), n - m - 1)
         hi = max(min(n - tail, n - m), lo + 1)
         self.times.append(state.t)
-        self.energies.append(total_energy(state, self.pot))
+        self.energies.append(self._energy(state))
         self.fluxes.append(boundary_flux(state, self.pot))
         start, end = self._kept, self._kept + hi - lo
         self._r = _grown(self._r, start, end)
@@ -433,7 +476,26 @@ class EnergyLaw:
         self._windows.append((lo, hi - lo, start))
         self._kept = end
 
-    def _block_pool(self, x_first: float, x_last: float, shifts: np.ndarray, windows: np.ndarray):
+    def _energy(self, state: ChainState) -> float:
+        """``total_energy(state, pot)``: one ``np.sum`` of the energy density
+        over every atom.
+
+        Where the last snapshot was one of the same ``evolve`` run (the same
+        live ``r``), only the density inside the ``window`` is evaluated.
+        The atoms outside it have not changed since the run started, and the
+        window only widens, so they were outside every window since the
+        density was last evaluated in full, on this run: their entries are
+        the floats a fresh evaluation gives, and so is the sum.
+        """
+        if state.window is None or state.r is not self._live:
+            self._density = _energy_density(state.r, state.v, self.pot)
+        else:
+            lo, hi = state.window
+            self._density[lo:hi] = _energy_density(state.r[lo:hi], state.v[lo:hi], self.pot)
+        self._live = None if state.window is None else state.r
+        return float(np.sum(self._density))
+
+    def _block_pool(self, x_first: float, x_last: float, shifts: np.ndarray, windows: tuple):
         """The pooled samples that ``np.interp`` reads on [x_first, x_last], sorted by phase.
 
         Of every snapshot's interior atoms, at phases ``j - c``, these are the
@@ -441,43 +503,38 @@ class EnergyLaw:
         the smallest > x_last, both of which exist for points of the grid.
         They are laid out snapshot by snapshot, atoms in order, as in a pool
         of every snapshot's whole interior, so the stable sort puts equal
-        phases in the same order as a sort of that pool does.
+        phases in the same order as a sort of that pool does.  ``windows`` is
+        ``(lo, lo + size, offset - lo)`` per snapshot, as columns: atom j's
+        sample is at ``j + offset - lo`` in the buffers inside its window, and
+        in the left or the right state's slot (see ``_residual``) outside.
         """
-        n, r_minus, v_minus, r_plus, v_plus = self._chain
+        n = self._chain[0]
         first, stop = self.margin, n - self.margin  # the interior atoms
         # Phases rise with the atom index, so a snapshot's first atom at or
         # above a is its last one at or below x_first if that is at a, and
         # the next one if not; its last atom at or below b is likewise its
         # first one above x_last or the one before.
-        j = _searchsorted_phases(x_first, shifts, first, stop, "right")
-        below, found = j - 1 - shifts, j > first
-        a = np.max(below[found])
-        j0 = j - (found & (below == a))
-        j = _searchsorted_phases(x_last, shifts, first, stop, "right")
-        above, found = j - shifts, j < stop
-        b = np.min(above[found])
-        width = j + (found & (above == b)) - j0
+        j_first, j_last = _searchsorted_phases(np.array([[x_first], [x_last]]), shifts,
+                                               first, stop, "right")
+        below, found = j_first - 1 - shifts, j_first > first
+        a = np.maximum.reduce(below, initial=-np.inf, where=found)
+        j0 = j_first - (found & (below == a))
+        above, found = j_last - shifts, j_last < stop
+        b = np.minimum.reduce(above, initial=np.inf, where=found)
+        width = j_last + (found & (above == b)) - j0
 
         # A (snapshots x widest) grid of atoms, which flattens snapshot by
         # snapshot, atoms in order; cells past a snapshot's width get phase
         # +inf, so that they sort last and are cut off.
-        lo, size, offset = windows
         cols = np.arange(width.max())
         j = j0[:, None] + cols
         phi = j - shifts[:, None]
         phi[cols >= width[:, None]] = np.inf
         order = np.argsort(phi, axis=None, kind="stable")[:width.sum()]
-        k = j - lo[:, None]  # each atom's place in its snapshot's window
-        at = (offset[:, None] + np.clip(k, 0, size[:, None] - 1)).ravel()[order]
-        left = (k < 0).ravel()[order]
-        right = (k >= size[:, None]).ravel()[order]
-        out = [phi.ravel()[order]]
-        for buf, l_state, r_state in ((self._r, r_minus, r_plus), (self._v, v_minus, v_plus)):
-            x = buf[at]
-            x[left] = l_state
-            x[right] = r_state
-            out.append(x)
-        return out
+        lo, hi, base = windows
+        at = np.where(j < lo, self._kept, np.where(j < hi, j + base, self._kept + 1))
+        at = at.ravel()[order]
+        return phi.ravel()[order], self._r[at], self._v[at]
 
     def _residual(self) -> Iterator[tuple[int, np.ndarray]]:
         """The energy-law residual on the uniform phase grid, block by block.
@@ -486,11 +543,18 @@ class EnergyLaw:
         on.  The blocks follow each other without a gap, and every entry
         outside them is exactly 0.
         """
-        n = self._chain[0]
+        n, r_minus, v_minus, r_plus, v_plus = self._chain
         sigma, dphi, m = self.sigma, self.dphi, self.margin
         shifts = sigma * np.array(self.times)
-        windows = np.array(self._windows).T  # rows: lo, size, offset
-        lo, size = windows[0], windows[1]
+        lo, size, offset = np.array(self._windows).T
+        windows = lo[:, None], (lo + size)[:, None], (offset - lo)[:, None]
+        # the left and the right state, in the two slots after the pooled
+        # samples, for the atoms outside a snapshot's window
+        kept = self._kept
+        self._r = _grown(self._r, kept, kept + 2)
+        self._v = _grown(self._v, kept, kept + 2)
+        self._r[kept:kept + 2] = r_minus, r_plus
+        self._v[kept:kept + 2] = v_minus, v_plus
         # The grid spans the phases of every snapshot's whole interior ...
         first = np.min(m - shifts)
         last = np.max(n - m - 1 - shifts)
@@ -604,6 +668,27 @@ def _crossing(d: np.ndarray, offset: int) -> float | None:
     return float((offset + i) + frac)
 
 
+def _crossing_between_runs(v: np.ndarray, level: float, v_minus: float, v_plus: float,
+                           head: int, tail: int) -> float | None:
+    """``front_crossing(v, level)``, where the first ``head`` atoms are at
+    ``v_minus`` and the last ``tail`` at ``v_plus``.
+
+    It reads only the atoms from the last of the left run to the first of
+    the right run.  Within a run every pair of neighbours gives that
+    state's product ``d * d`` and frac 0, so a run's first pair is the
+    crossing if that product is <= 0: a state at the level, or one so near
+    it that the product underflows.
+    """
+    d_minus, d_plus = v_minus - level, v_plus - level
+    if head >= 2 and d_minus * d_minus <= 0:
+        return 0.0
+    a = max(head - 1, 0)
+    c = _crossing(v[a:v.size - tail + 1] - level, a)
+    if c is None and tail >= 2 and d_plus * d_plus <= 0:
+        return float(v.size - tail)
+    return c
+
+
 def front_speed(times: list[float], crossings: list[float | None]) -> float:
     """Slope of a least-squares line through the visible crossings.
 
@@ -676,8 +761,6 @@ def verify_front(
     nodes = profile.nodes
     r_prof, _ = denormalize_profile(profile, fd)
     level = 0.5 * (fd.v_minus + fd.v_plus)
-    d_minus, d_plus = fd.v_minus - level, fd.v_plus - level
-    states_cross = not (d_minus * d_minus > 0 and d_plus * d_plus > 0)
     sup_errors, crossings = [], []
     law = EnergyLaw(pot, fd.sigma, margin_atoms=margin)
 
@@ -699,11 +782,7 @@ def verify_front(
     def observe(s: ChainState) -> None:
         head, tail = _state_runs(s)
         sup_errors.append(sup_error(s, head, tail))
-        if states_cross:
-            crossings.append(front_crossing(s.v, level))
-        else:
-            a = max(head - 1, 0)
-            crossings.append(_crossing(s.v[a:n_atoms - tail + 1] - level, a))
+        crossings.append(_crossing_between_runs(s.v, level, fd.v_minus, fd.v_plus, head, tail))
         law._add(s, head, tail)
 
     observe(state)

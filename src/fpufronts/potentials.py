@@ -333,17 +333,55 @@ class AssumptionReport:
         }
 
 
-# The scans below evaluate the potential on consecutive slices of this many
-# samples of their np.linspace arrays, so that the potential's temporaries
-# stay a few small arrays whatever the sample count.
+# The scans below evaluate the potential on consecutive blocks of this many
+# of their samples, each block generated on its own (``_Samples``), so that
+# a scan holds a few small arrays whatever its sample count.
 _SCAN_BLOCK = 8192
 
 
-def _blocks(u: np.ndarray):
-    """The slices of ``u`` of ``_SCAN_BLOCK`` samples (the last may be shorter),
-    each with the index of its first sample."""
-    for a in range(0, u.size, _SCAN_BLOCK):
-        yield a, u[a:a + _SCAN_BLOCK]
+class _Samples:
+    """The samples of ``np.linspace(start, stop, num)``, without building the array.
+
+    numpy fills entry i with ``i * step + start``, ``step = (stop - start) /
+    (num - 1)``, or with ``(i / (num - 1)) * (stop - start) + start`` where
+    that step is 0 (a subnormal range), and then sets the last entry to
+    ``stop``; ``num`` 0 or 1 gives ``i * (stop - start) + start``.
+    ``points`` and ``at`` repeat those floats, so a slice of the samples
+    costs its own length.
+    """
+
+    def __init__(self, start: float, stop: float, num: int):
+        self.start, self.stop, self.size = float(start), float(stop), num
+        self.div = num - 1
+        self.delta = self.stop - self.start
+        self.step = self.delta / self.div if self.div > 0 else math.nan
+
+    def points(self, i0: int, i1: int) -> np.ndarray:
+        """``np.linspace(start, stop, num)[i0:i1]``, for 0 <= i0 <= i1 <= num."""
+        y = np.arange(i0, i1, dtype=float)
+        if self.div <= 0:
+            y *= self.delta
+        elif self.step == 0:
+            y /= self.div
+            y *= self.delta
+        else:
+            y *= self.step
+        y += self.start
+        if self.div > 0 and i0 < i1 == self.size:
+            y[-1] = self.stop
+        return y
+
+    def at(self, i: int) -> float:
+        """``np.linspace(start, stop, num)[i]``, a negative ``i`` counting from the end."""
+        i = range(self.size)[i]
+        return float(self.points(i, i + 1)[0])
+
+
+def _blocks(u: _Samples, first: int = 0):
+    """The samples of ``u`` from index ``first`` on, ``_SCAN_BLOCK`` at a time
+    (the last block may be shorter), each with the index of its first sample."""
+    for a in range(first, u.size, _SCAN_BLOCK):
+        yield a, u.points(a, min(a + _SCAN_BLOCK, u.size))
 
 
 def check_assumptions(
@@ -358,23 +396,27 @@ def check_assumptions(
     built-in families a dense scan of ``[-scan_halfwidth, scan_halfwidth]``
     plus tail-sign checks is conclusive at desk scale.
 
-    The scan evaluates psi block by block (``_SCAN_BLOCK`` samples at a
-    time) and folds each block into two running results: the first minimum
-    of psi with its sample, and whether psi stays positive away from the
-    states.  Both equal the whole-array results exactly, because neither
-    depends on how the samples are grouped.  The minimum is the least pair
-    (psi, index) with a NaN counted least, ``np.argmin``'s rule, which the
-    fold keeps by replacing the running pair only with a NaN or a strictly
-    smaller value from a later block; positivity is a conjunction.  The
-    tail test reads psi' only at the two ends of the scan.
+    The scan generates its samples and evaluates psi block by block
+    (``_SCAN_BLOCK`` samples at a time), so no array spans the scan, and
+    folds each block into two running results: the first minimum of psi
+    with its sample, and whether psi stays positive away from the states.
+    Both equal the whole-array results exactly, because neither depends on
+    how the samples are grouped.  The minimum is the least pair (psi, index)
+    with a NaN counted least, ``np.argmin``'s rule, which the fold keeps by
+    replacing the running pair only with a NaN or a strictly smaller value
+    from a later block; positivity is a conjunction.  The tail test reads
+    psi' only at the two ends of the scan.  Every sample, those of the
+    blocks and the single ones read (the spacing, the minimizer and the two
+    ends), is the float of ``np.linspace(-scan_halfwidth, scan_halfwidth,
+    n_samples)``.
     """
     if scan_halfwidth < 2:
         raise InvalidScan("scan_halfwidth must be at least 2")
     if n_samples < 1000:
         raise InvalidScan("n_samples must be at least 1000")
 
-    u = np.linspace(-scan_halfwidth, scan_halfwidth, n_samples)
-    spacing = u[1] - u[0]
+    u = _Samples(-scan_halfwidth, scan_halfwidth, n_samples)
+    spacing = u.at(1) - u.at(0)
     delta = 10.0 * spacing
 
     # psi's first minimum, and whether psi is strictly positive away from
@@ -388,7 +430,7 @@ def check_assumptions(
             i_min, psi_min = a + j, value
         away = np.abs(np.abs(ub) - 1.0) > delta
         positive_away = positive_away and bool(np.all(psi[away] > tol))
-    psi_argmin = float(u[i_min])
+    psi_argmin = u.at(i_min)
     graph_ok = bool(psi_min >= -tol)
 
     # Genericity: strictly positive curvature at the states, and psi strictly
@@ -401,7 +443,7 @@ def check_assumptions(
     # Monotone tails: the sign of psi' must be constant on a nonempty run that
     # reaches the scan boundary on each side.  Both ends of the scan lie
     # beyond the states (scan_halfwidth >= 2), and the sign is read there.
-    ends = np.asarray(pot.psi_prime(u[[0, -1]]))
+    ends = np.asarray(pot.psi_prime(np.array([u.at(0), u.at(-1)])))
     monotone_tails_ok = bool(ends[-1] > 0 and ends[0] < 0)
 
     try:
@@ -433,32 +475,37 @@ def compute_invariant_bound(
     containment by dense sampling.  Raises InvariantBoundNotFound when the
     tail condition never holds below ``search_limit``.
 
-    Both scans evaluate the force block by block (``_SCAN_BLOCK`` samples at
-    a time) and fold each block into a running result: the last sample
-    where the tail condition fails, and the force's reach, the largest
-    ``|phi'|``, NaN if any sample is NaN, as ``np.max`` gives.  Both equal
-    the whole-array results exactly, because neither depends on how the
-    samples are grouped: each is a maximum.
+    Both scans generate their samples and evaluate the force block by block
+    (``_SCAN_BLOCK`` samples at a time), so no array spans a scan, and fold
+    each block into a running result: the last sample where the tail
+    condition fails, and the force's reach, the largest ``|phi'|``, NaN if
+    any sample is NaN, as ``np.max`` gives.  Both equal the whole-array
+    results exactly, because neither depends on how the samples are
+    grouped: each is a maximum.  The samples are the floats of
+    ``np.linspace(1.0, search_limit, n_samples)`` but its first, and of
+    ``np.linspace(-gamma, gamma, n_samples)``.
     """
     if search_limit <= 1:
         raise InvariantBoundNotFound("search_limit must exceed 1")
 
-    u = np.linspace(1.0, search_limit, n_samples)[1:]
+    u = _Samples(1.0, search_limit, n_samples)
     # Tail condition in terms of the defect: psi'(u) > 0 for u > gamma_tilde
-    # and, by symmetry of the check, psi'(-u) < 0.
-    last_bad = -1
-    for a, ub in _blocks(u):
+    # and, by symmetry of the check, psi'(-u) < 0.  It is tested on every
+    # sample but u = 1, which counts as failing: gamma_tilde is the sample
+    # after the last failing one.
+    last_bad = 0
+    for a, ub in _blocks(u, first=1):
         ok = (pot.psi_prime(ub) > 0) & (pot.psi_prime(-ub) < 0)
         bad = np.flatnonzero(~ok)
         if bad.size:
             last_bad = a + int(bad[-1])
-    if last_bad == u.size - 1:
+    if last_bad + 1 >= u.size:
         raise InvariantBoundNotFound("tail condition fails at the search limit")
-    gamma_tilde = float(u[last_bad + 1])
+    gamma_tilde = u.at(last_bad + 1)
 
     gamma = gamma_tilde
     for _ in range(64):
-        dense = np.linspace(-gamma, gamma, n_samples)
+        dense = _Samples(-gamma, gamma, n_samples)
         reach = float(np.max([np.max(np.abs(pot.phi_prime(b))) for _, b in _blocks(dense)]))
         if reach <= gamma * (1.0 + 1e-12):
             return gamma

@@ -273,6 +273,37 @@ def test_step_size_underflow_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "run" / "summary.json").exists()
 
 
+def _unable_to_allocate(*args, **kwargs):
+    """Raise what numpy raises for an array too large to allocate; building
+    the error allocates nothing."""
+    from numpy._core._exceptions import _ArrayMemoryError
+    raise _ArrayMemoryError((10_000_000_000,), np.dtype(float))
+
+
+# The patched calls are the first allocation of each command's size:
+# verify's chain of --atoms atoms and solve's shock profile of D + 1 nodes.
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_allocation_failure_exits_1(solved_run, tmp_path, capsys, monkeypatch, command):
+    if command == "verify":
+        from fpufronts import lattice
+        monkeypatch.setattr(lattice, "_chain_on", _unable_to_allocate)
+        argv = ["verify", str(solved_run["config"]), str(solved_run["run_dir"]),
+                "--atoms", "10000000000"]
+    else:
+        from fpufronts import solver
+        monkeypatch.setattr(solver, "shock_profile", _unable_to_allocate)
+        cfg = write_config(tmp_path / "huge.json", grid={"L": 20.0, "D": 400_000_000_000},
+                           output_dir=str(tmp_path / "run"))
+        argv = ["solve", str(cfg)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {
+        "error": "MemoryError",
+        "message": "Unable to allocate 74.5 GiB for an array with shape (10000000000,) "
+                   "and data type float64"}
+    assert "Traceback" not in captured.err
+
+
 def test_solve_artifacts(solved_run, capsys):
     run = solved_run["run_dir"]
     assert (run / "profile.csv").exists()

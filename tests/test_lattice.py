@@ -394,9 +394,12 @@ def _short_stride_chain(front):
     return state, 20.0, 4
 
 
-@pytest.mark.parametrize("chain", [_growing_window_chain, _inexact_tails_chain,
-                                   _short_stride_chain],
-                         ids=["growing_window", "inexact_tails", "short_stride"])
+chains = pytest.mark.parametrize("chain", [_growing_window_chain, _inexact_tails_chain,
+                                            _short_stride_chain],
+                                  ids=["growing_window", "inexact_tails", "short_stride"])
+
+
+@chains
 def test_energy_law_equals_full_pool(front_005, chain):
     pot, gamma = front_005["pot"], front_005["gamma"]
     state, T, stride = chain(front_005)
@@ -410,6 +413,60 @@ def test_energy_law_equals_full_pool(front_005, chain):
         assert kept == interior
     else:
         assert kept < interior / 2
+
+
+@chains
+def test_observed_window_leaves_only_atoms_at_the_states(front_005, chain):
+    pot, gamma = front_005["pot"], front_005["gamma"]
+    state, T, stride = chain(front_005)
+    n, windows = state.n_atoms, []
+
+    def observe(s):
+        lo, hi = s.window
+        assert 0 <= lo <= hi <= n
+        assert np.all((s.r[:lo] == s.r_minus) & (s.v[:lo] == s.v_minus))
+        assert np.all((s.r[hi:] == s.r_plus) & (s.v[hi:] == s.v_plus))
+        windows.append((lo, hi))
+
+    evolve(state, pot, T, gamma=gamma, snapshot_stride=stride, observe=observe)
+    # the window only widens
+    assert all(lo1 <= lo0 and hi1 >= hi0 for (lo0, hi0), (lo1, hi1) in zip(windows, windows[1:]))
+    if chain is _inexact_tails_chain:
+        assert set(windows) == {(0, n)}
+    else:
+        assert windows[-1][1] - windows[-1][0] < n
+
+
+@chains
+def test_energy_law_energies_equal_total_energy(front_005, chain):
+    # Of an evolve run's snapshots the law evaluates the energy density only
+    # inside the window, yet each total is the whole chain's np.sum.  A
+    # second run from the start state follows the first into the same law:
+    # its narrower windows leave atoms that the first run moved.
+    pot, gamma = front_005["pot"], front_005["gamma"]
+    state, T, stride = chain(front_005)
+    law = EnergyLaw(pot, 1.0)
+    copies = []
+
+    def observe(s):
+        law.add(s)
+        copies.append(ChainState(s.r.copy(), s.v.copy(), s.t, s.dt,
+                                 s.r_minus, s.v_minus, s.r_plus, s.v_plus))
+
+    observe(state)
+    sizes = []
+    density = lattice._energy_density
+    with mock.patch.object(lattice, "_energy_density",
+                           side_effect=lambda r, v, p: sizes.append(r.size) or density(r, v, p)):
+        for _ in range(2):
+            evolve(state, pot, T, gamma=gamma, snapshot_stride=stride, observe=observe)
+    assert law.energies == [total_energy(c, pot) for c in copies]
+    # each run's first snapshot is evaluated in full, the others in their window
+    n = state.n_atoms
+    if chain is _inexact_tails_chain:
+        assert set(sizes) == {n}
+    else:
+        assert sizes.count(n) == 2 and sizes[0] == sizes[len(sizes) // 2] == n
 
 
 def test_energy_law_equals_full_pool_from_a_jump():

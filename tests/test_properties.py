@@ -3,10 +3,12 @@ gradient over random aligned grids, at the tolerances of the fixed-grid tests,
 of the tabulated potential against SciPy's PCHIP as an oracle, of the
 block-wise energy-law pool against a sort of every snapshot's whole interior
 and of its phase grid against ``np.arange``, of ``verify_front``'s
-window-only reductions against the whole chain, of the closed-form front
-speed against ``np.polyfit`` and rational arithmetic, of the plateau median
-against ``np.median``, and of the blocked admissibility scans against the
-same scans on whole sample arrays.
+window-only reductions (the state runs, the crossing and the whole
+verification) against the whole chain, of the closed-form front speed
+against ``np.polyfit`` and rational arithmetic, of the plateau median
+against ``np.median``, of the scans' generated samples against
+``np.linspace``, and of the blocked admissibility scans against the same
+scans on whole sample arrays.
 
 A grid is aligned when half the unit window is K whole cells: L = m/4 with
 D = m K gives h = 1/(2K) for every integer m >= 8 (L >= 2) and K >= 1.
@@ -38,6 +40,7 @@ from fpufronts import (
     averaged_extended,
     check_assumptions,
     compute_invariant_bound,
+    front_crossing,
     functional_L,
     gradient,
     inner_product,
@@ -260,6 +263,69 @@ def test_searchsorted_phases_matches_numpy(x, shifts, first, count, tie, side):
     expected = [first + np.searchsorted(j - c, x, side) for c in shifts]
     found = lattice._searchsorted_phases(x, shifts, first, stop, side)
     assert found.tolist() == expected
+
+
+def _runs_by_loop(r, v, left, right):
+    head = 0
+    while head < r.size and (r[head], v[head]) == left:
+        head += 1
+    tail = 0
+    while tail < r.size and (r[-1 - tail], v[-1 - tail]) == right:
+        tail += 1
+    return head, tail
+
+
+# Chains whose atoms are each at the left state, at the right state or
+# elsewhere, the states equal or not, and any window with only atoms at the
+# left state left of it and only atoms at the right state right of it: the
+# whole chain at one state, a window entirely at one state, an empty one.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), seeds, st.booleans(), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0))
+@example(n=30, seed=0, same_states=True, mixed=0.0, at_lo=0.3, at_hi=0.5)
+@example(n=30, seed=1, same_states=False, mixed=0.0, at_lo=1.0, at_hi=0.0)
+def test_windowed_state_runs_equal_whole_chain(n, seed, same_states, mixed, at_lo, at_hi):
+    rng = np.random.default_rng(seed)
+    left, right = (-1.0, 1.0), ((-1.0, 1.0) if same_states else (1.0, -1.0))
+    # each atom at the left state, at the right state, or (with odds
+    # ``mixed``) off both, the left-state atoms mostly before the others
+    kind = np.where(rng.uniform(size=n) < mixed, 2, np.arange(n) >= rng.integers(0, n + 1))
+    r = np.where(kind == 0, left[0], np.where(kind == 1, right[0], rng.uniform(-1, 1, n)))
+    v = np.where(kind == 0, left[1], np.where(kind == 1, right[1], rng.uniform(-1, 1, n)))
+    head, tail = _runs_by_loop(r, v, left, right)
+    state = ChainState(r, v, 0.0, 0.01, *left, *right)
+    assert lattice._state_runs(state) == (head, tail)
+    lo = min(int(at_lo * (head + 1)), head)
+    hi_min = max(lo, n - tail)
+    hi = hi_min + min(int(at_hi * (n - hi_min + 1)), n - hi_min)
+    state.window = (lo, hi)
+    assert lattice._state_runs(state) == (head, tail)
+
+
+# Velocity profiles with runs at the two states (equal or not, at the level,
+# or so near it that d * d underflows) and atoms off them, and any runs no
+# longer than the true ones: the crossing read between the runs is
+# front_crossing's over the whole chain.
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), seeds, st.sampled_from([-1.0, 0.0, 1.0, 2e-170]),
+       st.sampled_from([-1.0, 0.0, 1.0, 2e-170]),
+       st.sampled_from(["random", "minus", "plus", "tiny", "zero", "nan"]),
+       st.floats(0.0, 0.5), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+# five atoms at 1.0, then five at 2e-170 with d * d underflowing: the first
+# crossing is the right run's first pair, beyond the atoms read
+@example(n=10, seed=1, v_minus=1.0, v_plus=2e-170, where="tiny", off=0.0, at_head=1.0,
+         at_tail=1.0)
+def test_crossing_between_runs_equals_front_crossing(n, seed, v_minus, v_plus, where, off,
+                                                     at_head, at_tail):
+    rng = np.random.default_rng(seed)
+    v = np.where(np.arange(n) < rng.integers(0, n + 1), v_minus, v_plus)
+    v = np.where(rng.uniform(size=n) < off, rng.uniform(-1.5, 1.5, n), v)
+    level = {"random": rng.uniform(-1.5, 1.5), "minus": v_minus, "plus": v_plus,
+             "tiny": 1e-170, "zero": 0.0, "nan": np.nan}[where]
+    head, tail = _runs_by_loop(v, v, (v_minus, v_minus), (v_plus, v_plus))
+    head, tail = int(at_head * head), int(at_tail * tail)
+    got = lattice._crossing_between_runs(v, level, v_minus, v_plus, head, tail)
+    assert repr(got) == repr(front_crossing(v, level))
 
 
 def window_snapshots(n, sigma, dt, stride, n_snaps, gap, seed):
@@ -486,6 +552,36 @@ def _scan_outcome(run):
     except InvariantBoundNotFound as exc:
         return repr(exc)
     return repr(out.to_dict() if hasattr(out, "to_dict") else out)
+
+
+# np.linspace's samples as the scans generate them, from index ``skip`` on
+# in blocks and one at a time: random finite ranges, empty and one-sample
+# scans, and ranges so narrow that numpy's step is 0 (its subnormal branch).
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.integers(0, 3 * potentials._SCAN_BLOCK),
+       st.sampled_from([1, 97, 8192]), st.integers(0, 2), st.data())
+@example(start=0.0, stop=5e-324, num=1000, block=97, skip=0, data=None)
+@example(start=-1e-320, stop=1e-320, num=20_000, block=8192, skip=1, data=None)
+@example(start=2.5, stop=2.5, num=3 * 8192, block=8192, skip=1, data=None)
+@example(start=-6.0, stop=6.0, num=100_000, block=8192, skip=0, data=None)
+@example(start=1.0, stop=6.0, num=1, block=8192, skip=1, data=None)
+@example(start=1.0, stop=6.0, num=0, block=8192, skip=0, data=None)
+def test_samples_equal_np_linspace(start, stop, num, block, skip, data):
+    full = np.linspace(start, stop, num)
+    u = potentials._Samples(start, stop, num)
+    with mock.patch.object(potentials, "_SCAN_BLOCK", block):
+        blocks = list(potentials._blocks(u, skip))
+    assert [a for a, _ in blocks] == list(range(skip, num, block))
+    got = np.concatenate([b for _, b in blocks]) if blocks else np.empty(0)
+    assert got.tobytes() == full[skip:].tobytes()  # bit for bit, the sign of 0 too
+    picks = {0, num - 1, -1} if num else set()
+    if num and data is not None:
+        picks.add(data.draw(st.integers(-num, num - 1)))
+    for i in picks:
+        assert np.float64(u.at(i)).tobytes() == full[i].tobytes()
+    for i in (num, -num - 1):
+        with pytest.raises(IndexError):
+            u.at(i)
 
 
 # A scan whose size is not a multiple of the block, psi with equal minima in
