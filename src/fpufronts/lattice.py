@@ -73,15 +73,21 @@ The report evaluates the residual block by block, each block of the phase
 grid interpolated from a pool of only the samples near it, so its memory
 grows with one block and not with the snapshots times the phase span, nor
 with the grid.  That is exact too: ``np.interp`` at x reads only the last
-pooled sample at or below x in sorted order and the one after it.  A block's
-pool keeps every sample from the last one at or below its first grid point
-to the first one above its last grid point, so it holds both for each of its
-grid points, and it sorts equal phases in the same order as the whole pool,
-snapshot by snapshot.  A block of residuals reads the profile on its own
-grid points and on the two phase units (``2/dphi`` points) beyond them,
-which the next block carries over, and of ``np.gradient`` only the central
-differences, never its one-sided ends; the report keeps a running
-``max|res|``.
+pooled sample at or below x in the stable phase order and the one after it:
+a snapshot's last atom at or below x, and a snapshot's first atom above x.
+Phases ``j - c`` rise with j, so for a block [x_first, x_last] both lie
+among a snapshot's atoms ``ceil(x_first + c) - 2`` to ``ceil(x_last + c) +
+1``; an atom of slack on each side allows for the rounding of ``x + c``.
+A block's pool takes those atoms of every snapshot, clamped to its interior,
+so a snapshot wholly below the block gives its last interior atom and one
+wholly above its first: where no snapshot covers x, those are the two
+samples read.  The pool is laid out as the whole pool is, snapshot by
+snapshot, so its stable sort keeps the whole pool's order, ties included,
+and the samples it holds beyond the two are never read.  A block of
+residuals reads the profile on its own grid points and on the two phase
+units (``2/dphi`` points) beyond them, which the next block carries over,
+and of ``np.gradient`` only the central differences, never its one-sided
+ends; the report keeps a running ``max|res|``.
 
 The front speed is the least-squares slope through the visible crossings in
 closed form, ``sum(t*c) / sum(t*t)`` over the centred times and crossings,
@@ -229,7 +235,8 @@ def evolve(
     Each step is a half velocity kick, a full strain drift, and a second half
     kick; the scheme is time-reversible up to rounding.  The force of the
     second kick is that of the next step's first kick, so it is evaluated,
-    and multiplied by ``dt/2``, once per step.  Raises BlowUp at the first
+    and multiplied by ``dt/2``, once per step.  Raises ValueError unless
+    ``0 < dt <= 0.05`` and ``T`` is finite and ``>= 0``, and BlowUp at the first
     step after which a strain leaves ten times the invariant interval or is
     not finite (a NaN strain compares false with every bound, so the test is
     ``not |r| <= bound``).  With ``snapshot_stride`` set, also returns the
@@ -257,8 +264,10 @@ def evolve(
     view of the velocity buffer, whose last slot is the ghost ``v_plus``
     (see the module docstring).
     """
-    if state.dt > 0.05:
-        raise ValueError("dt must be at most 0.05")
+    if not 0.0 < state.dt <= 0.05:
+        raise ValueError(f"dt must lie in (0, 0.05], not {state.dt!r}")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"T must be finite and at least 0, not {T!r}")
     if observe is not None and not snapshot_stride:
         raise ValueError("observe needs a snapshot_stride")
     n_steps = int(round(T / state.dt))
@@ -355,24 +364,6 @@ class EnergyLawReport:
 _BLOCK = 8
 
 
-def _searchsorted_phases(x, shifts: np.ndarray, first: int, stop: int,
-                         side: str = "left") -> np.ndarray:
-    """``np.searchsorted(j - c, x, side)`` over the atoms j in [first, stop), per shift c.
-
-    Returns, for every shift at once, the atom index at which the search
-    lands: the first atom whose phase ``j - c`` is >= x (side ``"left"``) or
-    > x (``"right"``), and ``stop`` where none is.  ``ceil(x + c)`` is within
-    one atom of it, and the comparisons on the float phase ``j - c`` correct
-    it, so the index is that of the search itself.  ``x`` is a float, or a
-    column of floats, which gives one row of indices per float.
-    """
-    below = np.less if side == "left" else np.less_equal
-    j = np.minimum(np.maximum(np.ceil(x + shifts), first), stop).astype(np.int64)
-    j += (j < stop) & below(j - shifts, x)
-    j -= (j > first) & ~below(j - 1 - shifts, x)
-    return j
-
-
 def _grown(buf: np.ndarray, used: int, size: int) -> np.ndarray:
     """``buf`` with room for at least ``size`` entries; its first ``used`` kept."""
     if size <= buf.size:
@@ -388,8 +379,8 @@ class _ArangeGrid:
     numpy sizes the array ``ceil((stop - start) / step)``, writes ``start``
     and ``start + step`` into its first two entries, and fills entry
     ``i >= 2`` with ``start + i * delta``, ``delta = (start + step) - start``.
-    ``points`` and ``searchsorted`` repeat those floats, so a slice of the
-    grid costs its own length.
+    ``points`` repeats those floats, so a slice of the grid costs its own
+    length.
     """
 
     def __init__(self, start: float, stop: float, step: float):
@@ -405,17 +396,6 @@ class _ArangeGrid:
             if i0 <= i < i1:
                 out[i - i0] = x
         return out
-
-    def searchsorted(self, x: float, side: str = "left") -> int:
-        """``np.searchsorted(np.arange(start, stop, step), x, side)``.
-
-        The points differ from ``start + i * step`` by rounding alone, far
-        less than a step, so the index lies among the five points around
-        ``(x - start) / delta``, or at an end of the grid.
-        """
-        k = math.floor((x - self.start) / self.delta)
-        i0, i1 = (min(max(i, 0), self.size) for i in (k - 2, k + 3))
-        return i0 + int(np.searchsorted(self.points(i0, i1), x, side))
 
 
 class EnergyLaw:
@@ -496,32 +476,25 @@ class EnergyLaw:
         return float(np.sum(self._density))
 
     def _block_pool(self, x_first: float, x_last: float, shifts: np.ndarray, windows: tuple):
-        """The pooled samples that ``np.interp`` reads on [x_first, x_last], sorted by phase.
+        """The pooled samples that ``np.interp`` reads on [x_first, x_last], and a
+        few more, sorted by phase.
 
-        Of every snapshot's interior atoms, at phases ``j - c``, these are the
-        ones with phases in [a, b]: a is the largest phase <= x_first and b
-        the smallest > x_last, both of which exist for points of the grid.
-        They are laid out snapshot by snapshot, atoms in order, as in a pool
-        of every snapshot's whole interior, so the stable sort puts equal
-        phases in the same order as a sort of that pool does.  ``windows`` is
-        ``(lo, lo + size, offset - lo)`` per snapshot, as columns: atom j's
-        sample is at ``j + offset - lo`` in the buffers inside its window, and
-        in the left or the right state's slot (see ``_residual``) outside.
+        Of every snapshot's interior atoms, at phases ``j - c``, these are
+        the ones from ``ceil(x_first + c) - 2`` to ``ceil(x_last + c) + 1``,
+        clamped to the interior (see the module docstring for why that holds
+        what ``np.interp`` reads).  They are laid out snapshot by snapshot,
+        atoms in order, as in a pool of every snapshot's whole interior, so
+        the stable sort puts equal phases in the same order as a sort of that
+        pool does.  ``windows`` is ``(lo, lo + size, offset - lo)`` per
+        snapshot, as columns: atom j's sample is at ``j + offset - lo`` in the
+        buffers inside its window, and in the left or the right state's slot
+        (see ``_residual``) outside.
         """
         n = self._chain[0]
-        first, stop = self.margin, n - self.margin  # the interior atoms
-        # Phases rise with the atom index, so a snapshot's first atom at or
-        # above a is its last one at or below x_first if that is at a, and
-        # the next one if not; its last atom at or below b is likewise its
-        # first one above x_last or the one before.
-        j_first, j_last = _searchsorted_phases(np.array([[x_first], [x_last]]), shifts,
-                                               first, stop, "right")
-        below, found = j_first - 1 - shifts, j_first > first
-        a = np.maximum.reduce(below, initial=-np.inf, where=found)
-        j0 = j_first - (found & (below == a))
-        above, found = j_last - shifts, j_last < stop
-        b = np.minimum.reduce(above, initial=np.inf, where=found)
-        width = j_last + (found & (above == b)) - j0
+        first, last = self.margin, n - self.margin - 1  # the interior atoms
+        j0 = np.minimum(np.maximum(np.ceil(x_first + shifts) - 2, first), last).astype(np.int64)
+        j1 = np.minimum(np.maximum(np.ceil(x_last + shifts) + 1, first), last).astype(np.int64)
+        width = j1 - j0 + 1
 
         # A (snapshots x widest) grid of atoms, which flattens snapshot by
         # snapshot, atoms in order; cells past a snapshot's width get phase
@@ -567,11 +540,13 @@ class EnergyLaw:
         # the left (right) state, which makes the energy gradient and the
         # residual exactly 0 there; 2*shift + 2 state points on each side of
         # the slice cover every residual that reads a point off the states.
+        # Grid point i is start + i*delta up to rounding, so two more points
+        # on each side cover every one in [p_lo, p_hi].
         p_lo = np.min(lo - shifts) - 2.0
         p_hi = np.max(lo + size - 1 - shifts) + 2.0
         pad = 2 * shift + 2
-        g0 = max(0, grid.searchsorted(p_lo) - pad)
-        g1 = min(grid.size, grid.searchsorted(p_hi, side="right") + pad)
+        g0 = max(0, math.floor((p_lo - grid.start) / grid.delta) - pad - 2)
+        g1 = min(grid.size, math.ceil((p_hi - grid.start) / grid.delta) + pad + 2)
         # Block by block: np.interp at x reads only the last pooled sample at
         # or below x and the one after it in the sorted pool, and the block's
         # pool holds both, in the same order (see _block_pool).  Every grid

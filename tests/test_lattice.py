@@ -51,11 +51,23 @@ def test_init_requires_converged_front():
         init_from_front(fake, NORMALIZED)
 
 
-def test_dt_cap():
+# a step above the cap, or one that is not positive or not a number, and a
+# span that is negative or not finite
+@pytest.mark.parametrize("dt, T", [(0.2, 1.0), (-0.01, 1.0), (0.0, 1.0), (np.nan, 1.0),
+                                   (0.01, -1.0), (0.01, np.inf), (0.01, np.nan)],
+                         ids=["dt_above_cap", "dt_negative", "dt_zero", "dt_nan",
+                              "T_negative", "T_inf", "T_nan"])
+def test_dt_cap(dt, T):
     pot = QuarticPotential(0.2)
-    state = constant_state(0.0, 0.0, dt=0.2)
+    state = constant_state(0.0, 0.0, dt=dt)
     with pytest.raises(ValueError):
-        evolve(state, pot, 1.0)
+        evolve(state, pot, T)
+
+
+def test_dt_cap_and_empty_span_are_accepted():
+    pot = QuarticPotential(0.2)
+    assert evolve(constant_state(0.0, 0.0, dt=0.05), pot, 0.1).t == pytest.approx(0.1)
+    assert evolve(constant_state(0.0, 0.0), pot, 0.0).t == 0.0
 
 
 def test_sample_front_limits(front_005):

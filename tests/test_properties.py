@@ -248,23 +248,6 @@ def test_table_matches_scipy_pchip(x0, h, data):
     assert np.array_equal(tab.phi_prime(u), ref.derivative()(u), equal_nan=True)
 
 
-@examples
-@given(st.floats(-1e4, 1e4), st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=20),
-       st.integers(0, 50), st.integers(0, 300), st.booleans(), st.sampled_from(["left", "right"]))
-# x + c = 1023.0000000000001 rounds up, but 1023 - c rounds to x: ceil lands
-# one atom past the search
-@example(x=1024.5, shifts=[-1.5 + 8e-14], first=1000, count=50, tie=False, side="left")
-def test_searchsorted_phases_matches_numpy(x, shifts, first, count, tie, side):
-    shifts = np.array(shifts)
-    if tie:  # x exactly on the phase of an atom of the first snapshot
-        x = (first + count // 2) - shifts[0]
-    stop = first + count
-    j = np.arange(first, stop)
-    expected = [first + np.searchsorted(j - c, x, side) for c in shifts]
-    found = lattice._searchsorted_phases(x, shifts, first, stop, side)
-    assert found.tolist() == expected
-
-
 def _runs_by_loop(r, v, left, right):
     head = 0
     while head < r.size and (r[head], v[head]) == left:
@@ -354,15 +337,22 @@ def window_snapshots(n, sigma, dt, stride, n_snaps, gap, seed):
 
 # sigma * dt * stride is often a short binary fraction, so that phases repeat
 # exactly across snapshots; dphi = 0.25 and 0.5 put grid points, and with
-# them block edges, exactly on such repeated phases.
+# them block edges, exactly on such repeated phases.  Float sigma and dt put
+# block edges anywhere, x + c within rounding of an integer included.
 @settings(max_examples=30, deadline=None)
-@given(st.integers(300, 500), st.sampled_from([0.25, 0.5, 1.0, 0.3, 1.7]), st.booleans(),
-       st.sampled_from([0.01, 0.05, 0.0625, 0.25]), st.integers(1, 12),
-       st.sampled_from([0.05, 0.25, 0.5]), st.integers(2, 12), st.booleans(), seeds)
+@given(st.integers(300, 500),
+       st.one_of(st.sampled_from([0.25, 0.5, 1.0, 0.3, 1.7]), st.floats(0.1, 2.0)), st.booleans(),
+       st.one_of(st.sampled_from([0.01, 0.05, 0.0625, 0.25]), st.floats(0.005, 0.25)),
+       st.integers(1, 12), st.sampled_from([0.05, 0.25, 0.5]), st.integers(2, 12), st.booleans(),
+       seeds)
 @example(n=400, sigma=0.25, negative=False, dt=0.25, stride=4, dphi=0.25, n_snaps=12,
          gap=False, seed=0)
 @example(n=300, sigma=1.0, negative=True, dt=0.05, stride=4, dphi=0.05, n_snaps=6,
          gap=True, seed=1)
+# at 31 block starts, x_first + c lies within one ulp below an integer
+# (23.88 + 0.12, say) and its float sum rounds up to that integer
+@example(n=322, sigma=1.0, negative=False, dt=0.01, stride=3, dphi=0.25, n_snaps=5,
+         gap=False, seed=31)
 def test_block_pool_equals_full_pool(n, sigma, negative, dt, stride, dphi, n_snaps, gap, seed):
     sigma = -sigma if negative else sigma
     snaps = window_snapshots(n, sigma, dt, stride, n_snaps, gap, seed)
@@ -385,10 +375,9 @@ def test_block_pool_equals_full_pool(n, sigma, negative, dt, stride, dphi, n_sna
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-5000.0, 5000.0), st.floats(0.0, 3000.0),
-       st.sampled_from([0.05, 0.01, 0.1, 0.25, 0.03]), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-       st.floats(-10.0, 3010.0))
-@example(first=-7.0, span=400.0, dphi=0.05, u0=0.0, u1=1.0, x=0.0)
-def test_arange_grid_equals_np_arange(first, span, dphi, u0, u1, x):
+       st.sampled_from([0.05, 0.01, 0.1, 0.25, 0.03]), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example(first=-7.0, span=400.0, dphi=0.05, u0=0.0, u1=1.0)
+def test_arange_grid_equals_np_arange(first, span, dphi, u0, u1):
     # EnergyLaw._residual's phase grid, np.arange(first + 1.5, last - 1.5,
     # dphi), only as the slice [g0, g1) it interpolates
     start, stop = first + 1.5, first + span - 1.5
@@ -397,9 +386,6 @@ def test_arange_grid_equals_np_arange(first, span, dphi, u0, u1, x):
     assert grid.size == full.size
     g0, g1 = sorted(int(u * full.size) for u in (u0, u1))
     assert np.array_equal(grid.points(g0, g1), full[g0:g1])
-    for side in ("left", "right"):
-        for y in (first + x, *full[g0:g0 + 1]):
-            assert grid.searchsorted(y, side) == np.searchsorted(full, y, side)
 
 
 def _outcome(run):
