@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import time
-from itertools import dropwhile, islice
+from itertools import dropwhile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -38,7 +38,7 @@ if TYPE_CHECKING:
     from .macroscopic import FrontData
     from .solver import SolverConfig
 
-_CONFIG_KEYS = {"potential", "grid", "solver", "states", "verify", "output_dir"}
+_CONFIG_KEYS = {"potential", "grid", "solver", "states", "output_dir"}
 _POTENTIAL_KEYS = {"family", "params"}
 _GRID_KEYS = {"L", "D"}
 _SOLVER_KEYS = {"lambda0", "grad_tol", "max_iters"}
@@ -152,15 +152,7 @@ def build_solver_config(config: dict, gamma: float) -> SolverConfig:
     from .solver import SolverConfig
 
     L, D = config_grid(config)
-    solver = config.get("solver", {})
-    cfg = SolverConfig(
-        lambda0=solver.get("lambda0", 0.5),
-        max_iters=solver.get("max_iters", 200_000),
-        grad_tol=solver.get("grad_tol", 1e-8),
-        gamma=gamma,
-        L=L,
-        D=D,
-    )
+    cfg = SolverConfig(**config.get("solver", {}), gamma=gamma, L=L, D=D)
     try:
         cfg.validate()
     except ConfigInvalid as exc:
@@ -168,24 +160,24 @@ def build_solver_config(config: dict, gamma: float) -> SolverConfig:
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-# Profile CSVs are written and read this many rows at a time, so that the
-# text and the Python objects held at once stay a block, not the file.
+# CSVs are written this many rows at a time, so that the text and the
+# Python objects held at once stay a block, not the file.
 _CSV_BLOCK = 128
 
 
-def _write_rows(path: Path, header: str, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> None:
-    """Write ``header`` and a row ``x,y,z`` per entry, each float formatted with
-    ``repr`` (as ``_fmt`` does), ``_CSV_BLOCK`` rows at a time."""
+def _write_rows(path: Path, header: str, *columns: np.ndarray) -> None:
+    """Write ``header`` and a row per entry of the equal-length ``columns``,
+    ``_CSV_BLOCK`` rows at a time.
+
+    Each cell is the ``repr`` of the column entry as a Python number: an
+    int for an integer column, and for a float64 column the shortest text
+    that reads back as the same float.
+    """
     with path.open("w") as f:
         f.write(header + "\n")
-        for a in range(0, len(x), _CSV_BLOCK):
-            b = a + _CSV_BLOCK
-            rows = zip(x[a:b].tolist(), y[a:b].tolist(), z[a:b].tolist())
-            f.write("".join([f"{p!r},{q!r},{r!r}\n" for p, q, r in rows]))
+        for a in range(0, len(columns[0]), _CSV_BLOCK):
+            cells = [map(repr, column[a:a + _CSV_BLOCK].tolist()) for column in columns]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_profile_csv(path: Path, profile: GridProfile) -> None:
@@ -193,35 +185,6 @@ def write_profile_csv(path: Path, profile: GridProfile) -> None:
 
     u = apply_averaging(profile)
     _write_rows(path, "phi,W,U", profile.nodes, profile.values, u.values)
-
-
-def _profile_rows(f):
-    """The data rows of an open ``profile.csv``, in lists of about ``_CSV_BLOCK``.
-
-    They are the lines after the first of the file's text with its leading
-    and trailing whitespace stripped, as ``str.strip`` and
-    ``str.splitlines`` give them: blank lines before the header and after
-    the last row are dropped and the last row loses its trailing whitespace,
-    while a blank line between two rows is a row.
-    """
-    held, header = [], False  # held: the last line not blank, and blank lines after it
-    for chunk in iter(lambda: list(islice(f, _CSV_BLOCK)), []):
-        lines = held + "".join(chunk).splitlines()
-        if not header:
-            lines = list(dropwhile(lambda line: not line.strip(), lines))
-            if not lines:
-                continue
-            lines, header = lines[1:], True
-        k = len(lines)
-        while k and not lines[k - 1].strip():
-            k -= 1
-        if k:
-            yield lines[:k - 1]
-            held = lines[k - 1:]
-        else:
-            held = lines
-    if held and held[0].strip():
-        yield [held[0].rstrip()]
 
 
 def read_profile_csv(path: Path, L: float, D: int) -> GridProfile:
@@ -234,8 +197,11 @@ def read_profile_csv(path: Path, L: float, D: int) -> GridProfile:
     solved on another grid has.  A bad ``phi`` cell is reported before a bad
     W cell, and either before a wrong row count.
 
-    The file is parsed a block of lines at a time into two arrays of a
-    float per row.
+    The file is read a line at a time into two arrays of a float per row.
+    Its first line that is not blank is the header; the rows are the lines
+    after it.  A blank line is held until a row follows it, so a blank line
+    between two rows is a row (and fails to parse), while blank lines after
+    the last row are not rows.
     """
     from array import array
 
@@ -245,14 +211,22 @@ def read_profile_csv(path: Path, L: float, D: int) -> GridProfile:
     w_error = None
     try:
         with path.open() as f:
-            for rows in _profile_rows(f):
-                cells = [row.split(",", 2) for row in rows]
-                phi.fromlist([float(c[0]) for c in cells])
-                if w_error is None:
-                    try:
-                        values.fromlist([float(c[1]) for c in cells])
-                    except (IndexError, ValueError) as exc:
-                        w_error = exc
+            lines = dropwhile(lambda line: not line.strip(), f)
+            next(lines, None)  # the header
+            held = []  # the lines since the last row, all blank but the newest
+            for line in lines:
+                held.append(line)
+                if not line.strip():
+                    continue
+                for row in held:
+                    cells = row.rstrip("\n").split(",", 2)
+                    phi.append(float(cells[0]))
+                    if w_error is None:
+                        try:
+                            values.append(float(cells[1]))
+                        except (IndexError, ValueError) as exc:
+                            w_error = exc
+                held.clear()
         if w_error is not None:
             raise w_error
     except (IndexError, ValueError) as exc:
@@ -270,13 +244,9 @@ def read_profile_csv(path: Path, L: float, D: int) -> GridProfile:
 
 
 def write_history_csv(path: Path, history: list[ActionReport], lambdas: list[float]) -> None:
-    lines = ["iter,L,N,P,grad_norm,lambda"]
-    for i, (rep, lam) in enumerate(zip(history, lambdas)):
-        lines.append(
-            f"{i},{_fmt(rep.L)},{_fmt(rep.N)},{_fmt(rep.P)},"
-            f"{_fmt(rep.grad_norm)},{_fmt(lam)}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    reports = np.array([(rep.L, rep.N, rep.P, rep.grad_norm) for rep in history], dtype=float)
+    _write_rows(path, "iter,L,N,P,grad_norm,lambda", np.arange(len(history)),
+                *reports.T, np.array(lambdas, dtype=float))
 
 
 def write_physical_csv(path: Path, profile: GridProfile, fd: FrontData) -> None:

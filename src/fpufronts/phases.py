@@ -78,13 +78,11 @@ def separate_phases(u: GridProfile, gamma: float, strict: bool = False) -> Phase
     half-width 2*eta_bar around it, repeats, then merges overlaps.  Signs are
     read off the gaps between consecutive intervals and the two tails; a gap
     on which U is not uniformly signed is flagged (and raised when
-    ``strict``).
+    ``strict``).  A profile without a zero set raises ``zero_set``'s
+    EmptyZeroSet.
     """
     nodes = u.nodes
-    zmask = np.abs(u.values) <= 0.5
-    zidx = np.nonzero(zmask)[0]
-    if zidx.size == 0:
-        raise EmptyZeroSet("no node with |U| <= 1/2")
+    zidx = zero_set(u)
     eta = eta_bar_for(gamma)
 
     anchors = []

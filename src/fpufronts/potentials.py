@@ -110,8 +110,12 @@ class GraphViolatingPotential(Potential):
         return u - self._psi_prime(u)
 
 
-class TiltedPotential(Potential):
+class TiltedPotential(QuarticPotential):
     """psi(u) = beta (u^2-1)^2 + eps (u-1).
+
+    The quartic with phi tilted by the affine term -eps (u - 1); its
+    ``phi_second`` is the quartic's, and ``phi`` and ``phi_prime`` subtract
+    the tilt from the quartic's floats.
 
     The linear tilt leaves the jump conditions for the states +-1 intact: an
     affine term in phi is a gauge they are invariant under. It breaks two
@@ -126,22 +130,15 @@ class TiltedPotential(Potential):
     family = "tilted"
 
     def __init__(self, beta: float, eps: float):
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        self.beta = float(beta)
+        super().__init__(beta)
         self.eps = float(eps)
 
     def phi(self, u):
         u = np.asarray(u, dtype=float)
-        return 0.5 * u**2 - self.beta * (u**2 - 1.0) ** 2 - self.eps * (u - 1.0)
+        return super().phi(u) - self.eps * (u - 1.0)
 
     def phi_prime(self, u):
-        u = np.asarray(u, dtype=float)
-        return u - 4.0 * self.beta * u * (u**2 - 1.0) - self.eps
-
-    def phi_second(self, u):
-        u = np.asarray(u, dtype=float)
-        return 1.0 - 4.0 * self.beta * (3.0 * u**2 - 1.0)
+        return super().phi_prime(u) - self.eps
 
 
 class TabulatedPotential(Potential):
@@ -265,19 +262,27 @@ class LinearForcePotential(Potential):
 
 
 _FAMILIES = {
-    "quartic": lambda p: QuarticPotential(beta=p["beta"]),
-    "graph_violating": lambda p: GraphViolatingPotential(beta=p["beta"], c=p["c"]),
-    "tilted": lambda p: TiltedPotential(beta=p["beta"], eps=p["eps"]),
-    "user_table": lambda p: TabulatedPotential(p["u_samples"], p["phi_samples"]),
+    "quartic": QuarticPotential,
+    "graph_violating": GraphViolatingPotential,
+    "tilted": TiltedPotential,
+    "user_table": TabulatedPotential,
 }
 
 
 def make_potential(family: str, params: dict) -> Potential:
-    """Construct a built-in potential from a family name and parameter map."""
-    factory = _FAMILIES.get(family) if isinstance(family, str) else None
-    if factory is None:
+    """Construct a built-in potential from a family name and parameter map.
+
+    ``params`` are the keyword arguments of the family's class, so a
+    parameter it does not take, or one it needs and is not given, raises a
+    ``ValueError`` that names it, as an unknown family does.
+    """
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
         raise ValueError(f"unknown potential family {family!r}")
-    return factory(params)
+    try:
+        return cls(**params)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
 
 
 @dataclass
@@ -296,13 +301,7 @@ class AssumptionReport:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.graph_ok
-            and self.genericity_ok
-            and self.monotone_tails_ok
-            and self.supersonic_ok
-            and self.gamma is not None
-        )
+        return not self.failed_conditions()
 
     def failed_conditions(self) -> list[str]:
         out = []

@@ -63,6 +63,13 @@ def test_malformed_config_exits_2(tmp_path, capsys):
 
     cfg.write_text("{not json")
     assert main(["check-potential", str(cfg)]) == 2
+    capsys.readouterr()
+
+    # nothing reads a verify section: verify takes its settings from options
+    write_config(cfg, verify={"atoms": 8000})
+    assert main(["check-potential", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "verify" in err["message"]
 
 
 @pytest.mark.parametrize("overrides, fragment", [
@@ -82,10 +89,18 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     ({"solver": {"grad_tol": 0.0}}, "grad_tol must be positive"),
     ({"solver": [0.5]}, "solver must be a JSON object"),
     ({"solver": {"stagnation_window": 500}}, "stagnation_window"),
+    ({"potential": {"family": "quartic", "params": {"beta": 0.05, "eps": 0.3}}},
+     "unexpected keyword argument 'eps'"),
+    ({"potential": {"family": "tilted", "params": {"beta": 0.05}}}, "'eps'"),
+    ({"potential": {"family": "user_table",
+                    "params": {"u_samples": [-2.0, 0.0, 2.0], "phi_samples": [2.0, 0.0, 2.0],
+                               "beta": 0.05}}},
+     "unexpected keyword argument 'beta'"),
 ], ids=["unknown_family", "negative_beta", "missing_beta", "misaligned_grid",
         "short_grid", "lambda0_out_of_range", "missing_state", "null_beta", "bool_beta",
         "string_state", "equal_states", "fractional_D", "negative_grad_tol", "zero_grad_tol",
-        "list_section", "retired_stagnation_window"])
+        "list_section", "retired_stagnation_window", "quartic_with_eps", "tilted_without_eps",
+        "table_with_beta"])
 def test_solve_config_error_exits_2(tmp_path, capsys, overrides, fragment):
     cfg = write_config(tmp_path / "bad.json", output_dir=str(tmp_path / "run"), **overrides)
     assert main(["solve", str(cfg)]) == 2
@@ -336,8 +351,9 @@ def test_profile_round_trip(solved_run):
 
 
 def _written_row_by_row(header, *columns):
-    """A profile CSV as written one ``_fmt``-formatted row at a time."""
-    rows = [",".join(cli._fmt(x) for x in row) for row in zip(*columns)]
+    """A CSV of float columns as written one row at a time, each cell the
+    ``repr`` of its float."""
+    rows = [",".join(repr(float(x)) for x in row) for row in zip(*columns)]
     return "\n".join([header, *rows]) + "\n"
 
 
@@ -364,18 +380,38 @@ def test_profile_writers_match_row_by_row(tmp_path, L, D):
         "phi,R,V", prof.nodes, *denormalize_profile(prof, NORMALIZED))
 
 
+def test_history_writer_matches_row_by_row(tmp_path):
+    # a stiff quartic rejects steps, and its 141 rows end in a part write block
+    from fpufronts import QuarticPotential, SolverConfig, minimize
+
+    result = minimize(SolverConfig(gamma=2.0, L=20.0, D=800), QuarticPotential(2.0))
+    assert result.rejected_steps > 0 and len(result.history) % cli._CSV_BLOCK
+    cli.write_history_csv(tmp_path / "history.csv", result.history, result.lambda_history)
+    rows = [",".join([str(i)] + [repr(float(x)) for x in (rep.L, rep.N, rep.P, rep.grad_norm, lam)])
+            for i, (rep, lam) in enumerate(zip(result.history, result.lambda_history))]
+    assert (tmp_path / "history.csv").read_text() == "\n".join(
+        ["iter,L,N,P,grad_norm,lambda", *rows]) + "\n"
+
+
 # Blank lines after the last row are not rows (a blank line between rows is,
-# see test_malformed_profile_exits_2); the 1026 and 3202 lines of the files
-# span 9 and 26 read blocks, the last of them a part block.
-@pytest.mark.parametrize("tail", ["", "\n", "\n \n\t\n"],
-                         ids=["as_written", "trailing_blank_line", "trailing_blank_lines"])
+# see test_malformed_profile_exits_2), nor are blank lines before the header,
+# and \r\n line ends read as \n.
+_LAYOUTS = {
+    "as_written": lambda text: text,
+    "trailing_blank_line": lambda text: text + "\n",
+    "trailing_blank_lines": lambda text: text + "\n \n\t\n",
+    "crlf_line_ends": lambda text: text.replace("\n", "\r\n"),
+    "blank_lines_before_indented_header": lambda text: "\n \t\n\n  " + text,
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
 @pytest.mark.parametrize("L, D", [(2.0, 1024), (2.5, 3200)])
-def test_profile_reads_back_exactly(tmp_path, L, D, tail):
-    assert (D + 2) % cli._CSV_BLOCK
+def test_profile_reads_back_exactly(tmp_path, L, D, layout):
     prof = _random_profile(L, D)
     path = tmp_path / "profile.csv"
     cli.write_profile_csv(path, prof)
-    path.write_text(path.read_text() + tail)
+    path.write_bytes(_LAYOUTS[layout](path.read_text()).encode())
     assert cli.read_profile_csv(path, L, D).values.tobytes() == prof.values.tobytes()
 
 
@@ -647,6 +683,10 @@ def _spoil_profile(lines, defect):
         lines[1600] = f"{phi},nan,{u}"
     elif defect == "interior_blank":
         lines.insert(1600, "")
+    elif defect == "interior_whitespace":
+        lines.insert(1600, " \t")
+    elif defect == "one_cell_last_row":
+        lines[-1] = lines[-1].split(",")[0]
     elif defect == "extra_row":
         lines.append(lines[-1])
     elif defect == "header_only":
@@ -668,11 +708,13 @@ def _spoil_profile(lines, defect):
     ("nan", "not finite"),
     ("phi_of_L_40", "phi column is not the nodes of the grid L=20.0, D=3200"),
     ("interior_blank", "could not convert string to float: ''"),
+    ("interior_whitespace", "could not convert string to float: ' \\t'"),
+    ("one_cell_last_row", "list index out of range"),
     ("extra_row", "3202 rows, not D + 1 = 3201"),
     ("header_only", "0 rows, not D + 1 = 3201"),
     ("undecodable", "can't decode byte 0xff"),
 ], ids=["non_numeric", "missing_cell", "short", "nan", "phi_of_L_40", "interior_blank",
-        "extra_row", "header_only", "undecodable"])
+        "interior_whitespace", "one_cell_last_row", "extra_row", "header_only", "undecodable"])
 def test_malformed_profile_exits_2(solved_run, tmp_path, capsys, command, defect, fragment):
     run2 = tmp_path / "spoiled"
     shutil.copytree(solved_run["run_dir"], run2)
@@ -776,6 +818,17 @@ def test_sweep_command(tmp_path, capsys):
     assert [r["run"] for r in results] == ["beta_0.05", "beta_0.1"]
     assert all(r["outcome"] == "front_converged" for r in results)
     assert (tmp_path / "sw" / "beta_0.1" / "summary.json").exists()
+
+
+def test_sweep_of_a_table_exits_2(tmp_path, capsys):
+    # a sweep sets beta, which a user_table does not take
+    cfg = table_config(tmp_path / "table.json")
+    code = main(["sweep", str(cfg), "--betas", "0.05,0.3", "--output-dir", str(tmp_path / "sw")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "unexpected keyword argument 'beta'" in err["message"]
+    assert not (tmp_path / "sw" / "sweep.json").exists()
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -960,12 +1013,19 @@ def test_random_command_lines_exit_legibly(argv_paths, argv):
     # only --help and --version leave by SystemExit, and with 0.
     argv = [token.format(**argv_paths) for token in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
+    # a dropped token can leave a relative --output-dir such as "1"; every
+    # other path is absolute, so running in the fixture's directory keeps
+    # such a sweep out of the working directory
+    cwd = os.getcwd()
+    os.chdir(argv_paths["config"].parent)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        except SystemExit as exc:
-            assert exc.code == 0 and not err.getvalue()
-            return
+    except SystemExit as exc:
+        assert exc.code == 0 and not err.getvalue()
+        return
+    finally:
+        os.chdir(cwd)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code and err.getvalue():

@@ -6,9 +6,9 @@ and of its phase grid against ``np.arange``, of ``verify_front``'s
 window-only reductions (the state runs, the crossing and the whole
 verification) against the whole chain, of the closed-form front speed
 against ``np.polyfit`` and rational arithmetic, of the plateau median
-against ``np.median``, of the scans' generated samples against
-``np.linspace``, and of the blocked admissibility scans against the same
-scans on whole sample arrays.
+against ``np.median``, of the tilted quartic against its closed form, of
+the scans' generated samples against ``np.linspace``, and of the blocked
+admissibility scans against the same scans on whole sample arrays.
 
 A grid is aligned when half the unit window is K whole cells: L = m/4 with
 D = m K gives h = 1/(2K) for every integer m >= 8 (L >= 2) and K >= 1.
@@ -222,6 +222,23 @@ def test_diverging_flows_read_the_np_median_plateau(pot, monkeypatch):
     res = minimize(SolverConfig(gamma=2.0), pot)
     assert res.outcome == "plateau_diverging"
     assert readings[-1][0] == res.plateau_value
+
+
+# The tilted quartic is built on the quartic: its floats are still those of
+# the closed form it was written out as, bit for bit.
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8), st.floats(1e-6, 1e6),
+       st.floats(-1e6, 1e6))
+@example(u=[-1.0, -0.0, 0.0, 1.0], beta=0.1, eps=0.1)
+def test_tilted_equals_its_closed_form(u, beta, eps):
+    pot = TiltedPotential(beta, eps)
+    u = np.array(u)
+    phi = 0.5 * u**2 - beta * (u**2 - 1.0) ** 2 - eps * (u - 1.0)
+    phi_prime = u - 4.0 * beta * u * (u**2 - 1.0) - eps
+    phi_second = 1.0 - 4.0 * beta * (3.0 * u**2 - 1.0)
+    assert pot.phi(u).tobytes() == phi.tobytes()
+    assert pot.phi_prime(u).tobytes() == phi_prime.tobytes()
+    assert pot.phi_second(u).tobytes() == phi_second.tobytes()
 
 
 # knot gaps of mixed size, and value steps that are often exactly 0 (flat
