@@ -549,6 +549,9 @@ def cmd_sweep(args) -> int:
         sub["potential"].setdefault("params", {})["beta"] = beta
         name = f"beta_{beta:g}"  # distinct, see _parse_betas
         sub["output_dir"] = str(base_dir / name)
+        # a potential or grid that cannot be built fails here, before any fork
+        build_potential(sub)
+        config_grid(sub)
         jobs.append((sub, name))
     # run_solve's modules, imported once here for the forked workers to inherit
     from . import grid, macroscopic, phases, solver  # noqa: F401

@@ -61,33 +61,38 @@ changed since the run started, and the window only widens, so the atom was
 outside every window since the full evaluation: its entry is the float a
 fresh evaluation gives, and the sum is the whole chain's.
 
-``EnergyLaw`` keeps, of each snapshot, only the interior atoms between the
-runs exactly at the left and the right state, and its report interpolates
-the pooled profile only near their phases.  That is exact: every pooled
-sample left of the kept phases is exactly at the left state and every one
-right of them at the right state, and ``np.interp`` between two equal samples
-returns that value exactly (slope 0), so the interpolated profile, and with it
-the residual, are the floats a sort of every snapshot's whole interior gives.
+``EnergyLaw`` evaluates the law on a profile interpolated from the pool of
+every snapshot's interior atoms, at phases ``j - sigma*t``, but keeps no
+pool.  ``np.interp`` at a grid point x reads only two pooled samples: the
+last at or below x in the stable phase order and the one after it.  The
+pool is laid out snapshot by snapshot, and a snapshot's phases rise with
+the atom, so the first is a snapshot's last atom at or below x, of the
+latest snapshot where several share its phase, and the second a
+snapshot's first atom above x, of the earliest such snapshot.  As each
+snapshot arrives, its atoms near the points held are folded into those two
+samples per point (``interp.HeldPairs``); the atoms ``ceil(x_first + c) -
+2`` to ``ceil(x_last + c) + 1`` of a snapshot of shift c, clamped to its
+interior, hold both for every x in [x_first, x_last], an atom of slack on
+each side allowing for the rounding of ``x + c``.  A snapshot that ends
+below x gives its last interior atom and one that starts above x its
+first.  The report interpolates, block by block, each block's pairs in the
+pool's order, which gives the floats a sort of the whole pool gives.
 
-The report evaluates the residual block by block, each block of the phase
-grid interpolated from a pool of only the samples near it, so its memory
-grows with one block and not with the snapshots times the phase span, nor
-with the grid.  That is exact too: ``np.interp`` at x reads only the last
-pooled sample at or below x in the stable phase order and the one after it:
-a snapshot's last atom at or below x, and a snapshot's first atom above x.
-Phases ``j - c`` rise with j, so for a block [x_first, x_last] both lie
-among a snapshot's atoms ``ceil(x_first + c) - 2`` to ``ceil(x_last + c) +
-1``; an atom of slack on each side allows for the rounding of ``x + c``.
-A block's pool takes those atoms of every snapshot, clamped to its interior,
-so a snapshot wholly below the block gives its last interior atom and one
-wholly above its first: where no snapshot covers x, those are the two
-samples read.  The pool is laid out as the whole pool is, snapshot by
-snapshot, so its stable sort keeps the whole pool's order, ties included,
-and the samples it holds beyond the two are never read.  A block of
-residuals reads the profile on its own grid points and on the two phase
-units (``2/dphi`` points) beyond them, which the next block carries over,
-and of ``np.gradient`` only the central differences, never its one-sided
-ends; the report keeps a running ``max|res|``.
+The points held are those near the phases of the snapshots' windows, the
+interior atoms between the runs exactly at the left and the right state.
+Far enough below them every pooled sample within reach is exactly at the
+left state, and above them at the right state, and ``np.interp`` between
+two equal samples returns that value exactly (slope 0): the profile is at
+a state there, and the residual exactly 0.  A later window may reach beyond
+the points held; the new points lie more than four phase units beyond every
+earlier window, where the earlier snapshots' atoms near them are at a
+state, or their first or last interior atom, so their pairs come from the
+windows, shifts and end atoms of those snapshots alone.  So the memory grows
+with the windows' phase span, not with the snapshots.  A block of residuals
+reads the profile on its own grid points and on the two phase units
+(``2/dphi`` points) beyond them, which the next block carries over, and of
+``np.gradient`` only the central differences, never its one-sided ends; the
+report keeps a running ``max|res|``.
 
 The front speed is the least-squares slope through the visible crossings in
 closed form, ``sum(t*c) / sum(t*t)`` over the centred times and crossings,
@@ -105,6 +110,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BlowUp, NotAFront
+from .interp import HeldPairs, _ArangeGrid
 from .macroscopic import FrontData, denormalize_profile
 from .potentials import Potential
 
@@ -222,6 +228,18 @@ def _state_runs(state: ChainState) -> tuple[int, int]:
     return lo + head, n - hi + tail
 
 
+def _step_count(dt: float, T: float) -> int:
+    """The number of steps ``evolve`` takes over ``T`` at step ``dt``.
+
+    Raises ValueError unless ``0 < dt <= 0.05`` and ``T`` is finite and ``>= 0``.
+    """
+    if not 0.0 < dt <= 0.05:
+        raise ValueError(f"dt must lie in (0, 0.05], not {dt!r}")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"T must be finite and at least 0, not {T!r}")
+    return int(round(T / dt))
+
+
 def evolve(
     state: ChainState,
     pot: Potential,
@@ -264,13 +282,9 @@ def evolve(
     view of the velocity buffer, whose last slot is the ghost ``v_plus``
     (see the module docstring).
     """
-    if not 0.0 < state.dt <= 0.05:
-        raise ValueError(f"dt must lie in (0, 0.05], not {state.dt!r}")
-    if not (math.isfinite(T) and T >= 0.0):
-        raise ValueError(f"T must be finite and at least 0, not {T!r}")
+    n_steps = _step_count(state.dt, T)
     if observe is not None and not snapshot_stride:
         raise ValueError("observe needs a snapshot_stride")
-    n_steps = int(round(T / state.dt))
     dt = state.dt
     half_dt = 0.5 * dt
     bound = 10.0 * gamma
@@ -359,77 +373,54 @@ class EnergyLawReport:
     energy_drift_rel: float
 
 
-# EnergyLaw.report evaluates the residual in blocks of _BLOCK phase units,
-# each interpolated from a pool of the samples near that block alone.
+# EnergyLaw holds grid points _BLOCK phase units beyond those it needs, so
+# that its span grows a chunk at a time, and its report evaluates the
+# residual in blocks of _BLOCK phase units.
 _BLOCK = 8
-
-
-def _grown(buf: np.ndarray, used: int, size: int) -> np.ndarray:
-    """``buf`` with room for at least ``size`` entries; its first ``used`` kept."""
-    if size <= buf.size:
-        return buf
-    out = np.empty(max(size, 2 * buf.size))
-    out[:used] = buf[:used]
-    return out
-
-
-class _ArangeGrid:
-    """The points of ``np.arange(start, stop, step)``, without building the array.
-
-    numpy sizes the array ``ceil((stop - start) / step)``, writes ``start``
-    and ``start + step`` into its first two entries, and fills entry
-    ``i >= 2`` with ``start + i * delta``, ``delta = (start + step) - start``.
-    ``points`` repeats those floats, so a slice of the grid costs its own
-    length.
-    """
-
-    def __init__(self, start: float, stop: float, step: float):
-        self.start = start
-        self.second = start + step
-        self.delta = self.second - start
-        self.size = max(0, math.ceil((stop - start) / step))
-
-    def points(self, i0: int, i1: int) -> np.ndarray:
-        """``np.arange(start, stop, step)[i0:i1]``, for 0 <= i0 <= i1 <= size."""
-        out = self.start + np.arange(i0, i1) * self.delta
-        for i, x in ((0, self.start), (1, self.second)):
-            if i0 <= i < i1:
-                out[i - i0] = x
-        return out
 
 
 class EnergyLaw:
     """Travelling-wave energy law, accumulated one snapshot at a time.
 
-    ``add`` reads a snapshot, which may be a live ``evolve`` state; ``report``
-    evaluates the law over all snapshots added (see ``check_energy_law``).
-    Per snapshot it keeps ``t``, the total energy and the boundary flux,
-    and a copy of the interior atoms between the runs of atoms exactly at the
-    left and the right state.  That window holds at least one atom, so every
-    interior atom left of it is exactly at ``(r_minus, v_minus)`` and every
-    one right of it at ``(r_plus, v_plus)``.  The windows go into one flat,
-    growing pair of buffers; ``_windows`` holds each one's ``(lo, size,
-    offset)``: its first atom, its length and where it starts in the buffers.
+    ``times`` announces the snapshots' times, in the order ``add`` takes
+    them: the phase grid spans every snapshot's interior, so it depends on
+    them, and ``add`` refuses a snapshot at any other time.  ``add`` reads a snapshot, which
+    may be a live ``evolve`` state; ``report`` evaluates the law over all
+    snapshots announced (see ``check_energy_law``).
 
-    ``report`` interpolates the pooled samples onto the phase grid and
-    evaluates the residual block by block, so its memory grows with one
-    block's pool (``_BLOCK`` phase units of every snapshot) and grid points,
-    not with the snapshots times the phase span.
+    Per snapshot it keeps ``t``, the total energy, the boundary flux, the
+    interior atoms ``[lo, hi)`` between the runs of atoms exactly at the
+    left and the right state (at least one atom, so every interior atom
+    left of it is exactly at ``(r_minus, v_minus)`` and every one right of
+    it at ``(r_plus, v_plus)``), and r and v of its first and last interior
+    atom.
+    Of the pool of every snapshot's interior atoms it keeps, per point of
+    the phase grid near those windows, only the two samples ``np.interp``
+    reads there (see the module docstring), in seven arrays of that span
+    (the points and the two samples' phases, strains and velocities);
+    ``report`` interpolates them block by block.  Its memory grows with
+    the windows' phase span, not with the snapshots.
     """
 
-    def __init__(self, pot: Potential, sigma: float, margin_atoms: int = 20, dphi: float = 0.05):
+    def __init__(self, pot: Potential, sigma: float, times, margin_atoms: int = 20,
+                 dphi: float = 0.05):
         self.pot = pot
         self.sigma = sigma
         self.margin = margin_atoms
         self.dphi = dphi
+        self._announced = list(times)
+        self._shifts = sigma * np.array(self._announced, dtype=float)
         self.times: list[float] = []
         self.energies: list[float] = []
         self.fluxes: list[float] = []
-        self._windows: list[tuple[int, int, int]] = []
-        self._r = np.empty(0)
-        self._v = np.empty(0)
-        self._kept = 0  # entries of _r and _v in use
+        self._windows = np.zeros((len(self._announced), 2), dtype=np.int64)  # (lo, hi) per snapshot
+        # per snapshot, r and v of its first and of its last interior atom
+        self._ends = np.zeros((len(self._announced), 4))
         self._chain = None  # (n, r_minus, v_minus, r_plus, v_plus), from the first snapshot
+        self._grid = None  # the phase grid, set by the first snapshot
+        self._p_lo = np.inf  # the least and the greatest phase of any window's atoms
+        self._p_hi = -np.inf
+        self._pairs = None  # the pool's pairs near the windows, a HeldPairs of (r, v)
         self._density = np.empty(0)  # the last snapshot's energy density, atom by atom
         self._live = None  # that snapshot's r, where it came with a window
 
@@ -441,20 +432,100 @@ class EnergyLaw:
         n, m = state.n_atoms, self.margin
         if n <= 2 * m:
             raise ValueError(f"a chain of {n} atoms has no interior inside two {m}-atom margins")
-        if not self.times:
+        k = len(self.times)
+        if k == len(self._announced) or state.t != self._announced[k]:
+            expected = self._announced[k] if k < len(self._announced) else "none"
+            raise ValueError(f"snapshot {k} is at t = {state.t!r}, not at the announced time {expected}")
+        if k == 0:
             self._chain = (n, state.r_minus, state.v_minus, state.r_plus, state.v_plus)
+            self._grid = _ArangeGrid(np.min(m - self._shifts) + 1.5,
+                                     np.max(n - m - 1 - self._shifts) - 1.5, self.dphi)
         lo = min(max(head, m), n - m - 1)
         hi = max(min(n - tail, n - m), lo + 1)
+        c = self._shifts[k]
+        self._p_lo = min(self._p_lo, lo - c)
+        self._p_hi = max(self._p_hi, (hi - 1) - c)
+        g0, g1 = self._interpolated()
+        if k == 0:
+            self._pairs = HeldPairs(self._grid, 2, g0)
+        h0, h1 = self._pairs.span
+        chunk = max(1, int(round(_BLOCK / self.dphi)))
+        self._pairs.reach(max(0, g0 - chunk) if g0 < h0 else h0,
+                          min(self._grid.size, g1 + chunk) if g1 > h1 else h1, self._outside)
         self.times.append(state.t)
         self.energies.append(self._energy(state))
         self.fluxes.append(boundary_flux(state, self.pot))
-        start, end = self._kept, self._kept + hi - lo
-        self._r = _grown(self._r, start, end)
-        self._v = _grown(self._v, start, end)
-        self._r[start:end] = state.r[lo:hi]
-        self._v[start:end] = state.v[lo:hi]
-        self._windows.append((lo, hi - lo, start))
-        self._kept = end
+        self._windows[k] = lo, hi
+        last = n - m - 1
+        self._ends[k] = state.r[m], state.v[m], state.r[last], state.v[last]
+        x = self._pairs.points
+        if x.size:
+            j0, j1 = self._atoms(x[0], x[-1], c)
+            self._pairs.fold(np.arange(j0, j1 + 1) - c, np.array((state.r[j0:j1 + 1], state.v[j0:j1 + 1])))
+
+    def _atoms(self, x_first, x_last, c):
+        """The first and the last interior atom that may be a snapshot's last
+        sample at or below, or its first sample above, a point of [x_first,
+        x_last]: from ``ceil(x_first + c) - 2`` to ``ceil(x_last + c) + 1``,
+        clamped to the interior.  ``c`` is its shift, a float or a column."""
+        j = np.ceil(np.add.outer(c, (x_first, x_last))) + (-2, 1)
+        j = np.minimum(np.maximum(j, self.margin), self._chain[0] - self.margin - 1).astype(np.int64)
+        return j[..., 0], j[..., 1]
+
+    def _interpolated(self) -> tuple[int, int]:
+        """The grid points ``[g0, g1)`` the report interpolates: those within
+        two phase units and ``2/dphi + 4`` points of the windows' phases.
+
+        Below ``g0`` (from ``g1`` on) every sample within reach is exactly
+        at the left (right) state, so the profile is, and the energy
+        gradient and the residual are exactly 0 there; the points kept on
+        each side of the windows cover every residual that reads a point
+        off the states, and two more cover the rounding of grid point i to
+        ``start + i*delta``.
+        """
+        grid, pad = self._grid, 2 * int(round(1.0 / self.dphi)) + 2
+        g0 = min(max(0, math.floor((self._p_lo - 2.0 - grid.start) / grid.delta) - pad - 2), grid.size)
+        g1 = min(grid.size, math.ceil((self._p_hi + 2.0 - grid.start) / grid.delta) + pad + 2)
+        return g0, max(g0, g1)
+
+    def _outside(self, x: np.ndarray) -> np.ndarray:
+        """The pairs of grid points ``x`` beyond the span held, over the
+        snapshots added so far (see ``HeldPairs.reach``).
+
+        Those points lie more than four phase units beyond every window
+        added, so each snapshot's samples near them are atoms at a state, or
+        its first or last interior atom (where the interior ends nearer).
+        ``_atoms`` of every snapshot, laid out snapshot by snapshot, atoms in
+        order, and stably sorted by phase are a piece of the pool in its
+        order, and each point's pair is read from it as ``np.interp`` reads
+        the pool.
+        """
+        k, s = len(self.times), x.size
+        if not k:
+            return np.concatenate((np.full((1, s), -np.inf), np.full((1, s), np.inf), np.zeros((4, s))))
+        n, r_minus, v_minus, r_plus, v_plus = self._chain
+        c = self._shifts[:k, None]
+        j0, j1 = self._atoms(x[0], x[-1], c)
+        width = j1 - j0 + 1
+        # A (snapshots x widest) grid of atoms; cells past a snapshot's width
+        # get phase +inf, so that they sort last.
+        cols = np.arange(width.max())
+        phi = (j0 + cols) - c
+        phi[cols >= width] = np.inf
+        order = np.argsort(phi, axis=None, kind="stable")
+        phi = phi.ravel()[order]
+        i = np.searchsorted(phi, x, "right")
+        i = np.concatenate((i - 1, i))  # each point's last sample at or below it, then its first above
+        at = np.take(order, i, mode="clip")
+        row = at // cols.size
+        j = j0[row, 0] + at % cols.size
+        lo, hi = self._windows[row].T
+        ends = self._ends[row].T
+        inside = np.where(j == self.margin, ends[:2], ends[2:])
+        rv = np.where(j < lo, [[r_minus], [v_minus]], np.where(j >= hi, [[r_plus], [v_plus]], inside))
+        # -inf where a point has no sample at or below it, +inf where none above
+        p = np.where(i < 0, -np.inf, np.where(i < phi.size, np.take(phi, i, mode="clip"), np.inf))
+        return np.concatenate((p.reshape(2, s), rv.reshape(4, s)))
 
     def _energy(self, state: ChainState) -> float:
         """``total_energy(state, pot)``: one ``np.sum`` of the energy density
@@ -475,40 +546,6 @@ class EnergyLaw:
         self._live = None if state.window is None else state.r
         return float(np.sum(self._density))
 
-    def _block_pool(self, x_first: float, x_last: float, shifts: np.ndarray, windows: tuple):
-        """The pooled samples that ``np.interp`` reads on [x_first, x_last], and a
-        few more, sorted by phase.
-
-        Of every snapshot's interior atoms, at phases ``j - c``, these are
-        the ones from ``ceil(x_first + c) - 2`` to ``ceil(x_last + c) + 1``,
-        clamped to the interior (see the module docstring for why that holds
-        what ``np.interp`` reads).  They are laid out snapshot by snapshot,
-        atoms in order, as in a pool of every snapshot's whole interior, so
-        the stable sort puts equal phases in the same order as a sort of that
-        pool does.  ``windows`` is ``(lo, lo + size, offset - lo)`` per
-        snapshot, as columns: atom j's sample is at ``j + offset - lo`` in the
-        buffers inside its window, and in the left or the right state's slot
-        (see ``_residual``) outside.
-        """
-        n = self._chain[0]
-        first, last = self.margin, n - self.margin - 1  # the interior atoms
-        j0 = np.minimum(np.maximum(np.ceil(x_first + shifts) - 2, first), last).astype(np.int64)
-        j1 = np.minimum(np.maximum(np.ceil(x_last + shifts) + 1, first), last).astype(np.int64)
-        width = j1 - j0 + 1
-
-        # A (snapshots x widest) grid of atoms, which flattens snapshot by
-        # snapshot, atoms in order; cells past a snapshot's width get phase
-        # +inf, so that they sort last and are cut off.
-        cols = np.arange(width.max())
-        j = j0[:, None] + cols
-        phi = j - shifts[:, None]
-        phi[cols >= width[:, None]] = np.inf
-        order = np.argsort(phi, axis=None, kind="stable")[:width.sum()]
-        lo, hi, base = windows
-        at = np.where(j < lo, self._kept, np.where(j < hi, j + base, self._kept + 1))
-        at = at.ravel()[order]
-        return phi.ravel()[order], self._r[at], self._v[at]
-
     def _residual(self) -> Iterator[tuple[int, np.ndarray]]:
         """The energy-law residual on the uniform phase grid, block by block.
 
@@ -516,56 +553,27 @@ class EnergyLaw:
         on.  The blocks follow each other without a gap, and every entry
         outside them is exactly 0.
         """
-        n, r_minus, v_minus, r_plus, v_plus = self._chain
-        sigma, dphi, m = self.sigma, self.dphi, self.margin
-        shifts = sigma * np.array(self.times)
-        lo, size, offset = np.array(self._windows).T
-        windows = lo[:, None], (lo + size)[:, None], (offset - lo)[:, None]
-        # the left and the right state, in the two slots after the pooled
-        # samples, for the atoms outside a snapshot's window
-        kept = self._kept
-        self._r = _grown(self._r, kept, kept + 2)
-        self._v = _grown(self._v, kept, kept + 2)
-        self._r[kept:kept + 2] = r_minus, r_plus
-        self._v[kept:kept + 2] = v_minus, v_plus
-        # The grid spans the phases of every snapshot's whole interior ...
-        first = np.min(m - shifts)
-        last = np.max(n - m - 1 - shifts)
+        sigma, dphi = self.sigma, self.dphi
         shift = int(round(1.0 / dphi))
-        grid = _ArangeGrid(first + 1.5, last - 1.5, dphi)
-        if grid.size <= 2 * shift:
+        if self._grid.size <= 2 * shift:
             raise ValueError("snapshot phases span too short a profile")
-        # ... but is interpolated only near the windows' phases.  Below p_lo
-        # (above p_hi) every pooled sample, and so the profile, is exactly at
-        # the left (right) state, which makes the energy gradient and the
-        # residual exactly 0 there; 2*shift + 2 state points on each side of
-        # the slice cover every residual that reads a point off the states.
-        # Grid point i is start + i*delta up to rounding, so two more points
-        # on each side cover every one in [p_lo, p_hi].
-        p_lo = np.min(lo - shifts) - 2.0
-        p_hi = np.max(lo + size - 1 - shifts) + 2.0
-        pad = 2 * shift + 2
-        g0 = max(0, math.floor((p_lo - grid.start) / grid.delta) - pad - 2)
-        g1 = min(grid.size, math.ceil((p_hi - grid.start) / grid.delta) + pad + 2)
-        # Block by block: np.interp at x reads only the last pooled sample at
-        # or below x and the one after it in the sorted pool, and the block's
-        # pool holds both, in the same order (see _block_pool).  Every grid
-        # point lies inside the pool's phases, so neither end value is used.
-        # Residual i reads the profile at grid points i to i + 2*shift, so a
-        # block of residuals [b0, b1) needs the points [b0, b1 + 2*shift):
-        # the last 2*shift of the previous block's points, and new ones.
-        # np.gradient's central difference (e[k+1] - e[k-1]) / (2*dphi) is
-        # all the residual reads of it: its one-sided ends fall in the cut
-        # shift points at each end.
+        g0, g1 = self._interpolated()
+        # Block by block: np.interp at x reads only the held pair of x, so a
+        # block interpolates from its own points' pairs (see HeldPairs).
+        # Every grid point lies inside the pool's phases, so neither end
+        # value is used.  Residual i reads the profile at grid points i to
+        # i + 2*shift, so a block of residuals [b0, b1) needs the points
+        # [b0, b1 + 2*shift): the last 2*shift of the previous block's
+        # points, and new ones.  np.gradient's central difference
+        # (e[k+1] - e[k-1]) / (2*dphi) is all the residual reads of it: its
+        # one-sided ends fall in the cut shift points at each end.
         n_res = g1 - g0 - 2 * shift
         block = max(1, int(round(_BLOCK / dphi)))
         r_g = v_g = np.empty(0)
         for b0 in range(0, n_res, block):
             k = min(block, n_res - b0)  # residuals in this block
-            x = grid.points(g0 + b0 + r_g.size, g0 + b0 + k + 2 * shift)
-            phi, r, v = self._block_pool(x[0], x[-1], shifts, windows)
-            r_g = np.concatenate((r_g, np.interp(x, phi, r)))
-            v_g = np.concatenate((v_g, np.interp(x, phi, v)))
+            r, v = self._pairs.interp(g0 + b0 + r_g.size, g0 + b0 + k + 2 * shift)
+            r_g, v_g = np.concatenate((r_g, r)), np.concatenate((v_g, v))
             e = 0.5 * v_g**2 + self.pot.phi(r_g)
             de = (e[shift + 1:shift + 1 + k] - e[shift - 1:shift - 1 + k]) / (2.0 * dphi)
             fp = self.pot.phi_prime(r_g)
@@ -577,6 +585,8 @@ class EnergyLaw:
     def report(self) -> EnergyLawReport:
         if len(self.times) < 2:
             raise ValueError("need at least two snapshots")
+        if len(self.times) < len(self._announced):
+            raise ValueError(f"{len(self.times)} of {len(self._announced)} announced snapshots added")
         residual_sup = 0.0
         for _, res in self._residual():
             residual_sup = float(np.max(np.abs(res), initial=residual_sup))
@@ -613,7 +623,7 @@ def check_energy_law(
     drift of the total energy corrected by the accumulated boundary flux.
     A loop of ``EnergyLaw.add`` over the snapshots.
     """
-    law = EnergyLaw(pot, sigma, margin_atoms, dphi)
+    law = EnergyLaw(pot, sigma, [s.t for s in snapshots], margin_atoms, dphi)
     for s in snapshots:
         law.add(s)
     return law.report()
@@ -737,7 +747,9 @@ def verify_front(
     r_prof, _ = denormalize_profile(profile, fd)
     level = 0.5 * (fd.v_minus + fd.v_plus)
     sup_errors, crossings = [], []
-    law = EnergyLaw(pot, fd.sigma, margin_atoms=margin)
+    # the start and every stride-th step, stamped as evolve stamps them
+    times = [state.t + step * dt for step in range(0, _step_count(dt, T) + 1, stride)]
+    law = EnergyLaw(pot, fd.sigma, times, margin_atoms=margin)
 
     def sup_error(s: ChainState, head: int, tail: int) -> float:
         # the atoms whose phase j - c may lie on [nodes[0], nodes[-1]], with

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -229,7 +230,7 @@ def test_verify_loads_no_solver(solved_run):
     assert proc.returncode == 0, proc.stderr
     pkg = "fpufronts."
     assert json.loads(proc.stdout.splitlines()[-1]) == ["fpufronts"] + [
-        pkg + m for m in ("cli", "errors", "grid", "lattice", "macroscopic", "potentials")]
+        pkg + m for m in ("cli", "errors", "grid", "interp", "lattice", "macroscopic", "potentials")]
 
 
 def test_lazy_namespace_resolves_every_export():
@@ -821,9 +822,12 @@ def test_sweep_command(tmp_path, capsys):
 
 
 def test_sweep_of_a_table_exits_2(tmp_path, capsys):
-    # a sweep sets beta, which a user_table does not take
+    # a sweep sets beta, which a user_table does not take; the potentials
+    # are built before the worker pool, so no pool is started
     cfg = table_config(tmp_path / "table.json")
-    code = main(["sweep", str(cfg), "--betas", "0.05,0.3", "--output-dir", str(tmp_path / "sw")])
+    with mock.patch("concurrent.futures.ProcessPoolExecutor",
+                    side_effect=AssertionError("worker pool started")):
+        code = main(["sweep", str(cfg), "--betas", "0.05,0.3", "--output-dir", str(tmp_path / "sw")])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"

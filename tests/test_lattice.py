@@ -356,7 +356,7 @@ def assert_energy_law_is_full_pool(snaps, pot, sigma):
     residual entry: those it computes, and the zeros it leaves out.  Each
     block size of the report gives these floats."""
     res, drift = full_pool_energy_law(snaps, pot, sigma)
-    law = EnergyLaw(pot, sigma)
+    law = EnergyLaw(pot, sigma, [s.t for s in snaps])
     for s in snaps:
         law.add(s)
     for block in REPORT_BLOCKS:
@@ -419,7 +419,7 @@ def test_energy_law_equals_full_pool(front_005, chain):
     snaps = [state] + snaps
     law = assert_energy_law_is_full_pool(snaps, pot, 1.0)
     assert measure_front_speed(snaps) == reference_front_speed(snaps)
-    kept = sum(size for _, size, _ in law._windows)
+    kept = sum(hi - lo for lo, hi in law._windows)
     interior = len(snaps) * (state.n_atoms - 40)
     if chain is _inexact_tails_chain:
         assert kept == interior
@@ -457,7 +457,9 @@ def test_energy_law_energies_equal_total_energy(front_005, chain):
     # its narrower windows leave atoms that the first run moved.
     pot, gamma = front_005["pot"], front_005["gamma"]
     state, T, stride = chain(front_005)
-    law = EnergyLaw(pot, 1.0)
+    steps = range(stride, int(round(T / state.dt)) + 1, stride)
+    run = [state.t + step * state.dt for step in steps]
+    law = EnergyLaw(pot, 1.0, [state.t] + run + run)
     copies = []
 
     def observe(s):
@@ -511,35 +513,76 @@ def test_observe_sees_the_returned_snapshots(front_005):
         evolve(state, pot, 1.0, observe=seen.append)
 
 
-def test_energy_law_report_memory_is_one_block():
-    # The windows of the 8000-atom verify over T = 400 (stride 73, dt 0.01):
-    # 548 snapshots whose kept atoms reach from the front back to the
-    # radiation behind it, 38 to about 750 atoms, about 760 phase units in
-    # all.  A pool of every snapshot over that whole span is 416 k samples,
-    # and a report that sorts it at once peaks at 18 MB; one that pools by
-    # blocks of 32 phase units but holds its residual's grid-length arrays
-    # near 2 MB; 8-unit blocks with the residual evaluated block by block
-    # near 0.5 MB.
+# The snapshot times of the 8000-atom verify over T = 400 (stride 73, dt 0.01).
+VERIFY_TIMES = [k * 73 * 0.01 for k in range(548)]
+
+
+def verify_like_snapshots():
+    """548 snapshots of an 8000-atom chain as the verify over T = 400 sees
+    them: a live state whose window of random atoms widens from 38 atoms to
+    about 750, reaching from the front back to the radiation behind it, and
+    whose other atoms sit at (-1, 1) on the left and (1, -1) on the right."""
+    n = 8000
+    rng = np.random.default_rng(0)
+    r, v = np.empty(n), np.empty(n)
+    for t in VERIFY_TIMES:
+        lo, hi = 3981 - int(0.8 * t), 4019 + int(t)
+        r[:lo], v[:lo], r[hi:], v[hi:] = -1.0, 1.0, 1.0, -1.0
+        r[lo:hi], v[lo:hi] = rng.uniform(-0.9, 0.9, (2, hi - lo))
+        yield ChainState(r, v, t, 0.01, -1.0, 1.0, 1.0, -1.0, (lo, hi))
+
+
+def traced_peak(run):
     import tracemalloc
 
-    pot = QuarticPotential(0.05)
-    n = 8000
-    j = np.arange(n)
-    rng = np.random.default_rng(0)
-    law = EnergyLaw(pot, 1.0)
-    for k in range(548):
-        t = k * 73 * 0.01
-        lo, hi = 3981 - int(0.8 * t), 4019 + int(t)
-        r = np.where(j < lo, -1.0, np.where(j < hi, rng.uniform(-0.9, 0.9, n), 1.0))
-        v = np.where(j < lo, 1.0, np.where(j < hi, rng.uniform(-0.9, 0.9, n), -1.0))
-        law.add(ChainState(r, v, t, 0.01, -1.0, 1.0, 1.0, -1.0))
     tracemalloc.start()
     try:
-        law.report()
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1e6
+
+
+def test_energy_law_report_memory_is_one_block():
+    # A pool of every snapshot over the windows' whole phase span (about
+    # 760 phase units) is 416 k samples, and a report that sorts it at once
+    # peaks at 18 MB; one that holds its residual's grid-length arrays near
+    # 2 MB.  The report interpolates 8 phase units at a time.
+    law = EnergyLaw(QuarticPotential(0.05), 1.0, VERIFY_TIMES)
+    for s in verify_like_snapshots():
+        law.add(s)
+    assert traced_peak(law.report) < 1e6
+
+
+def test_energy_law_holds_two_samples_per_phase_point():
+    # Pooling the windows' atoms held 214 k samples of r and v, 3.4 MB, in
+    # buffers that doubled to 311 k entries, 5 MB, and held the old half
+    # beside them while growing.  The two samples np.interp reads per point
+    # of the grid near the windows, about 15.4 k points, take seven arrays
+    # of 0.12 MB, in buffers with room to grow.
+    def run():
+        law = EnergyLaw(QuarticPotential(0.05), 1.0, VERIFY_TIMES)
+        for s in verify_like_snapshots():
+            law.add(s)
+        law.report()
+
+    assert traced_peak(run) < 3e6
+
+
+def test_energy_law_refuses_unannounced_snapshots():
+    pot = QuarticPotential(0.05)
+    state = constant_state(0.3, 0.1, n=100)
+    law = EnergyLaw(pot, 1.0, [0.0, 0.5, 1.0])
+    law.add(state)
+    with pytest.raises(ValueError, match="announced time 0.5"):
+        law.add(ChainState(state.r, state.v, 0.25, 0.05, 0.3, 0.1, 0.3, 0.1))
+    law.add(ChainState(state.r, state.v, 0.5, 0.05, 0.3, 0.1, 0.3, 0.1))
+    with pytest.raises(ValueError, match="2 of 3 announced"):
+        law.report()
+    law.add(ChainState(state.r, state.v, 1.0, 0.05, 0.3, 0.1, 0.3, 0.1))
+    with pytest.raises(ValueError, match="announced time none"):
+        law.add(ChainState(state.r, state.v, 1.5, 0.05, 0.3, 0.1, 0.3, 0.1))
+    assert law.report().residual_sup == 0.0
 
 
 def test_verify_front_default_run_equals_whole_chain(front_005):

@@ -1,7 +1,7 @@
 """Property tests of the averaging operator, the quadratic part and the
 gradient over random aligned grids, at the tolerances of the fixed-grid tests,
 of the tabulated potential against SciPy's PCHIP as an oracle, of the
-block-wise energy-law pool against a sort of every snapshot's whole interior
+streamed energy law against a sort of every snapshot's whole interior
 and of its phase grid against ``np.arange``, of ``verify_front``'s
 window-only reductions (the state runs, the crossing and the whole
 verification) against the whole chain, of the closed-form front speed
@@ -370,12 +370,17 @@ def window_snapshots(n, sigma, dt, stride, n_snaps, gap, seed):
 # (23.88 + 0.12, say) and its float sum rounds up to that integer
 @example(n=322, sigma=1.0, negative=False, dt=0.01, stride=3, dphi=0.25, n_snaps=5,
          gap=False, seed=31)
+# the windows of snapshots 1 and 3 reach phases below, and that of snapshot
+# 6 phases above, every earlier window's by more than the points held, so
+# the held points grow over the pairs of the earlier snapshots' atoms
+@example(n=360, sigma=0.5, negative=False, dt=0.05, stride=7, dphi=0.05, n_snaps=8,
+         gap=False, seed=8)
 def test_block_pool_equals_full_pool(n, sigma, negative, dt, stride, dphi, n_snaps, gap, seed):
     sigma = -sigma if negative else sigma
     snaps = window_snapshots(n, sigma, dt, stride, n_snaps, gap, seed)
     pot = QuarticPotential(0.05)
     res, drift = full_pool_energy_law(snaps, pot, sigma, dphi=dphi)
-    law = EnergyLaw(pot, sigma, dphi=dphi)
+    law = EnergyLaw(pot, sigma, [s.t for s in snaps], dphi=dphi)
     for s in snaps:
         law.add(s)
     report = law.report()
@@ -385,8 +390,8 @@ def test_block_pool_equals_full_pool(n, sigma, negative, dt, stride, dphi, n_sna
     assert report.residual_sup == float(np.max(np.abs(res)))
     assert report.energy_drift_rel == drift
     # the kept phases span at least three blocks
-    lo, size, _ = np.array(law._windows).T
-    phases = np.concatenate([lo - sigma * np.array(law.times), lo + size - sigma * np.array(law.times)])
+    lo, hi = np.array(law._windows).T
+    phases = np.concatenate([lo - sigma * np.array(law.times), hi - sigma * np.array(law.times)])
     assert np.ptp(phases) >= 3 * lattice._BLOCK
 
 
