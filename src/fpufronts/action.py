@@ -43,9 +43,9 @@ class ActionReport:
 
 
 def _require_exact_tails(profile: GridProfile) -> None:
-    k2 = 2 * profile.K
+    head, tail = profile.pinned
     v = profile.values
-    if not (np.all(v[:k2] == profile.left_value) and np.all(v[-k2:] == profile.right_value)):
+    if not (np.all(v[head] == profile.left_value) and np.all(v[tail] == profile.right_value)):
         raise TailNotConverged(
             "outer nodes must agree exactly with the boundary extension"
         )
@@ -56,8 +56,8 @@ class Evaluation:
 
     It extends W, averages it, and forms from that what the functionals, the
     gradient and the solver read: N, P, L, ``step_target`` = A phi'(A W) on
-    the grid, and the gradient W - A phi'(A W) with its pinned boundary
-    region (the outer window width, 2K nodes, at each end) zeroed.  Each is
+    the grid, and the gradient W - A phi'(A W) with its pinned window
+    (``GridProfile.pinned``) zeroed.  Each is
     computed once, when first read, so ``pot`` may be None when only N is
     read.  Tails are not checked here; the public functionals do that.
     """
@@ -90,10 +90,9 @@ class Evaluation:
 
     @cached_property
     def grad(self) -> np.ndarray:
-        k2 = 2 * self.profile.K
         g = self.profile.values - self.step_target
-        g[:k2] = 0.0
-        g[-k2:] = 0.0
+        for end in self.profile.pinned:
+            g[end] = 0.0
         return g
 
     @cached_property
@@ -127,9 +126,8 @@ def quadratic_M(perturbation: GridProfile) -> float:
     """Quadratic form on compactly supported perturbations; nonnegative."""
     if perturbation.left_value != 0.0 or perturbation.right_value != 0.0:
         raise NonZeroTails("perturbation extension must be zero")
-    k2 = 2 * perturbation.K
     v = perturbation.values
-    if np.any(v[:k2] != 0.0) or np.any(v[-k2:] != 0.0):
+    if any(np.any(v[end] != 0.0) for end in perturbation.pinned):
         raise NonZeroTails("perturbation must vanish on the boundary region")
     return Evaluation(perturbation, None).N
 

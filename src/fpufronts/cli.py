@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigInvalid, EmptyZeroSet, FpuFrontsError, WindowMisaligned
-from .potentials import Potential, check_assumptions, compute_invariant_bound, make_potential
+from .potentials import (LIST_PARAMS, Potential, check_assumptions, compute_invariant_bound,
+                         make_potential)
 
 # Every command builds a potential; the other modules are imported by the
 # functions that use them, so that a command loads only what it runs.
@@ -44,7 +45,6 @@ _GRID_KEYS = {"L", "D"}
 _SOLVER_KEYS = {"lambda0", "grad_tol", "max_iters"}
 _STATES_KEYS = {"r_minus", "r_plus", "v_minus", "sigma_sign"}
 _INTEGER_KEYS = {"D", "max_iters"}
-_SAMPLE_KEYS = {"u_samples", "phi_samples"}
 
 
 class ConfigError(Exception):
@@ -81,7 +81,7 @@ def _check_numbers(raw: dict) -> None:
         raise ConfigError("potential params must be a JSON object")
     for key, value in params.items():
         # a tabulated potential takes lists of samples, every other parameter a number
-        for x in value if key in _SAMPLE_KEYS and isinstance(value, list) else [value]:
+        for x in value if key in LIST_PARAMS and isinstance(value, list) else [value]:
             _check_number(x, f"potential params {key}")
     for section in ("grid", "solver", "states"):
         for key, value in raw.get(section, {}).items():
@@ -137,10 +137,10 @@ def config_front_data(states: dict, pot: Potential) -> FrontData:
 
 def config_grid(config: dict) -> tuple[float, int]:
     """The grid (L, D) of a config, checked so that the averaging window aligns."""
-    from .grid import check_grid
+    from .grid import DEFAULT_D, DEFAULT_L, check_grid
 
     grid = config.get("grid", {})
-    L, D = grid.get("L", 20.0), grid.get("D", 3200)
+    L, D = grid.get("L", DEFAULT_L), grid.get("D", DEFAULT_D)
     try:
         check_grid(L, D)
     except (ValueError, WindowMisaligned) as exc:
@@ -383,38 +383,47 @@ def cmd_solve(args) -> int:
 
 def _check_verify_args(args) -> None:
     """Refuse chain-run arguments that leave nothing to integrate or compare."""
-    if not 0.0 < args.dt <= 0.05:
-        raise ConfigError(f"verify --dt must lie in (0, 0.05], not {args.dt!r}")
+    from .lattice import MARGIN_ATOMS, MAX_DT, chain_clock
+
+    if not 0.0 < args.dt <= MAX_DT:
+        raise ConfigError(f"verify --dt must lie in (0, {MAX_DT}], not {args.dt!r}")
     if not (math.isfinite(args.time) and args.time > 0.0):
         raise ConfigError(f"verify --time must be finite and positive, not {args.time!r}")
     if args.stride < 1:
         raise ConfigError(f"verify --stride must be at least 1, not {args.stride}")
-    steps = args.time / args.dt  # the run takes round(steps) leapfrog steps
-    if not (math.isfinite(steps) and round(steps) >= args.stride):
+    try:
+        steps = chain_clock(0.0, args.dt, args.time)[0]
+    except OverflowError:  # --time / --dt is no finite number of steps
+        steps = 0
+    if steps < args.stride:
         raise ConfigError(
             f"verify --time {args.time!r} at --dt {args.dt!r} must take at least "
             f"--stride {args.stride} steps, so that a snapshot is taken"
         )
-    if args.atoms <= 40:
-        raise ConfigError(
-            f"verify --atoms must exceed 40 (two 20-atom margins), not {args.atoms}"
-        )
+    if args.atoms <= 2 * MARGIN_ATOMS:
+        raise ConfigError(f"verify --atoms must exceed {2 * MARGIN_ATOMS} "
+                          f"(two {MARGIN_ATOMS}-atom margins), not {args.atoms}")
 
 
-# The number fields of a run summary that verify reads; grid.D is an integer.
-_SUMMARY_NUMBERS = ("final_grad_norm", "gamma", "grid.L", "grid.D", "front_data.r_minus",
-                    "front_data.r_plus", "front_data.v_minus", "front_data.v_plus",
-                    "front_data.sigma")
+# The number fields of a run summary that verify reads besides the front
+# data's; grid.D is an integer.
+_SUMMARY_NUMBERS = ("final_grad_norm", "gamma", "grid.L", "grid.D")
 
 
-def read_run_summary(path: Path) -> dict:
-    """The ``summary.json`` of a solve, with every field ``verify`` reads checked.
+def read_run_summary(path: Path) -> tuple[dict, FrontData]:
+    """The ``summary.json`` of a solve, with every field ``verify`` reads
+    checked, and the ``FrontData`` of its ``front_data``.
 
     Raises ConfigError for a file that is not JSON, a field that is missing,
     or a field of another type: ``outcome`` must be a string,
     ``front_data.parabola`` a list of three finite numbers, ``grid.D`` an
-    integer and the other fields of ``_SUMMARY_NUMBERS`` finite numbers.
+    integer, and the other fields of ``_SUMMARY_NUMBERS`` and of
+    ``FrontData`` finite numbers, checked in that order.
     """
+    from dataclasses import fields
+
+    from .macroscopic import FrontData
+
     where = f"run summary {path}"
     try:
         summary = json.loads(path.read_text())
@@ -432,7 +441,8 @@ def read_run_summary(path: Path) -> dict:
     outcome = field("outcome")
     if not isinstance(outcome, str):
         raise ConfigError(f"{where}: outcome must be a string, not {json.dumps(outcome)}")
-    for name in _SUMMARY_NUMBERS:
+    numbers = [f.name for f in fields(FrontData) if f.name != "parabola"]
+    for name in (*_SUMMARY_NUMBERS, *(f"front_data.{n}" for n in numbers)):
         _check_number(field(name), f"{where}: {name}", integer=name == "grid.D")
     parabola = field("front_data.parabola")
     if not (isinstance(parabola, list) and len(parabola) == 3):
@@ -440,12 +450,12 @@ def read_run_summary(path: Path) -> dict:
                           f"not {json.dumps(parabola)}")
     for x in parabola:
         _check_number(x, f"{where}: front_data.parabola")
-    return summary
+    front = summary["front_data"]
+    return summary, FrontData(**{n: front[n] for n in numbers}, parabola=tuple(parabola))
 
 
 def cmd_verify(args) -> int:
     from .lattice import verify_front
-    from .macroscopic import FrontData
 
     _check_verify_args(args)
     config = load_config(args.config)
@@ -454,19 +464,10 @@ def cmd_verify(args) -> int:
     profile_path = run_dir / "profile.csv"
     if not summary_path.exists() or not profile_path.exists():
         raise FileNotFoundError(f"run artifacts not found in {run_dir}")
-    summary = read_run_summary(summary_path)
+    summary, fd = read_run_summary(summary_path)
     outcome = summary["outcome"]
     L, D = summary["grid"]["L"], summary["grid"]["D"]
     gamma = summary["gamma"]  # bounds the chain's strains
-    front = summary["front_data"]
-    fd = FrontData(
-        r_minus=front["r_minus"],
-        r_plus=front["r_plus"],
-        v_minus=front["v_minus"],
-        v_plus=front["v_plus"],
-        sigma=front["sigma"],
-        parabola=tuple(front["parabola"]),
-    )
     if outcome != "front_converged":
         raise FpuFrontsError(f"profile outcome is {outcome!r}, not a front")
 
@@ -507,7 +508,7 @@ def cmd_diagnose(args) -> int:
     config = load_config(args.config)
     pot = build_potential(config)
     L, D = config_grid(config)
-    profile = read_profile_csv(Path(args.profile), L, int(D))
+    profile = read_profile_csv(Path(args.profile), L, D)
     gamma, gamma_source = flow_gamma(pot)
     sep = separate_phases(apply_averaging(profile), gamma)
     print(json.dumps({**sep.to_dict(), "gamma": gamma, "gamma_source": gamma_source}, indent=2))

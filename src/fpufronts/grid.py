@@ -25,6 +25,10 @@ import numpy as np
 
 from .errors import GridMismatch, WindowMisaligned
 
+# The grid of a config that sets none: [-20, 20] with 3200 cells.
+DEFAULT_L = 20.0
+DEFAULT_D = 3200
+
 
 def check_grid(L: float, D: int) -> None:
     """Reject a grid on [-L, L] with D cells that no profile can live on.
@@ -74,6 +78,13 @@ class GridProfile:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(-self.L, self.L, self.D + 1)
+
+    @property
+    def pinned(self) -> tuple[slice, slice]:
+        """The pinned window: the outer window width, 2K nodes, at the left
+        and at the right end, where a profile is held at its boundary values."""
+        k2 = 2 * self.K
+        return slice(None, k2), slice(-k2, None)
 
     def with_values(self, values: np.ndarray) -> "GridProfile":
         return GridProfile(self.L, self.D, np.asarray(values, dtype=float),

@@ -228,16 +228,30 @@ def _state_runs(state: ChainState) -> tuple[int, int]:
     return lo + head, n - hi + tail
 
 
-def _step_count(dt: float, T: float) -> int:
-    """The number of steps ``evolve`` takes over ``T`` at step ``dt``.
+# The largest leapfrog step of a chain run.
+MAX_DT = 0.05
+# The atoms at each end of a chain that the chain check leaves out: its sup
+# error and its energy law read only the atoms inside both margins.
+MARGIN_ATOMS = 20
 
-    Raises ValueError unless ``0 < dt <= 0.05`` and ``T`` is finite and ``>= 0``.
+
+def chain_clock(t0: float, dt: float, T: float,
+                stride: int | None = None) -> tuple[int, list[float]]:
+    """The clock of a chain run of ``T`` at step ``dt`` from time ``t0``.
+
+    Returns its step count ``round(T/dt)`` and the times of the states
+    after the steps 0, ``stride``, 2 ``stride``, ... up to that count, or,
+    without a ``stride``, after step 0 and the last step: the state after
+    step k is at ``t0 + k*dt``.  ``evolve`` stamps its states with these
+    times.  Raises ValueError unless ``0 < dt <= MAX_DT`` and ``T`` is
+    finite and ``>= 0``.
     """
-    if not 0.0 < dt <= 0.05:
-        raise ValueError(f"dt must lie in (0, 0.05], not {dt!r}")
+    if not 0.0 < dt <= MAX_DT:
+        raise ValueError(f"dt must lie in (0, {MAX_DT}], not {dt!r}")
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"T must be finite and at least 0, not {T!r}")
-    return int(round(T / dt))
+    n = int(round(T / dt))
+    return n, [t0 + k * dt for k in (range(0, n + 1, stride) if stride else (0, n))]
 
 
 def evolve(
@@ -253,8 +267,9 @@ def evolve(
     Each step is a half velocity kick, a full strain drift, and a second half
     kick; the scheme is time-reversible up to rounding.  The force of the
     second kick is that of the next step's first kick, so it is evaluated,
-    and multiplied by ``dt/2``, once per step.  Raises ValueError unless
-    ``0 < dt <= 0.05`` and ``T`` is finite and ``>= 0``, and BlowUp at the first
+    and multiplied by ``dt/2``, once per step.  The steps and the states'
+    times are ``chain_clock``'s, which raises ValueError unless ``0 < dt <=
+    MAX_DT`` and ``T`` is finite and ``>= 0``.  Raises BlowUp at the first
     step after which a strain leaves ten times the invariant interval or is
     not finite (a NaN strain compares false with every bound, so the test is
     ``not |r| <= bound``).  With ``snapshot_stride`` set, also returns the
@@ -282,7 +297,7 @@ def evolve(
     view of the velocity buffer, whose last slot is the ghost ``v_plus``
     (see the module docstring).
     """
-    n_steps = _step_count(state.dt, T)
+    n_steps, (_, t_end) = chain_clock(state.t, state.dt, T)
     if observe is not None and not snapshot_stride:
         raise ValueError("observe needs a snapshot_stride")
     dt = state.dt
@@ -309,8 +324,10 @@ def evolve(
         def observe(s: ChainState) -> None:
             snapshots.append(ChainState(s.r.copy(), s.v.copy(), s.t, s.dt,
                                         s.r_minus, s.v_minus, s.r_plus, s.v_plus))
-    # the steps after which to observe a snapshot and to check the guard bands
+    # the steps after which to observe a snapshot and to check the guard
+    # bands, and the snapshots' times (the first is the start's)
     snap_at = snapshot_stride - 1 if snapshot_stride else -1
+    times = chain_clock(state.t, dt, T, snapshot_stride)[1]
     check_at = _CHECK_EVERY - 1
     maximum = np.maximum.reduce
     for step in range(n_steps):
@@ -333,7 +350,7 @@ def evolve(
             raise BlowUp(f"strain exceeded 10*gamma at step {step}")
         if step == snap_at:
             snap_at += snapshot_stride
-            observe(ChainState(r, v, state.t + (step + 1) * dt, dt,
+            observe(ChainState(r, v, times[(step + 1) // snapshot_stride], dt,
                                state.r_minus, state.v_minus,
                                state.r_plus, state.v_plus, (lo, hi)))
         if step == check_at:
@@ -344,7 +361,7 @@ def evolve(
             if hi < n and not _at_state(rw[-_GUARD:], vw[-_GUARD:],
                                         state.r_plus, state.v_plus).all():
                 hi, resize = min(n, hi + _CHUNK), True
-    final = ChainState(r, v, state.t + n_steps * dt, dt,
+    final = ChainState(r, v, t_end, dt,
                        state.r_minus, state.v_minus,
                        state.r_plus, state.v_plus)
     if snapshots is not None:
@@ -384,8 +401,9 @@ class EnergyLaw:
 
     ``times`` announces the snapshots' times, in the order ``add`` takes
     them: the phase grid spans every snapshot's interior, so it depends on
-    them, and ``add`` refuses a snapshot at any other time.  ``add`` reads a snapshot, which
-    may be a live ``evolve`` state; ``report`` evaluates the law over all
+    them.  ``add`` reads a snapshot, which may be a live ``evolve`` state,
+    and refuses one at any other time, or with another atom count or other
+    states than the first snapshot's; ``report`` evaluates the law over all
     snapshots announced (see ``check_energy_law``).
 
     Per snapshot it keeps ``t``, the total energy, the boundary flux, the
@@ -402,8 +420,8 @@ class EnergyLaw:
     the windows' phase span, not with the snapshots.
     """
 
-    def __init__(self, pot: Potential, sigma: float, times, margin_atoms: int = 20,
-                 dphi: float = 0.05):
+    def __init__(self, pot: Potential, sigma: float, times,
+                 margin_atoms: int = MARGIN_ATOMS, dphi: float = 0.05):
         self.pot = pot
         self.sigma = sigma
         self.margin = margin_atoms
@@ -436,10 +454,14 @@ class EnergyLaw:
         if k == len(self._announced) or state.t != self._announced[k]:
             expected = self._announced[k] if k < len(self._announced) else "none"
             raise ValueError(f"snapshot {k} is at t = {state.t!r}, not at the announced time {expected}")
+        chain = (n, state.r_minus, state.v_minus, state.r_plus, state.v_plus)
         if k == 0:
-            self._chain = (n, state.r_minus, state.v_minus, state.r_plus, state.v_plus)
+            self._chain = chain
             self._grid = _ArangeGrid(np.min(m - self._shifts) + 1.5,
                                      np.max(n - m - 1 - self._shifts) - 1.5, self.dphi)
+        elif chain != self._chain:
+            raise ValueError(f"snapshot {k} has (atoms, r_minus, v_minus, r_plus, v_plus) = "
+                             f"{chain}, not the first snapshot's {self._chain}")
         lo = min(max(head, m), n - m - 1)
         hi = max(min(n - tail, n - m), lo + 1)
         c = self._shifts[k]
@@ -607,7 +629,7 @@ def check_energy_law(
     snapshots: list[ChainState],
     pot: Potential,
     sigma: float,
-    margin_atoms: int = 20,
+    margin_atoms: int = MARGIN_ATOMS,
     dphi: float = 0.05,
 ) -> EnergyLawReport:
     """Residual of the travelling-wave energy law along the reconstructed profile.
@@ -733,7 +755,7 @@ def verify_front(
     atoms with the front centred mid-chain, evolves them for ``T`` at step
     ``dt`` and reduces the start and every ``stride``-th step, each as
     ``evolve`` makes it, to three things: the sup error, over the
-    atoms inside two 20-atom margins, between the strain and the front
+    atoms inside two ``MARGIN_ATOMS`` margins, between the strain and the front
     profile translated to the phases ``j - n_atoms/2 - sigma t``; the
     mid-level ``front_crossing`` of the velocity; and the snapshot's row of
     the ``EnergyLaw``.  Then fits the front speed through the crossings and
@@ -741,15 +763,13 @@ def verify_front(
     window of atoms and give the whole chain's floats (see the module
     docstring for why).
     """
-    margin = 20
     state = _chain_on(profile, fd, n_atoms, n_atoms / 2.0, dt)
     nodes = profile.nodes
     r_prof, _ = denormalize_profile(profile, fd)
     level = 0.5 * (fd.v_minus + fd.v_plus)
     sup_errors, crossings = [], []
-    # the start and every stride-th step, stamped as evolve stamps them
-    times = [state.t + step * dt for step in range(0, _step_count(dt, T) + 1, stride)]
-    law = EnergyLaw(pot, fd.sigma, times, margin_atoms=margin)
+    # the start and every stride-th step, as evolve stamps them
+    law = EnergyLaw(pot, fd.sigma, chain_clock(state.t, dt, T, stride)[1])
 
     def sup_error(s: ChainState, head: int, tail: int) -> float:
         # the atoms whose phase j - c may lie on [nodes[0], nodes[-1]], with
@@ -758,8 +778,8 @@ def verify_front(
         on_nodes = math.floor(nodes[0] + c) - 1, math.ceil(nodes[-1] + c) + 2
         # ... spanned together with the atoms off the states, inside the
         # margins; every other atom is at the state np.interp returns there
-        a = max(min(head, on_nodes[0]), margin)
-        b = min(max(n_atoms - tail, on_nodes[1]), n_atoms - margin)
+        a = max(min(head, on_nodes[0]), MARGIN_ATOMS)
+        b = min(max(n_atoms - tail, on_nodes[1]), n_atoms - MARGIN_ATOMS)
         if a >= b:
             return 0.0
         r_ref = np.interp(np.arange(a, b, dtype=float) - n_atoms / 2.0 - fd.sigma * s.t,

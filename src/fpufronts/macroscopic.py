@@ -12,7 +12,7 @@ profiles back to physical variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,20 +46,23 @@ class FrontData:
     parabola: tuple[float, float, float]
 
     def to_dict(self) -> dict:
-        return {
-            "r_minus": self.r_minus,
-            "r_plus": self.r_plus,
-            "v_minus": self.v_minus,
-            "v_plus": self.v_plus,
-            "sigma": self.sigma,
-            "parabola": list(self.parabola),
-        }
+        """The fields in their order, the parabola as a list."""
+        return {**asdict(self), "parabola": list(self.parabola)}
 
 
 NORMALIZED = FrontData(
     r_minus=-1.0, r_plus=1.0, v_minus=1.0, v_plus=-1.0,
     sigma=1.0, parabola=(1.0, 0.0, 0.0),
 )
+
+
+def _at_states(pot: Potential, r_minus: float, r_plus: float):
+    """phi and phi' at the two strains, each a pair ``(minus, plus)`` of
+    floats, then their jumps and means: ``(phi, fp, j_phi, m_phi, j_fp, m_fp)``."""
+    r = np.array([r_minus, r_plus], dtype=float)
+    phi = tuple(map(float, pot.phi(r)))
+    fp = tuple(map(float, pot.phi_prime(r)))
+    return phi, fp, jump(*phi), mean(*phi), jump(*fp), mean(*fp)
 
 
 def jump_residuals(fd: FrontData, pot: Potential) -> tuple[float, float, float]:
@@ -70,12 +73,11 @@ def jump_residuals(fd: FrontData, pot: Potential) -> tuple[float, float, float]:
     """
     jr = jump(fd.r_minus, fd.r_plus)
     jv = jump(fd.v_minus, fd.v_plus)
-    fp_m = float(pot.phi_prime(fd.r_minus))
-    fp_p = float(pot.phi_prime(fd.r_plus))
-    e_m = 0.5 * fd.v_minus**2 + float(pot.phi(fd.r_minus))
-    e_p = 0.5 * fd.v_plus**2 + float(pot.phi(fd.r_plus))
+    (f_m, f_p), (fp_m, fp_p), _, _, j_fp, _ = _at_states(pot, fd.r_minus, fd.r_plus)
+    e_m = 0.5 * fd.v_minus**2 + f_m
+    e_p = 0.5 * fd.v_plus**2 + f_p
     res_mass = fd.sigma * jr + jv
-    res_mom = fd.sigma * jv + (fp_p - fp_m)
+    res_mom = fd.sigma * jv + j_fp
     res_energy = fd.sigma * (e_p - e_m) + (fp_p * fd.v_plus - fp_m * fd.v_minus)
     return res_mass, res_mom, res_energy
 
@@ -103,12 +105,7 @@ def solve_front_data(
 
     jr = jump(r_minus, r_plus)
     mr = mean(r_minus, r_plus)
-    f_m, f_p = (float(pot.phi(r)) for r in (r_minus, r_plus))
-    fp_m, fp_p = (float(pot.phi_prime(r)) for r in (r_minus, r_plus))
-    j_phi = f_p - f_m
-    m_phi = 0.5 * (f_m + f_p)
-    j_fp = fp_p - fp_m
-    m_fp = 0.5 * (fp_m + fp_p)
+    _, _, j_phi, m_phi, j_fp, m_fp = _at_states(pot, r_minus, r_plus)
 
     kinetic = j_phi - jr * m_fp
     scale = abs(j_phi) + abs(jr * m_fp)
@@ -143,11 +140,7 @@ class NormalizedPotential(Potential):
         self.fd = fd
         self._jr = jump(fd.r_minus, fd.r_plus)
         self._mr = mean(fd.r_minus, fd.r_plus)
-        fp = base.phi_prime(np.array([fd.r_minus, fd.r_plus]))
-        ph = base.phi(np.array([fd.r_minus, fd.r_plus]))
-        self._j_fp = float(fp[1] - fp[0])
-        self._m_fp = float(0.5 * (fp[0] + fp[1]))
-        self._m_phi = float(0.5 * (ph[0] + ph[1]))
+        _, _, _, self._m_phi, self._j_fp, self._m_fp = _at_states(base, fd.r_minus, fd.r_plus)
 
     def state(self, u):
         """Physical strain corresponding to a normalized value."""

@@ -187,12 +187,22 @@ def _median(a: np.ndarray) -> float:
     return float(((0.0 + p[k]) + p[m]) / 2)
 
 
+# The interior the outcome classifier and the plateau check read: the nodes
+# at least this many phase units inside the grid's ends.
+_INTERIOR_MARGIN = 2.0
+
+
+def interior(w: GridProfile, margin_units: float = _INTERIOR_MARGIN) -> np.ndarray:
+    """The values of ``w`` at the nodes with ``|phi| <= L - margin_units``."""
+    return w.values[np.abs(w.nodes) <= w.L - margin_units]
+
+
 def interior_plateau(
     w: GridProfile,
     min_nodes: int = 50,
     value_tol: float = 1e-3,
     distinct_tol: float = 1e-2,
-    margin_units: float = 2.0,
+    margin_units: float = _INTERIOR_MARGIN,
 ) -> tuple[float, int] | None:
     """Longest interior run of near-constant values away from +-1.
 
@@ -200,9 +210,7 @@ def interior_plateau(
     to detect the action-unbounded failure mode where iterates grow a plateau
     at an interior defect minimizer.
     """
-    nodes = w.nodes
-    interior = np.abs(nodes) <= w.L - margin_units
-    v = w.values[interior]
+    v = interior(w, margin_units)
     if v.size < min_nodes:
         return None
     # Candidate plateau level: locally flat nodes away from both states.

@@ -26,6 +26,8 @@ class Potential:
     """Base class: subclasses implement ``phi`` and ``phi_prime`` (vectorized)."""
 
     family = "base"
+    # the parameters the family takes as lists of numbers, not as numbers
+    list_params: tuple[str, ...] = ()
 
     def phi(self, u):
         raise NotImplementedError
@@ -165,6 +167,7 @@ class TabulatedPotential(Potential):
     """
 
     family = "user_table"
+    list_params = ("u_samples", "phi_samples")
 
     def __init__(self, u_samples, phi_samples):
         u_samples = np.asarray(u_samples, dtype=float)
@@ -267,6 +270,8 @@ _FAMILIES = {
     "tilted": TiltedPotential,
     "user_table": TabulatedPotential,
 }
+# The parameters some family takes as lists of numbers.
+LIST_PARAMS = frozenset(name for cls in _FAMILIES.values() for name in cls.list_params)
 
 
 def make_potential(family: str, params: dict) -> Potential:

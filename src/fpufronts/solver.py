@@ -28,8 +28,8 @@ import numpy as np
 
 from .action import ActionReport, Evaluation
 from .errors import ConfigInvalid, NonFiniteAction, StepSizeUnderflow
-from .grid import GridProfile, shock_profile
-from .phases import interior_plateau
+from .grid import DEFAULT_D, DEFAULT_L, GridProfile, shock_profile
+from .phases import interior, interior_plateau
 from .potentials import Potential
 
 # Step-size control: lambda grows by _GROW after _GROW_AFTER consecutive
@@ -51,8 +51,8 @@ class SolverConfig:
     max_iters: int = 200_000
     grad_tol: float = 1e-8
     gamma: float = 1.0
-    L: float = 20.0
-    D: int = 3200
+    L: float = DEFAULT_L
+    D: int = DEFAULT_D
 
     def validate(self) -> None:
         if not (0.0 < self.lambda0 < 1.0):
@@ -86,10 +86,11 @@ class RunResult:
     rejected_steps: int = 0
 
 
-def _pinned(values: np.ndarray, K: int) -> np.ndarray:
-    """Pin the outer window width (2K nodes) at each end to -1 / +1, in place."""
-    values[: 2 * K] = -1.0
-    values[-2 * K:] = 1.0
+def _pinned(values: np.ndarray, profile: GridProfile) -> np.ndarray:
+    """Pin ``profile``'s pinned window to its boundary values in ``values``,
+    in place."""
+    head, tail = profile.pinned
+    values[head], values[tail] = profile.left_value, profile.right_value
     return values
 
 
@@ -104,7 +105,7 @@ def _checked(ev: Evaluation) -> Evaluation:
 
 def _step(ev: Evaluation, lam: float) -> np.ndarray:
     """(1 - lam) W + lam A phi'(A W) for the profile of ``ev``, boundary re-pinned."""
-    return _pinned((1.0 - lam) * ev.profile.values + lam * ev.step_target, ev.profile.K)
+    return _pinned((1.0 - lam) * ev.profile.values + lam * ev.step_target, ev.profile)
 
 
 def euler_step(w: GridProfile, pot: Potential, lam: float) -> GridProfile:
@@ -135,8 +136,7 @@ def classify_outcome(
     tails_ok = (np.max(np.abs(left_tail + 1.0)) <= 1e-6
                 and np.max(np.abs(right_tail - 1.0)) <= 1e-6)
 
-    interior = np.abs(nodes) <= profile.L - 2.0
-    vi = v[interior]
+    vi = interior(profile)
     spread = float(np.max(vi) - np.min(vi))
     heteroclinic = spread > 1.0  # genuinely connects the two phases
 
@@ -166,7 +166,7 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
     """
     cfg.validate()
     base = shock_profile(cfg.L, cfg.D)
-    state = _checked(Evaluation(base.with_values(_pinned(base.values.copy(), base.K)), pot))
+    state = _checked(Evaluation(base.with_values(_pinned(base.values.copy(), base)), pot))
     lam = cfg.lambda0
     history: list[ActionReport] = [state.report()]
     lambda_history: list[float] = [lam]
@@ -222,8 +222,7 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
     if outcome == "plateau_diverging":
         plateau_value = plateau[0]
     elif outcome == "collapsed_to_constant":
-        nodes = profile.nodes
-        vi = profile.values[np.abs(nodes) <= profile.L - 2.0]
+        vi = interior(profile)
         plateau_value = float(0.5 * (np.max(vi) + np.min(vi)))
 
     return RunResult(

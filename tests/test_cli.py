@@ -612,6 +612,27 @@ def test_verify_malformed_summary_exits_2(solved_run, tmp_path, capsys, field, v
     assert field in payload["message"]
 
 
+def test_front_data_round_trips_from_solve_to_verify(tmp_path, monkeypatch):
+    # verify reads back, field for field, the front data that solve wrote:
+    # here with sigma < 0 and the gauge v_minus set
+    from fpufronts import lattice
+
+    states = {"r_minus": -1.0, "r_plus": 1.0, "v_minus": 0.25, "sigma_sign": -1}
+    cfg = write_config(tmp_path / "left.json", states=states, output_dir=str(tmp_path / "run"))
+    assert main(["solve", str(cfg)]) == 0
+    solved = cli.config_front_data(states, cli.build_potential(cli.load_config(str(cfg))))
+    assert solved.sigma < 0 and solved.v_minus == 0.25
+    read, verify_front = [], lattice.verify_front
+
+    def spy(profile, fd, pot, **kwargs):
+        read.append(fd)
+        return verify_front(profile, fd, pot, **kwargs)
+
+    monkeypatch.setattr(lattice, "verify_front", spy)
+    assert main(["verify", str(cfg), str(tmp_path / "run")]) in (0, 1)
+    assert read == [solved]
+
+
 def _field_paths(mapping, prefix=()):
     """The path of every key of a JSON object, nested objects included."""
     for key, value in mapping.items():

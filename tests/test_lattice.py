@@ -585,6 +585,24 @@ def test_energy_law_refuses_unannounced_snapshots():
     assert law.report().residual_sup == 0.0
 
 
+# A snapshot of another chain than the first one's, here the middle one of
+# three, is refused by name.  Pooled with the others, these gave a
+# residual_sup of 7.45 (140 atoms among 100) and 6.31 (r_minus = -0.5)
+# without a word.
+@pytest.mark.parametrize("atoms, r_minus", [(140, -1.0), (100, -0.5)],
+                         ids=["atom_count", "left_state"])
+def test_energy_law_refuses_another_chain(front_005, atoms, r_minus):
+    res, pot = front_005["result"], front_005["pot"]
+    first = init_from_front(res, NORMALIZED, n_atoms=100, dt=0.05)
+    middle = init_from_front(res, NORMALIZED, n_atoms=atoms, dt=0.05)
+    middle.t, middle.r_minus = 0.5, r_minus
+    last = init_from_front(res, NORMALIZED, n_atoms=100, dt=0.05)
+    last.t = 1.0
+    with pytest.raises(ValueError, match=r"snapshot 1 has \(atoms, r_minus, v_minus, r_plus, "
+                                         rf"v_plus\) = \({atoms}, {r_minus}, "):
+        check_energy_law([first, middle, last], pot, 1.0)
+
+
 def test_verify_front_default_run_equals_whole_chain(front_005):
     # The default verify: 400 atoms over T = 20, a snapshot every 73 steps.
     # Its window-only sup errors and crossings are the whole chain's floats.

@@ -449,6 +449,27 @@ def test_verify_front_equals_whole_chain(front_005, fd, n_atoms, dt, stride, ste
             == _outcome(lambda: whole_chain_verify(res, fd, pot, **args)))
 
 
+# Any step up to the cap, subnormal ones included, any stride, and a span
+# that need not be a whole number of steps: the times verify_front
+# announces to its energy law (which refuses a snapshot at any other time)
+# and reports are those evolve stamps on the snapshots it observes.
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, lattice.MAX_DT, exclude_min=True), st.integers(1, 12),
+       st.integers(1, 60), st.floats(-0.5, 0.5))
+def test_verify_front_announces_the_stamped_times(front_005, dt, stride, steps, frac):
+    T = (steps + frac) * dt
+    n_steps, times = lattice.chain_clock(0.0, dt, T, stride)
+    assume(n_steps >= stride)
+    res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
+    state = lattice.init_from_front(res, NORMALIZED, n_atoms=60, dt=dt)
+    _, snaps = lattice.evolve(state, pot, T, gamma=gamma, snapshot_stride=stride)
+    assert times == [state.t] + [s.t for s in snaps]
+    with np.errstate(all="ignore"):  # a subnormal step leaves the speed fit 0/0
+        check = verify_front(res.profile, NORMALIZED, pot, gamma=gamma, n_atoms=60, T=T,
+                             dt=dt, stride=stride)
+    assert check.times == times
+
+
 def decimals(lo, hi):
     """Floats rounded to 6 decimals, none so tiny that a product underflows."""
     return st.floats(lo, hi).map(lambda x: round(x, 6))
