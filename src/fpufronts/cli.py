@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .errors import ConfigInvalid, EmptyZeroSet, FpuFrontsError, WindowMisaligned
+from .errors import BlowUp, ConfigInvalid, EmptyZeroSet, FpuFrontsError, WindowMisaligned
 from .potentials import (LIST_PARAMS, Potential, check_assumptions, compute_invariant_bound,
                          make_potential)
 
@@ -454,6 +454,18 @@ def read_run_summary(path: Path) -> tuple[dict, FrontData]:
     return summary, FrontData(**{n: front[n] for n in numbers}, parabola=tuple(parabola))
 
 
+def _unstable_states(pot: Potential, fd: FrontData) -> str:
+    """phi'' at the two states, as a clause for a chain's BlowUp message, if
+    either is <= 0, and empty otherwise.  Linearized about a state, the
+    chain's modes have frequencies squared 4 phi'' sin(k/2)**2: where
+    phi'' < 0 they grow exponentially, and at 0 nothing restores them."""
+    curv = [float(x) for x in pot.phi_second(np.array([fd.r_minus, fd.r_plus]))]
+    if min(curv) > 0:
+        return ""
+    return (f"; phi''(r_minus) = {curv[0]!r} and phi''(r_plus) = {curv[1]!r}: "
+            "a state with phi'' <= 0 is linearly unstable")
+
+
 def cmd_verify(args) -> int:
     from .lattice import verify_front
 
@@ -477,8 +489,10 @@ def cmd_verify(args) -> int:
         check = verify_front(profile, fd, pot, gamma=gamma, n_atoms=args.atoms, T=args.time,
                              dt=args.dt, stride=args.stride)
     except ValueError as exc:  # a chain run too short or too small to read
-        raise ConfigError(f"verify --atoms {args.atoms} --time {args.time!r} "
+        raise ConfigError(f"verify --atoms {args.atoms} --time {args.time!r} --dt {args.dt!r} "
                           f"leaves too little to check: {exc}") from None
+    except BlowUp as exc:
+        raise BlowUp(f"{exc}{_unstable_states(pot, fd)}") from None
     budget = 0.05
     ok = (check.sup_errors[-1] <= budget
           and abs(check.speed - fd.sigma) <= 0.02 * abs(fd.sigma))
@@ -558,7 +572,10 @@ def cmd_sweep(args) -> int:
     from . import grid, macroscopic, phases, solver  # noqa: F401
 
     results = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool starts all of its workers at the first job, so no more than
+    # there are jobs
+    workers = min(args.workers, len(jobs))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for name, outcome, action_value in pool.map(_sweep_job, jobs):
             results.append({"run": name, "outcome": outcome, "final_action": action_value})
     results.sort(key=lambda r: r["run"])

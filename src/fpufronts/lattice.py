@@ -16,7 +16,9 @@ before a departure from the states can reach past its edges, so the result
 is bit for bit that of stepping the whole chain.  A strain beyond ten times
 the invariant bound, or one that is not a number, stops the run (BlowUp).
 
-A step costs a fixed number of ufunc calls on the window's slices.  ``v``
+A step costs a fixed number of numpy calls on the window's slices, about
+fifteen for the quartic, and on windows of a few hundred atoms each call
+costs mostly its own overhead, so the step's cost is its call count.  ``v``
 has one trailing ghost slot holding ``v_plus`` and ``phi'(r)`` one leading
 ghost slot holding ``phi'(r_minus)``, so the drift ``v_{j+1} - v_j`` and the
 force ``phi'(r_j) - phi'(r_{j-1})`` are one subtraction each, with no
@@ -24,7 +26,11 @@ scalar fix-up at a window edge: the slot an edge reads beyond the window is
 the ghost or an atom exactly at that state, the same float.  The product
 ``force * dt/2`` is made once per step, at its end, and added in that
 step's second half kick and in the next step's first: it is the float
-each of the two kicks would compute.
+each of the two kicks would compute.  The potential writes ``phi'(r)``
+straight into its slots (``phi_prime(r, out=...)``), with no copy; ``dt``
+and ``dt/2`` are numpy floats made once per run, so no call converts a
+Python float (to the same float64); and the strain bound reads the largest
+``|r|`` at ``argmax``, which is the first NaN where there is one.
 
 The checks read the chain snapshot by snapshot, so a long run keeps no
 full-chain copies.  ``evolve(..., observe=f)`` calls ``f`` with a
@@ -301,7 +307,6 @@ def evolve(
     if observe is not None and not snapshot_stride:
         raise ValueError("observe needs a snapshot_stride")
     dt = state.dt
-    half_dt = 0.5 * dt
     bound = 10.0 * gamma
     n = state.n_atoms
     r = state.r.copy()
@@ -329,24 +334,30 @@ def evolve(
     snap_at = snapshot_stride - 1 if snapshot_stride else -1
     times = chain_clock(state.t, dt, T, snapshot_stride)[1]
     check_at = _CHECK_EVERY - 1
-    maximum = np.maximum.reduce
+    # The step's constants as numpy floats, which its ufuncs take without
+    # converting (a Python float converts to the same float64 on every
+    # call), and its ufuncs as locals.
+    step_dt, half_dt = np.float64(dt), np.float64(0.5 * dt)
+    add, subtract, multiply, absolute = np.add, np.subtract, np.multiply, np.absolute
+    phi_prime = pot.phi_prime
     for step in range(n_steps):
         if resize:
             rw, vw, v_next = r[lo:hi], v_buf[lo:hi], v_buf[lo + 1:hi + 1]
             fp_prev, fpw = fp_buf[lo:hi], fp_buf[lo + 1:hi + 1]
             kw, sw = kick[lo:hi], scratch[lo:hi]
-            fpw[...] = pot.phi_prime(rw)
-            np.multiply(np.subtract(fpw, fp_prev, kw), half_dt, kw)
+            phi_prime(rw, out=fpw)
+            multiply(subtract(fpw, fp_prev, kw), half_dt, kw)
             resize = False
-        np.add(vw, kw, vw)
-        np.add(rw, np.multiply(np.subtract(v_next, vw, sw), dt, sw), rw)
-        fpw[...] = pot.phi_prime(rw)
-        np.multiply(np.subtract(fpw, fp_prev, kw), half_dt, kw)
-        np.add(vw, kw, vw)
-        # Also true for a NaN strain.  The atoms left out are at a state, and
-        # the first window holds some of them, so a state beyond the bound
-        # raises here at step 0.
-        if not maximum(np.abs(rw, sw)) <= bound:
+        add(vw, kw, vw)
+        add(rw, multiply(subtract(v_next, vw, sw), step_dt, sw), rw)
+        phi_prime(rw, out=fpw)
+        multiply(subtract(fpw, fp_prev, kw), half_dt, kw)
+        add(vw, kw, vw)
+        # Also true for a NaN strain: argmax gives the first NaN.  The atoms
+        # left out are at a state, and the first window holds some of them,
+        # so a state beyond the bound raises here at step 0.
+        absolute(rw, sw)
+        if not sw[sw.argmax()] <= bound:
             raise BlowUp(f"strain exceeded 10*gamma at step {step}")
         if step == snap_at:
             snap_at += snapshot_stride
@@ -702,6 +713,9 @@ def front_speed(times: list[float], crossings: list[float | None]) -> float:
     The closed form over the centred times and crossings, ``sum(t*c) /
     sum(t*t)``, summed by plain numpy reductions: a two-parameter fit needs
     no LAPACK call, and its float does not depend on the BLAS kernel.
+    Raises ValueError where no slope can be read: fewer than two visible
+    crossings, times whose centred squares sum to 0 (one time, or times
+    so close that the squares underflow) or a slope that is not finite.
     """
     visible = [(t, c) for t, c in zip(times, crossings) if c is not None]
     if len(visible) < 2:
@@ -709,7 +723,11 @@ def front_speed(times: list[float], crossings: list[float | None]) -> float:
     t, c = np.array(visible).T
     t = t - np.mean(t)
     c = c - np.mean(c)
-    return float(np.sum(t * c) / np.sum(t * t))
+    tt = np.sum(t * t)
+    slope = float(np.sum(t * c) / tt) if tt else math.nan
+    if not math.isfinite(slope):
+        raise ValueError("the visible crossings' times give no finite slope")
+    return slope
 
 
 def measure_front_speed(snapshots: list[ChainState], level: float | None = None) -> float:

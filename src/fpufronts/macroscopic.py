@@ -156,12 +156,10 @@ class NormalizedPotential(Potential):
             - 4.0 * self._m_phi / denom
         )
 
-    def phi_prime(self, u):
+    def phi_prime(self, u, out=None):
         u = np.asarray(u, dtype=float)
-        return (
-            2.0 * self.base.phi_prime(self.state(u)) / self._j_fp
-            - 2.0 * self._m_fp / self._j_fp
-        )
+        return np.subtract(2.0 * self.base.phi_prime(self.state(u)) / self._j_fp,
+                           2.0 * self._m_fp / self._j_fp, out=out)
 
 
 def normalize_potential(pot: Potential, fd: FrontData, tol: float = 1e-8) -> NormalizedPotential:

@@ -23,7 +23,14 @@ _FD_STEP = 1e-6
 
 
 class Potential:
-    """Base class: subclasses implement ``phi`` and ``phi_prime`` (vectorized)."""
+    """Base class: subclasses implement ``phi`` and ``phi_prime`` (vectorized).
+
+    ``phi_prime(u, out=None)`` takes ``out`` as a ufunc does: the force is
+    written into ``out`` where it is given, and returned.  Every family
+    writes its last ufunc into it, so ``phi_prime(u, out=buf)`` leaves in
+    ``buf`` exactly the floats of ``phi_prime(u)`` and allocates nothing
+    for the result (the chain integrator calls it so every step).
+    """
 
     family = "base"
     # the parameters the family takes as lists of numbers, not as numbers
@@ -32,7 +39,7 @@ class Potential:
     def phi(self, u):
         raise NotImplementedError
 
-    def phi_prime(self, u):
+    def phi_prime(self, u, out=None):
         raise NotImplementedError
 
     def phi_second(self, u):
@@ -71,9 +78,14 @@ class QuarticPotential(Potential):
         u = np.asarray(u, dtype=float)
         return 0.5 * u**2 - self.beta * (u**2 - 1.0) ** 2
 
-    def phi_prime(self, u):
+    def phi_prime(self, u, out=None):
+        # u - 4.0*beta*u*(u**2 - 1.0), each IEEE operation as that expression
+        # makes it (a product's two factors commute exactly), in temporaries
         u = np.asarray(u, dtype=float)
-        return u - 4.0 * self.beta * u * (u**2 - 1.0)
+        t = np.square(u)
+        t -= 1.0
+        t *= u * (4.0 * self.beta)
+        return np.subtract(u, t, out=out)
 
     def phi_second(self, u):
         u = np.asarray(u, dtype=float)
@@ -107,9 +119,9 @@ class GraphViolatingPotential(Potential):
         u = np.asarray(u, dtype=float)
         return 0.5 * u**2 - self._psi(u)
 
-    def phi_prime(self, u):
+    def phi_prime(self, u, out=None):
         u = np.asarray(u, dtype=float)
-        return u - self._psi_prime(u)
+        return np.subtract(u, self._psi_prime(u), out=out)
 
 
 class TiltedPotential(QuarticPotential):
@@ -139,8 +151,8 @@ class TiltedPotential(QuarticPotential):
         u = np.asarray(u, dtype=float)
         return super().phi(u) - self.eps * (u - 1.0)
 
-    def phi_prime(self, u):
-        return super().phi_prime(u) - self.eps
+    def phi_prime(self, u, out=None):
+        return np.subtract(super().phi_prime(u, out=out), self.eps, out=out)
 
 
 class TabulatedPotential(Potential):
@@ -188,8 +200,8 @@ class TabulatedPotential(Potential):
     def phi(self, u):
         return _evaluate_piecewise(self.u_samples, self._c, u)
 
-    def phi_prime(self, u):
-        return _evaluate_piecewise(self.u_samples, self._dc, u)
+    def phi_prime(self, u, out=None):
+        return _evaluate_piecewise(self.u_samples, self._dc, u, out)
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -224,8 +236,9 @@ def _hermite_coefficients(x, y):
     return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
-def _evaluate_piecewise(x, c, u):
-    """Evaluate the piecewise polynomial with coefficients ``c`` at ``u``.
+def _evaluate_piecewise(x, c, u, out=None):
+    """Evaluate the piecewise polynomial with coefficients ``c`` at ``u``,
+    the last addition into ``out`` where it is given.
 
     Interval i holds x[i] <= u < x[i + 1]; the count of interior knots at
     or below u gives it, with the end intervals extended beyond the knots
@@ -240,11 +253,10 @@ def _evaluate_piecewise(x, c, u):
     with np.errstate(invalid="ignore", over="ignore"):
         res = 0.0 + c[-1][i]
         z = s
-        for k in range(c.shape[0] - 2, -1, -1):
+        for k in range(c.shape[0] - 2, 0, -1):
             res = res + c[k][i] * z
-            if k:
-                z = z * s
-    return res
+            z = z * s
+        return np.add(res, c[0][i] * z, out=out)
 
 
 class LinearForcePotential(Potential):
@@ -260,8 +272,11 @@ class LinearForcePotential(Potential):
         u = np.asarray(u, dtype=float)
         return 0.5 * u**2
 
-    def phi_prime(self, u):
-        return np.asarray(u, dtype=float)
+    def phi_prime(self, u, out=None):
+        # np.positive copies every float exactly, -0.0 and NaN included; the
+        # force of a scalar or a 0-d u stays a 0-d array, as u is
+        u = np.asarray(u, dtype=float)
+        return np.asarray(np.positive(u, out=out))
 
 
 _FAMILIES = {

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -561,6 +562,35 @@ def test_verify_corrupted_profile_fails(solved_run, tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_blow_up_names_unstable_states(solved_run, tmp_path, capsys):
+    # The beta = 0.05 front on a beta = 0.3 chain: phi''(+-1) = 1 - 8 beta
+    # < 0, so the states themselves are linearly unstable, and the error
+    # says so after evolve's own message
+    cfg = write_config(tmp_path / "q03.json", potential={"family": "quartic",
+                                                          "params": {"beta": 0.3}})
+    assert main(["verify", str(cfg), str(solved_run["run_dir"]), "--time", "50"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BlowUp"
+    match = re.fullmatch(r"strain exceeded 10\*gamma at step \d+; phi''\(r_minus\) = (\S+) "
+                         r"and phi''\(r_plus\) = (\S+): a state with phi'' <= 0 is linearly "
+                         r"unstable", err["message"])
+    assert match
+    assert [float(x) for x in match.groups()] == pytest.approx([1 - 8 * 0.3] * 2, abs=1e-12)
+
+
+def test_verify_blow_up_on_stable_states_keeps_its_message(solved_run, tmp_path, capsys):
+    # A strain bound below the states' strains: the chain stops at step 0,
+    # and phi''(+-1) = 0.6 > 0 adds nothing to the message
+    run2 = tmp_path / "tight"
+    shutil.copytree(solved_run["run_dir"], run2)
+    summary = json.loads((run2 / "summary.json").read_text())
+    summary["gamma"] = 0.05
+    (run2 / "summary.json").write_text(json.dumps(summary))
+    assert main(["verify", str(solved_run["config"]), str(run2)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "BlowUp", "message": "strain exceeded 10*gamma at step 0"}
+
+
 def test_verify_missing_run_exits_2(solved_run, tmp_path, capsys):
     assert main(["verify", str(solved_run["config"]), str(tmp_path / "void")]) == 2
 
@@ -768,9 +798,12 @@ def test_malformed_profile_exits_2(solved_run, tmp_path, capsys, command, defect
     ["--stride", "0"],
     ["--stride", "100000"],
     ["--atoms", "41", "--time", "0.5", "--dt", "0.05", "--stride", "1"],
+    # a step so small that the centred snapshot times square to 0, which
+    # leaves the speed fit no slope
+    ["--dt", "1e-320", "--time", "1e-318"],
 ], ids=["zero_dt", "negative_dt", "large_dt", "zero_time", "negative_time",
         "infinite_time", "zero_atoms", "margins_only", "zero_stride", "stride_beyond_run",
-        "too_short_a_run"])
+        "too_short_a_run", "subnormal_dt"])
 def test_verify_bad_arguments_exit_2(solved_run, capsys, argv):
     code = main(["verify", str(solved_run["config"]), str(solved_run["run_dir"]), *argv])
     assert code == 2
@@ -840,6 +873,37 @@ def test_sweep_command(tmp_path, capsys):
     assert [r["run"] for r in results] == ["beta_0.05", "beta_0.1"]
     assert all(r["outcome"] == "front_converged" for r in results)
     assert (tmp_path / "sw" / "beta_0.1" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("betas, workers, started", [
+    ("0.05", 4, 1), ("0.05,0.1", 8, 2), ("0.05,0.1", 1, 1),
+], ids=["one_run_four_workers", "two_runs_eight_workers", "two_runs_one_worker"])
+def test_sweep_starts_no_more_workers_than_sub_runs(tmp_path, capsys, betas, workers, started):
+    # A fork-context pool starts all of its max_workers at the first job, so
+    # the sweep asks for no more than it has sub-runs.  The pool is replaced
+    # by one that records max_workers and runs the jobs in this process.
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    cfg = write_config(tmp_path / "sweep.json", grid={"L": 20.0, "D": 800})
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", Pool):
+        code = main(["sweep", str(cfg), "--betas", betas, "--workers", str(workers),
+                     "--output-dir", str(tmp_path / "sw")])
+    assert code == 0
+    assert asked == [started]
+    results = json.loads((tmp_path / "sw" / "sweep.json").read_text())
+    assert len(results) == len(betas.split(","))
 
 
 def test_sweep_of_a_table_exits_2(tmp_path, capsys):

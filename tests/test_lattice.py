@@ -6,10 +6,12 @@ import pytest
 from fpufronts import (
     ChainState,
     EnergyLaw,
+    GraphViolatingPotential,
     NORMALIZED,
     QuarticPotential,
     RunResult,
     TabulatedPotential,
+    TiltedPotential,
     boundary_flux,
     check_energy_law,
     evolve,
@@ -200,19 +202,26 @@ def test_active_window_matches_full_chain_from_a_jump():
 
 
 def _family(family, beta):
-    """The quartic of ``beta`` as a ``user_table`` or renormalized to its states +-1."""
+    """The quartic of ``beta`` as a ``user_table`` or renormalized to its
+    states +-1, tilted by 0.02, or with the graph-violating defect of c = -0.5."""
     base = QuarticPotential(beta)
     if family == "user_table":
         u = np.linspace(-4.0, 4.0, 801)
         return TabulatedPotential(u, base.phi(u))
+    if family == "tilted":
+        return TiltedPotential(beta, 0.02)
+    if family == "graph_violating":
+        return GraphViolatingPotential(beta, -0.5)
     return normalize_potential(base, solve_front_data(-1.0, 1.0, None, 1, base))
 
 
-@pytest.mark.parametrize("family", ["user_table", "normalized"])
+@pytest.mark.parametrize("family", ["user_table", "normalized", "tilted", "graph_violating"])
 def test_evolve_matches_full_chain_for_other_families(front_005, family):
     # The ghost slots hold phi'(r_minus) and v_plus; with another potential
     # family, phi' of the ghost and of an atom at the state must still agree
-    # bit for bit, window widenings and the step of a BlowUp included.
+    # bit for bit, window widenings and the step of a BlowUp included.  The
+    # tilted quartic has phi'(+-1) = +-1 - 0.02, off the normalization, but
+    # an atom between two at one state still gets force 0.
     res, gamma = front_005["result"], front_005["gamma"]
     pot = _family(family, 0.05)
     state = init_from_front(res, NORMALIZED, n_atoms=1000, dt=0.05)
@@ -227,7 +236,8 @@ def test_evolve_matches_full_chain_for_other_families(front_005, family):
     assert exact_run(state.r, state.v, -1.0, 1.0) - exact_run(final.r, final.v, -1.0, 1.0) \
         > lattice._CHUNK
 
-    unstable = _family(family, 0.3)
+    # phi''(+-1) = 1 - 8 beta (1 + c) for the graph-violating defect
+    unstable = _family(family, 0.6 if family == "graph_violating" else 0.3)
     state = init_from_front(res, NORMALIZED, n_atoms=1000, dt=0.01)
     *_, ref_step = full_chain_leapfrog(state, unstable, 50.0, gamma)
     assert ref_step is not None
@@ -302,6 +312,19 @@ def test_front_speed_needs_two_visible_crossings():
     assert front_speed([0.0, 1.0, 2.0], [None, 3.0, 5.0]) == 2.0
     with pytest.raises(ValueError, match="not visible"):
         front_speed([0.0, 1.0, 2.0], [None, 3.0, None])
+
+
+@pytest.mark.parametrize("times, crossings", [
+    ([0.0, 1e-320, 2e-320], [200.0, 200.0, 200.0]),
+    ([5.0, 5.0], [200.0, 201.0]),
+    ([0.0, 1.0], [200.0, np.inf]),
+    ([0.0, 1e-160], [0.0, 1e300]),
+], ids=["subnormal_times", "equal_times", "infinite_crossing", "overflowing_slope"])
+def test_front_speed_without_a_finite_slope_raises(times, crossings):
+    # The centred times' squares sum to 0 (they underflow, or the times are
+    # one), or the slope is not finite: no speed, rather than NaN or inf.
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="no finite slope"):
+        front_speed(times, crossings)
 
 
 def test_measured_speed_matches_sigma(front_005):

@@ -12,6 +12,8 @@ from fpufronts import (
     check_assumptions,
     compute_invariant_bound,
     make_potential,
+    normalize_potential,
+    solve_front_data,
 )
 from fpufronts.errors import InvalidScan
 
@@ -181,3 +183,84 @@ def test_graph_violating_psi_integral_oracle():
     val, _ = quad(lambda x: float(pot.psi(x)), -1.0, 1.0)
     direct = np.trapezoid(pot.psi(np.linspace(-1, 1, 400_001)), dx=2 / 400_000)
     assert direct == pytest.approx(val, abs=1e-10)
+
+
+# phi_prime as each family wrote it before it took ``out``: the oracle of
+# the floats and of the type returned for a scalar or a 0-d u
+def _quartic_force(beta, u):
+    u = np.asarray(u, dtype=float)
+    return u - 4.0 * beta * u * (u**2 - 1.0)
+
+
+def _table_force(tab, u):
+    x, c = tab.u_samples, tab._dc
+    u = np.asarray(u, dtype=float)
+    i = np.searchsorted(x[1:-1], u, side="right")
+    s = u - x[i]
+    res = 0.0 + c[-1][i]
+    z = s
+    for k in range(c.shape[0] - 2, -1, -1):
+        res = res + c[k][i] * z
+        if k:
+            z = z * s
+    return res
+
+
+def _force_families():
+    """(potential, its force as written before ``out``) per family."""
+    tilted = TiltedPotential(0.1, 0.1)
+    table = TabulatedPotential(np.linspace(-4.0, 4.0, 161),
+                               QuarticPotential(0.1).phi(np.linspace(-4.0, 4.0, 161)))
+    # tilted, so that the renormalization subtracts a mean force
+    norm = normalize_potential(tilted, solve_front_data(-1.0, 1.0, None, 1, tilted))
+
+    def gv_force(u):
+        u = np.asarray(u, dtype=float)
+        return u - 2.0 * 0.1 * u * (u**2 - 1.0) * (3.0 * u**2 + 2.0 * -0.5 - 1.0)
+
+    def norm_force(u):
+        u = np.asarray(u, dtype=float)
+        base = _quartic_force(0.1, norm.state(u)) - 0.1
+        return 2.0 * base / norm._j_fp - 2.0 * norm._m_fp / norm._j_fp
+
+    return {
+        "quartic": (QuarticPotential(0.3), lambda u: _quartic_force(0.3, u)),
+        "tilted": (tilted, lambda u: _quartic_force(0.1, u) - 0.1),
+        "graph_violating": (GraphViolatingPotential(0.1, -0.5), gv_force),
+        "user_table": (table, lambda u: _table_force(table, u)),
+        "linear_force": (LinearForcePotential(), lambda u: np.asarray(u, dtype=float)),
+        "normalized": (norm, norm_force),
+    }
+
+
+_FORCE_POINTS = np.concatenate((
+    np.random.default_rng(11).uniform(-6.0, 6.0, 300),
+    [-0.0, 0.0, -1.0, 1.0, 5e-324, 1e200, -1e200, np.inf, -np.inf, np.nan],
+))
+
+
+def _same(a, b):
+    """Same type, shape and bits, NaNs and signed zeros included."""
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+@pytest.mark.parametrize("family", ["quartic", "tilted", "graph_violating", "user_table",
+                                    "linear_force", "normalized"])
+def test_phi_prime_writes_its_floats_into_out(family):
+    # phi_prime(u, out=buf) returns buf holding exactly phi_prime(u), and
+    # both are the floats of the force as written before it took out; a
+    # scalar or 0-d u still gets the type it got then
+    pot, force = _force_families()[family]
+    with np.errstate(all="ignore"):
+        u = _FORCE_POINTS.copy()
+        assert _same(pot.phi_prime(u), force(u))
+        buf = np.full_like(u, 7.0)
+        assert pot.phi_prime(u, out=buf) is buf
+        assert _same(buf, force(u))
+        assert np.array_equal(u, _FORCE_POINTS, equal_nan=True)  # u is left as it was
+        for x in (0.6, -0.0, 1e200, np.float64(-1.7), np.array(2.5), np.array(np.nan)):
+            assert _same(pot.phi_prime(x), force(x))
+            buf = np.empty(())
+            assert pot.phi_prime(x, out=buf) is buf
+            assert _same(buf, np.asarray(force(x)))
