@@ -502,7 +502,6 @@ def cmd_verify(args) -> int:
         "errors": [{"t": t, "sup_error": e} for t, e in zip(check.times, check.sup_errors)],
         "measured_speed": check.speed,
         "sigma": fd.sigma,
-        "energy_residual_sup": check.energy.residual_sup,
         "energy_drift_rel": check.energy.energy_drift_rel,
         "trajectory": [
             {"t": t, "crossing": c, "energy": e, "boundary_flux": f}

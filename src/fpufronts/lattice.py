@@ -44,19 +44,20 @@ started, so a reduction may read the window alone.  ``front_crossing`` and
 snapshot list and a stream give the same floats.
 
 ``verify_front``, the check ``fpufronts verify`` runs, reduces each snapshot
-to its sup error against the translated profile, its front crossing and its
-energy-law row, and reads for the first two only a window of atoms: those
-off the states, widened for the sup error by the atoms whose reference
-phase lies on the profile's nodes and for the crossing by one atom on each
-side.  The runs of atoms at the states that bound it are themselves read
-inside the integrator's window (``_state_runs``).  Outside it both
-reductions see exact equalities.  An atom at a state and ``np.interp``'s
-``left=``/``right=`` value for a phase beyond the nodes are the same float,
-so their difference is 0.  Two neighbours at one state give the product
-``(v - level)**2``, the same float all along the run, which is a crossing
-at the run's first pair if it is <= 0 and none if not.  So the window gives
-the whole chain's floats, provided the window's offset is added to the
-integer atom index before the fraction, as the whole-chain search adds it.
+to its sup error against the translated profile, its front crossing, its
+total energy and its boundary flux, and reads for the first two only a
+window of atoms: those off the states, widened for the sup error by the
+atoms whose reference phase lies on the profile's nodes and for the
+crossing by one atom on each side.  The runs of atoms at the states that
+bound it are themselves read inside the integrator's window
+(``_state_runs``).  Outside it both reductions see exact equalities.  An
+atom at a state and ``np.interp``'s ``left=``/``right=`` value for a phase
+beyond the nodes are the same float, so their difference is 0.  Two
+neighbours at one state give the product ``(v - level)**2``, the same
+float all along the run, which is a crossing at the run's first pair if it
+is <= 0 and none if not.  So the window gives the whole chain's floats,
+provided the window's offset is added to the integer atom index before the
+fraction, as the whole-chain search adds it.
 
 The snapshot's total energy stays one ``np.sum`` over the whole chain
 (``np.sum`` adds pairwise, and a sum over part of the chain rounds
@@ -67,39 +68,6 @@ changed since the run started, and the window only widens, so the atom was
 outside every window since the full evaluation: its entry is the float a
 fresh evaluation gives, and the sum is the whole chain's.
 
-``EnergyLaw`` evaluates the law on a profile interpolated from the pool of
-every snapshot's interior atoms, at phases ``j - sigma*t``, but keeps no
-pool.  ``np.interp`` at a grid point x reads only two pooled samples: the
-last at or below x in the stable phase order and the one after it.  The
-pool is laid out snapshot by snapshot, and a snapshot's phases rise with
-the atom, so the first is a snapshot's last atom at or below x, of the
-latest snapshot where several share its phase, and the second a
-snapshot's first atom above x, of the earliest such snapshot.  As each
-snapshot arrives, its atoms near the points held are folded into those two
-samples per point (``interp.HeldPairs``); the atoms ``ceil(x_first + c) -
-2`` to ``ceil(x_last + c) + 1`` of a snapshot of shift c, clamped to its
-interior, hold both for every x in [x_first, x_last], an atom of slack on
-each side allowing for the rounding of ``x + c``.  A snapshot that ends
-below x gives its last interior atom and one that starts above x its
-first.  The report interpolates, block by block, each block's pairs in the
-pool's order, which gives the floats a sort of the whole pool gives.
-
-The points held are those near the phases of the snapshots' windows, the
-interior atoms between the runs exactly at the left and the right state.
-Far enough below them every pooled sample within reach is exactly at the
-left state, and above them at the right state, and ``np.interp`` between
-two equal samples returns that value exactly (slope 0): the profile is at
-a state there, and the residual exactly 0.  A later window may reach beyond
-the points held; the new points lie more than four phase units beyond every
-earlier window, where the earlier snapshots' atoms near them are at a
-state, or their first or last interior atom, so their pairs come from the
-windows, shifts and end atoms of those snapshots alone.  So the memory grows
-with the windows' phase span, not with the snapshots.  A block of residuals
-reads the profile on its own grid points and on the two phase units
-(``2/dphi`` points) beyond them, which the next block carries over, and of
-``np.gradient`` only the central differences, never its one-sided ends; the
-report keeps a running ``max|res|``.
-
 The front speed is the least-squares slope through the visible crossings in
 closed form, ``sum(t*c) / sum(t*t)`` over the centred times and crossings,
 summed by numpy reductions: a two-parameter fit needs no LAPACK call, and
@@ -109,14 +77,13 @@ its float does not depend on the BLAS kernel.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BlowUp, NotAFront
-from .interp import HeldPairs, _ArangeGrid
 from .macroscopic import FrontData, denormalize_profile
 from .potentials import Potential
 
@@ -237,7 +204,7 @@ def _state_runs(state: ChainState) -> tuple[int, int]:
 # The largest leapfrog step of a chain run.
 MAX_DT = 0.05
 # The atoms at each end of a chain that the chain check leaves out: its sup
-# error and its energy law read only the atoms inside both margins.
+# error reads only the atoms inside both margins.
 MARGIN_ATOMS = 20
 
 
@@ -397,168 +364,47 @@ def boundary_flux(state: ChainState, pot: Potential) -> float:
 
 @dataclass
 class EnergyLawReport:
-    residual_sup: float
     energy_drift_rel: float
 
 
-# EnergyLaw holds grid points _BLOCK phase units beyond those it needs, so
-# that its span grows a chunk at a time, and its report evaluates the
-# residual in blocks of _BLOCK phase units.
-_BLOCK = 8
-
-
 class EnergyLaw:
-    """Travelling-wave energy law, accumulated one snapshot at a time.
+    """The chain's energy balance, accumulated one snapshot at a time.
 
     ``times`` announces the snapshots' times, in the order ``add`` takes
-    them: the phase grid spans every snapshot's interior, so it depends on
     them.  ``add`` reads a snapshot, which may be a live ``evolve`` state,
     and refuses one at any other time, or with another atom count or other
-    states than the first snapshot's; ``report`` evaluates the law over all
-    snapshots announced (see ``check_energy_law``).
+    states than the first snapshot's; ``report`` refuses fewer than two
+    snapshots, or fewer than were announced.
 
-    Per snapshot it keeps ``t``, the total energy, the boundary flux, the
-    interior atoms ``[lo, hi)`` between the runs of atoms exactly at the
-    left and the right state (at least one atom, so every interior atom
-    left of it is exactly at ``(r_minus, v_minus)`` and every one right of
-    it at ``(r_plus, v_plus)``), and r and v of its first and last interior
-    atom.
-    Of the pool of every snapshot's interior atoms it keeps, per point of
-    the phase grid near those windows, only the two samples ``np.interp``
-    reads there (see the module docstring), in seven arrays of that span
-    (the points and the two samples' phases, strains and velocities);
-    ``report`` interpolates them block by block.  Its memory grows with
-    the windows' phase span, not with the snapshots.
+    Per snapshot it keeps ``t``, the total energy and the boundary flux;
+    of the last snapshot it keeps the energy density, atom by atom (see
+    ``_energy``).  Nothing else grows with the snapshots or the atoms.
     """
 
-    def __init__(self, pot: Potential, sigma: float, times,
-                 margin_atoms: int = MARGIN_ATOMS, dphi: float = 0.05):
+    def __init__(self, pot: Potential, times):
         self.pot = pot
-        self.sigma = sigma
-        self.margin = margin_atoms
-        self.dphi = dphi
         self._announced = list(times)
-        self._shifts = sigma * np.array(self._announced, dtype=float)
         self.times: list[float] = []
         self.energies: list[float] = []
         self.fluxes: list[float] = []
-        self._windows = np.zeros((len(self._announced), 2), dtype=np.int64)  # (lo, hi) per snapshot
-        # per snapshot, r and v of its first and of its last interior atom
-        self._ends = np.zeros((len(self._announced), 4))
         self._chain = None  # (n, r_minus, v_minus, r_plus, v_plus), from the first snapshot
-        self._grid = None  # the phase grid, set by the first snapshot
-        self._p_lo = np.inf  # the least and the greatest phase of any window's atoms
-        self._p_hi = -np.inf
-        self._pairs = None  # the pool's pairs near the windows, a HeldPairs of (r, v)
         self._density = np.empty(0)  # the last snapshot's energy density, atom by atom
         self._live = None  # that snapshot's r, where it came with a window
 
     def add(self, state: ChainState) -> None:
-        self._add(state, *_state_runs(state))
-
-    def _add(self, state: ChainState, head: int, tail: int) -> None:
-        """``add``, given the snapshot's ``_state_runs``."""
-        n, m = state.n_atoms, self.margin
-        if n <= 2 * m:
-            raise ValueError(f"a chain of {n} atoms has no interior inside two {m}-atom margins")
         k = len(self.times)
         if k == len(self._announced) or state.t != self._announced[k]:
             expected = self._announced[k] if k < len(self._announced) else "none"
             raise ValueError(f"snapshot {k} is at t = {state.t!r}, not at the announced time {expected}")
-        chain = (n, state.r_minus, state.v_minus, state.r_plus, state.v_plus)
+        chain = (state.n_atoms, state.r_minus, state.v_minus, state.r_plus, state.v_plus)
         if k == 0:
             self._chain = chain
-            self._grid = _ArangeGrid(np.min(m - self._shifts) + 1.5,
-                                     np.max(n - m - 1 - self._shifts) - 1.5, self.dphi)
         elif chain != self._chain:
             raise ValueError(f"snapshot {k} has (atoms, r_minus, v_minus, r_plus, v_plus) = "
                              f"{chain}, not the first snapshot's {self._chain}")
-        lo = min(max(head, m), n - m - 1)
-        hi = max(min(n - tail, n - m), lo + 1)
-        c = self._shifts[k]
-        self._p_lo = min(self._p_lo, lo - c)
-        self._p_hi = max(self._p_hi, (hi - 1) - c)
-        g0, g1 = self._interpolated()
-        if k == 0:
-            self._pairs = HeldPairs(self._grid, 2, g0)
-        h0, h1 = self._pairs.span
-        chunk = max(1, int(round(_BLOCK / self.dphi)))
-        self._pairs.reach(max(0, g0 - chunk) if g0 < h0 else h0,
-                          min(self._grid.size, g1 + chunk) if g1 > h1 else h1, self._outside)
         self.times.append(state.t)
         self.energies.append(self._energy(state))
         self.fluxes.append(boundary_flux(state, self.pot))
-        self._windows[k] = lo, hi
-        last = n - m - 1
-        self._ends[k] = state.r[m], state.v[m], state.r[last], state.v[last]
-        x = self._pairs.points
-        if x.size:
-            j0, j1 = self._atoms(x[0], x[-1], c)
-            self._pairs.fold(np.arange(j0, j1 + 1) - c, np.array((state.r[j0:j1 + 1], state.v[j0:j1 + 1])))
-
-    def _atoms(self, x_first, x_last, c):
-        """The first and the last interior atom that may be a snapshot's last
-        sample at or below, or its first sample above, a point of [x_first,
-        x_last]: from ``ceil(x_first + c) - 2`` to ``ceil(x_last + c) + 1``,
-        clamped to the interior.  ``c`` is its shift, a float or a column."""
-        j = np.ceil(np.add.outer(c, (x_first, x_last))) + (-2, 1)
-        j = np.minimum(np.maximum(j, self.margin), self._chain[0] - self.margin - 1).astype(np.int64)
-        return j[..., 0], j[..., 1]
-
-    def _interpolated(self) -> tuple[int, int]:
-        """The grid points ``[g0, g1)`` the report interpolates: those within
-        two phase units and ``2/dphi + 4`` points of the windows' phases.
-
-        Below ``g0`` (from ``g1`` on) every sample within reach is exactly
-        at the left (right) state, so the profile is, and the energy
-        gradient and the residual are exactly 0 there; the points kept on
-        each side of the windows cover every residual that reads a point
-        off the states, and two more cover the rounding of grid point i to
-        ``start + i*delta``.
-        """
-        grid, pad = self._grid, 2 * int(round(1.0 / self.dphi)) + 2
-        g0 = min(max(0, math.floor((self._p_lo - 2.0 - grid.start) / grid.delta) - pad - 2), grid.size)
-        g1 = min(grid.size, math.ceil((self._p_hi + 2.0 - grid.start) / grid.delta) + pad + 2)
-        return g0, max(g0, g1)
-
-    def _outside(self, x: np.ndarray) -> np.ndarray:
-        """The pairs of grid points ``x`` beyond the span held, over the
-        snapshots added so far (see ``HeldPairs.reach``).
-
-        Those points lie more than four phase units beyond every window
-        added, so each snapshot's samples near them are atoms at a state, or
-        its first or last interior atom (where the interior ends nearer).
-        ``_atoms`` of every snapshot, laid out snapshot by snapshot, atoms in
-        order, and stably sorted by phase are a piece of the pool in its
-        order, and each point's pair is read from it as ``np.interp`` reads
-        the pool.
-        """
-        k, s = len(self.times), x.size
-        if not k:
-            return np.concatenate((np.full((1, s), -np.inf), np.full((1, s), np.inf), np.zeros((4, s))))
-        n, r_minus, v_minus, r_plus, v_plus = self._chain
-        c = self._shifts[:k, None]
-        j0, j1 = self._atoms(x[0], x[-1], c)
-        width = j1 - j0 + 1
-        # A (snapshots x widest) grid of atoms; cells past a snapshot's width
-        # get phase +inf, so that they sort last.
-        cols = np.arange(width.max())
-        phi = (j0 + cols) - c
-        phi[cols >= width] = np.inf
-        order = np.argsort(phi, axis=None, kind="stable")
-        phi = phi.ravel()[order]
-        i = np.searchsorted(phi, x, "right")
-        i = np.concatenate((i - 1, i))  # each point's last sample at or below it, then its first above
-        at = np.take(order, i, mode="clip")
-        row = at // cols.size
-        j = j0[row, 0] + at % cols.size
-        lo, hi = self._windows[row].T
-        ends = self._ends[row].T
-        inside = np.where(j == self.margin, ends[:2], ends[2:])
-        rv = np.where(j < lo, [[r_minus], [v_minus]], np.where(j >= hi, [[r_plus], [v_plus]], inside))
-        # -inf where a point has no sample at or below it, +inf where none above
-        p = np.where(i < 0, -np.inf, np.where(i < phi.size, np.take(phi, i, mode="clip"), np.inf))
-        return np.concatenate((p.reshape(2, s), rv.reshape(4, s)))
 
     def _energy(self, state: ChainState) -> float:
         """``total_energy(state, pot)``: one ``np.sum`` of the energy density
@@ -579,52 +425,14 @@ class EnergyLaw:
         self._live = None if state.window is None else state.r
         return float(np.sum(self._density))
 
-    def _residual(self) -> Iterator[tuple[int, np.ndarray]]:
-        """The energy-law residual on the uniform phase grid, block by block.
-
-        Yields ``(g, res)``: ``res`` is the grid residual from index ``g``
-        on.  The blocks follow each other without a gap, and every entry
-        outside them is exactly 0.
-        """
-        sigma, dphi = self.sigma, self.dphi
-        shift = int(round(1.0 / dphi))
-        if self._grid.size <= 2 * shift:
-            raise ValueError("snapshot phases span too short a profile")
-        g0, g1 = self._interpolated()
-        # Block by block: np.interp at x reads only the held pair of x, so a
-        # block interpolates from its own points' pairs (see HeldPairs).
-        # Every grid point lies inside the pool's phases, so neither end
-        # value is used.  Residual i reads the profile at grid points i to
-        # i + 2*shift, so a block of residuals [b0, b1) needs the points
-        # [b0, b1 + 2*shift): the last 2*shift of the previous block's
-        # points, and new ones.  np.gradient's central difference
-        # (e[k+1] - e[k-1]) / (2*dphi) is all the residual reads of it: its
-        # one-sided ends fall in the cut shift points at each end.
-        n_res = g1 - g0 - 2 * shift
-        block = max(1, int(round(_BLOCK / dphi)))
-        r_g = v_g = np.empty(0)
-        for b0 in range(0, n_res, block):
-            k = min(block, n_res - b0)  # residuals in this block
-            r, v = self._pairs.interp(g0 + b0 + r_g.size, g0 + b0 + k + 2 * shift)
-            r_g, v_g = np.concatenate((r_g, r)), np.concatenate((v_g, v))
-            e = 0.5 * v_g**2 + self.pot.phi(r_g)
-            de = (e[shift + 1:shift + 1 + k] - e[shift - 1:shift - 1 + k]) / (2.0 * dphi)
-            fp = self.pot.phi_prime(r_g)
-            yield g0 + b0, (sigma * de
-                            + fp[shift:shift + k] * v_g[2 * shift:]
-                            - fp[:k] * v_g[shift:shift + k])
-            r_g, v_g = r_g[k:], v_g[k:]
-
     def report(self) -> EnergyLawReport:
+        """The largest drift of the total energy from the first snapshot's,
+        corrected by the boundary flux integrated by the trapezoidal rule,
+        relative to the first energy (or to 1, where that is smaller)."""
         if len(self.times) < 2:
             raise ValueError("need at least two snapshots")
         if len(self.times) < len(self._announced):
             raise ValueError(f"{len(self.times)} of {len(self._announced)} announced snapshots added")
-        residual_sup = 0.0
-        for _, res in self._residual():
-            residual_sup = float(np.max(np.abs(res), initial=residual_sup))
-
-        # Energy bookkeeping: drift of total energy minus time-integrated flux.
         e0 = self.energies[0]
         times = np.array(self.times)
         energies = np.array(self.energies)
@@ -632,31 +440,18 @@ class EnergyLaw:
         flux_int = np.concatenate([[0.0], np.cumsum(
             0.5 * (fluxes[1:] + fluxes[:-1]) * np.diff(times))])
         drift = np.max(np.abs(energies - e0 - flux_int))
-        return EnergyLawReport(residual_sup=residual_sup,
-                               energy_drift_rel=float(drift / max(abs(e0), 1.0)))
+        return EnergyLawReport(energy_drift_rel=float(drift / max(abs(e0), 1.0)))
 
 
-def check_energy_law(
-    snapshots: list[ChainState],
-    pot: Potential,
-    sigma: float,
-    margin_atoms: int = MARGIN_ATOMS,
-    dphi: float = 0.05,
-) -> EnergyLawReport:
-    """Residual of the travelling-wave energy law along the reconstructed profile.
+def check_energy_law(snapshots: list[ChainState], pot: Potential, sigma: float) -> EnergyLawReport:
+    """Relative drift of the total energy of the snapshots, corrected by the
+    accumulated boundary flux: a loop of ``EnergyLaw.add`` over them.
 
-    Pools the interior atoms of all snapshots into scattered samples of the
-    wave profile at phases j - sigma*t, interpolates onto a uniform phase
-    grid, and evaluates
-
-        sigma * d/dphi (v^2/2 + phi(r)) + phi'(r(phi)) v(phi+1)
-            - phi'(r(phi-1)) v(phi)
-
-    by central differences and exact unit shifts.  Also reports the relative
-    drift of the total energy corrected by the accumulated boundary flux.
-    A loop of ``EnergyLaw.add`` over the snapshots.
+    ``sigma`` is unused.  It stays, by position or by keyword, for the
+    callers of this list-form helper, which goes with the others once
+    ``evolve`` has one return shape.
     """
-    law = EnergyLaw(pot, sigma, [s.t for s in snapshots], margin_atoms, dphi)
+    law = EnergyLaw(pot, [s.t for s in snapshots])
     for s in snapshots:
         law.add(s)
     return law.report()
@@ -775,19 +570,24 @@ def verify_front(
     ``evolve`` makes it, to three things: the sup error, over the
     atoms inside two ``MARGIN_ATOMS`` margins, between the strain and the front
     profile translated to the phases ``j - n_atoms/2 - sigma t``; the
-    mid-level ``front_crossing`` of the velocity; and the snapshot's row of
-    the ``EnergyLaw``.  Then fits the front speed through the crossings and
-    reports the energy law.  The sup error and the crossing read only a
-    window of atoms and give the whole chain's floats (see the module
-    docstring for why).
+    mid-level ``front_crossing`` of the velocity; and the snapshot's total
+    energy and boundary flux (``EnergyLaw``).  Then fits the front speed
+    through the crossings and reports the energy drift.  The sup error and
+    the crossing read only a window of atoms and give the whole chain's
+    floats (see the module docstring for why).  Raises ValueError for a
+    chain of at most ``2 * MARGIN_ATOMS`` atoms, whose margins leave no atom
+    to compare.
     """
+    if n_atoms <= 2 * MARGIN_ATOMS:
+        raise ValueError(f"a chain of {n_atoms} atoms has no interior inside two "
+                         f"{MARGIN_ATOMS}-atom margins")
     state = _chain_on(profile, fd, n_atoms, n_atoms / 2.0, dt)
     nodes = profile.nodes
     r_prof, _ = denormalize_profile(profile, fd)
     level = 0.5 * (fd.v_minus + fd.v_plus)
     sup_errors, crossings = [], []
     # the start and every stride-th step, as evolve stamps them
-    law = EnergyLaw(pot, fd.sigma, chain_clock(state.t, dt, T, stride)[1])
+    law = EnergyLaw(pot, chain_clock(state.t, dt, T, stride)[1])
 
     def sup_error(s: ChainState, head: int, tail: int) -> float:
         # the atoms whose phase j - c may lie on [nodes[0], nodes[-1]], with
@@ -808,7 +608,7 @@ def verify_front(
         head, tail = _state_runs(s)
         sup_errors.append(sup_error(s, head, tail))
         crossings.append(_crossing_between_runs(s.v, level, fd.v_minus, fd.v_plus, head, tail))
-        law._add(s, head, tail)
+        law.add(s)
 
     observe(state)
     evolve(state, pot, T, gamma=gamma, snapshot_stride=stride, observe=observe)

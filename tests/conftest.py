@@ -98,55 +98,12 @@ class UphillForcePotential(Potential):
         return 3.0 * np.asarray(u, dtype=float)
 
 
-def full_pool_energy_law(snapshots, pot, sigma, margin_atoms=20, dphi=0.05):
-    """Energy-law residual from a sort of every snapshot's whole interior.
-
-    The reference ``check_energy_law`` must match: it pools only the atoms
-    off the asymptotic states and interpolates only near their phases.
-    Returns (residual on the phase grid, energy_drift_rel).
-    """
-    n = snapshots[0].n_atoms
-    j = np.arange(n)
-    interior = slice(margin_atoms, n - margin_atoms)
-    phi_all = np.concatenate([j[interior] - sigma * s.t for s in snapshots])
-    order = np.argsort(phi_all, kind="stable")
-    phi_all = phi_all[order]
-    r_all = np.concatenate([s.r[interior] for s in snapshots])[order]
-    v_all = np.concatenate([s.v[interior] for s in snapshots])[order]
-
-    shift = int(round(1.0 / dphi))
-    grid = np.arange(phi_all[0] + 1.5, phi_all[-1] - 1.5, dphi)
-    r_g = np.interp(grid, phi_all, r_all)
-    v_g = np.interp(grid, phi_all, v_all)
-    de = np.gradient(0.5 * v_g**2 + pot.phi(r_g), dphi)
-    fp = pot.phi_prime(r_g)
-    res = (sigma * de[shift:-shift]
-           + fp[shift:-shift] * v_g[2 * shift:]
-           - fp[:-2 * shift] * v_g[shift:-shift])
-
-    times = np.array([s.t for s in snapshots])
-    energies = np.array([total_energy(s, pot) for s in snapshots])
-    fluxes = np.array([boundary_flux(s, pot) for s in snapshots])
-    flux_int = np.concatenate([[0.0], np.cumsum(
-        0.5 * (fluxes[1:] + fluxes[:-1]) * np.diff(times))])
-    drift = np.max(np.abs(energies - energies[0] - flux_int))
-    return res, float(drift / max(abs(energies[0]), 1.0))
-
-
 @contextlib.contextmanager
 def no_least_squares():
     """``np.polyfit`` and ``np.linalg.lstsq`` raise while the block runs."""
     with (mock.patch("numpy.polyfit", side_effect=AssertionError("np.polyfit called")),
           mock.patch("numpy.linalg.lstsq", side_effect=AssertionError("lstsq called"))):
         yield
-
-
-def joined_residual(law):
-    """``law._residual()``'s blocks joined into ``(g0, res)``, after checking
-    that each block starts where the one before it ends."""
-    starts, parts = zip(*law._residual())
-    assert list(starts) == [starts[0] + sum(p.size for p in parts[:i]) for i in range(len(parts))]
-    return starts[0], np.concatenate(parts)
 
 
 def whole_chain_verify(result, fd, pot, *, gamma, n_atoms, T, dt, stride):

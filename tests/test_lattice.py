@@ -29,7 +29,7 @@ from fpufronts import (
 from fpufronts import lattice
 from fpufronts.errors import BlowUp, NotAFront
 
-from conftest import full_pool_energy_law, joined_residual, no_least_squares, whole_chain_verify
+from conftest import no_least_squares, whole_chain_verify
 
 
 def constant_state(r0, v0, n=100, dt=0.01):
@@ -342,7 +342,6 @@ def test_energy_law_residual_and_drift(front_005):
     state = init_from_front(res, NORMALIZED, n_atoms=400, dt=0.01)
     _, snaps = evolve(state, pot, 20.0, gamma=front_005["gamma"], snapshot_stride=73)
     report = check_energy_law([state] + snaps, pot, sigma=1.0)
-    assert report.residual_sup <= 0.02
     assert report.energy_drift_rel <= 1e-4
 
 
@@ -355,7 +354,6 @@ def test_energy_law_zero_for_constant_state():
         s = evolve(s, pot, 1.3)
         snaps.append(s)
     report = check_energy_law(snaps, pot, sigma=1.0)
-    assert report.residual_sup < 1e-12
     assert report.energy_drift_rel < 1e-12
 
 
@@ -366,31 +364,6 @@ def test_total_energy_and_flux_bookkeeping():
     assert e == pytest.approx(50 * (0.5 * 0.04 + float(pot.phi(0.5))), abs=1e-12)
     # constant state: flux in equals flux out
     assert boundary_flux(state, pot) == pytest.approx(0.0, abs=1e-14)
-
-
-# Block sizes of the energy-law report, in phase units: one block per phase
-# unit, the default, a large one, and one of 7 grid points, which neither
-# divides the others nor covers the residual's 40-point halo.
-REPORT_BLOCKS = (1, 8, 32, 0.35)
-
-
-def assert_energy_law_is_full_pool(snaps, pot, sigma):
-    """check_energy_law equals the full-pool reference, and so does every
-    residual entry: those it computes, and the zeros it leaves out.  Each
-    block size of the report gives these floats."""
-    res, drift = full_pool_energy_law(snaps, pot, sigma)
-    law = EnergyLaw(pot, sigma, [s.t for s in snaps])
-    for s in snaps:
-        law.add(s)
-    for block in REPORT_BLOCKS:
-        with mock.patch.object(lattice, "_BLOCK", block):
-            report = check_energy_law(snaps, pot, sigma=sigma)
-            assert report.residual_sup == float(np.max(np.abs(res)))
-            assert report.energy_drift_rel == drift
-            g0, part = joined_residual(law)
-        assert np.array_equal(part, res[g0:g0 + part.size])
-        assert not res[:g0].any() and not res[g0 + part.size:].any()
-    return law
 
 
 def reference_front_speed(snapshots):
@@ -409,6 +382,19 @@ def reference_front_speed(snapshots):
     t = np.array(times) - np.mean(times)
     c = np.array(crossings) - np.mean(crossings)
     return float(np.sum(t * c) / np.sum(t * t))
+
+
+def reference_energy_drift(snapshots, pot):
+    """The energy drift written out on the snapshot list: the largest change
+    of the whole-chain total energy, less the boundary flux integrated by the
+    trapezoidal rule, relative to the first energy (or to 1)."""
+    times = np.array([s.t for s in snapshots])
+    energies = np.array([total_energy(s, pot) for s in snapshots])
+    fluxes = np.array([boundary_flux(s, pot) for s in snapshots])
+    flux_int = np.concatenate([[0.0], np.cumsum(
+        0.5 * (fluxes[1:] + fluxes[:-1]) * np.diff(times))])
+    drift = np.max(np.abs(energies - energies[0] - flux_int))
+    return float(drift / max(abs(energies[0]), 1.0))
 
 
 def _growing_window_chain(front):
@@ -435,19 +421,13 @@ chains = pytest.mark.parametrize("chain", [_growing_window_chain, _inexact_tails
 
 
 @chains
-def test_energy_law_equals_full_pool(front_005, chain):
+def test_speed_and_energy_drift_equal_references(front_005, chain):
     pot, gamma = front_005["pot"], front_005["gamma"]
     state, T, stride = chain(front_005)
     _, snaps = evolve(state, pot, T, gamma=gamma, snapshot_stride=stride)
     snaps = [state] + snaps
-    law = assert_energy_law_is_full_pool(snaps, pot, 1.0)
     assert measure_front_speed(snaps) == reference_front_speed(snaps)
-    kept = sum(hi - lo for lo, hi in law._windows)
-    interior = len(snaps) * (state.n_atoms - 40)
-    if chain is _inexact_tails_chain:
-        assert kept == interior
-    else:
-        assert kept < interior / 2
+    assert check_energy_law(snaps, pot, 1.0).energy_drift_rel == reference_energy_drift(snaps, pot)
 
 
 @chains
@@ -482,7 +462,7 @@ def test_energy_law_energies_equal_total_energy(front_005, chain):
     state, T, stride = chain(front_005)
     steps = range(stride, int(round(T / state.dt)) + 1, stride)
     run = [state.t + step * state.dt for step in steps]
-    law = EnergyLaw(pot, 1.0, [state.t] + run + run)
+    law = EnergyLaw(pot, [state.t] + run + run)
     copies = []
 
     def observe(s):
@@ -504,18 +484,6 @@ def test_energy_law_energies_equal_total_energy(front_005, chain):
         assert set(sizes) == {n}
     else:
         assert sizes.count(n) == 2 and sizes[0] == sizes[len(sizes) // 2] == n
-
-
-def test_energy_law_equals_full_pool_from_a_jump():
-    # At t = 0 no atom is off the states: the window keeps one atom at the jump.
-    pot = QuarticPotential(75.0)
-    left = np.arange(400) < 200
-    state = ChainState(r=np.where(left, -0.01, 0.01), v=np.where(left, 0.02, -0.02),
-                       t=0.0, dt=0.05, r_minus=-0.01, v_minus=0.02, r_plus=0.01, v_plus=-0.02)
-    _, snaps = evolve(state, pot, 2.0, snapshot_stride=3)
-    snaps = [state] + snaps
-    for sigma in (0.3, -0.3):
-        assert_energy_law_is_full_pool(snaps, pot, sigma)
 
 
 def test_observe_sees_the_returned_snapshots(front_005):
@@ -566,36 +534,26 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
-def test_energy_law_report_memory_is_one_block():
-    # A pool of every snapshot over the windows' whole phase span (about
-    # 760 phase units) is 416 k samples, and a report that sorts it at once
-    # peaks at 18 MB; one that holds its residual's grid-length arrays near
-    # 2 MB.  The report interpolates 8 phase units at a time.
-    law = EnergyLaw(QuarticPotential(0.05), 1.0, VERIFY_TIMES)
-    for s in verify_like_snapshots():
-        law.add(s)
-    assert traced_peak(law.report) < 1e6
-
-
-def test_energy_law_holds_two_samples_per_phase_point():
-    # Pooling the windows' atoms held 214 k samples of r and v, 3.4 MB, in
-    # buffers that doubled to 311 k entries, 5 MB, and held the old half
-    # beside them while growing.  The two samples np.interp reads per point
-    # of the grid near the windows, about 15.4 k points, take seven arrays
-    # of 0.12 MB, in buffers with room to grow.
+def test_energy_law_keeps_no_per_snapshot_arrays():
+    # Per snapshot the law keeps three floats (time, energy, flux), and of
+    # the last snapshot one energy-density array of 8000 atoms, 64 kB: its
+    # adds and report peak near 0.39 MB, or 1.08 MB where the snapshots'
+    # generator is the first to load numpy.random.  Keeping only the
+    # strains of each snapshot's atoms off the states would add about
+    # 1.7 MB, and two samples per phase-grid point near them 1.3 MB.
     def run():
-        law = EnergyLaw(QuarticPotential(0.05), 1.0, VERIFY_TIMES)
+        law = EnergyLaw(QuarticPotential(0.05), VERIFY_TIMES)
         for s in verify_like_snapshots():
             law.add(s)
         law.report()
 
-    assert traced_peak(run) < 3e6
+    assert traced_peak(run) < 1.5e6
 
 
 def test_energy_law_refuses_unannounced_snapshots():
     pot = QuarticPotential(0.05)
     state = constant_state(0.3, 0.1, n=100)
-    law = EnergyLaw(pot, 1.0, [0.0, 0.5, 1.0])
+    law = EnergyLaw(pot, [0.0, 0.5, 1.0])
     law.add(state)
     with pytest.raises(ValueError, match="announced time 0.5"):
         law.add(ChainState(state.r, state.v, 0.25, 0.05, 0.3, 0.1, 0.3, 0.1))
@@ -605,13 +563,11 @@ def test_energy_law_refuses_unannounced_snapshots():
     law.add(ChainState(state.r, state.v, 1.0, 0.05, 0.3, 0.1, 0.3, 0.1))
     with pytest.raises(ValueError, match="announced time none"):
         law.add(ChainState(state.r, state.v, 1.5, 0.05, 0.3, 0.1, 0.3, 0.1))
-    assert law.report().residual_sup == 0.0
+    assert law.report().energy_drift_rel == 0.0
 
 
 # A snapshot of another chain than the first one's, here the middle one of
-# three, is refused by name.  Pooled with the others, these gave a
-# residual_sup of 7.45 (140 atoms among 100) and 6.31 (r_minus = -0.5)
-# without a word.
+# three, is refused by name: its energy and flux belong to another balance.
 @pytest.mark.parametrize("atoms, r_minus", [(140, -1.0), (100, -0.5)],
                          ids=["atom_count", "left_state"])
 def test_energy_law_refuses_another_chain(front_005, atoms, r_minus):
@@ -624,6 +580,16 @@ def test_energy_law_refuses_another_chain(front_005, atoms, r_minus):
     with pytest.raises(ValueError, match=r"snapshot 1 has \(atoms, r_minus, v_minus, r_plus, "
                                          rf"v_plus\) = \({atoms}, {r_minus}, "):
         check_energy_law([first, middle, last], pot, 1.0)
+
+
+def test_verify_front_refuses_a_chain_inside_its_margins(front_005):
+    # 40 atoms are the two 20-atom margins alone: no atom is left whose
+    # sup error could be read, so verify_front refuses rather than report 0.
+    res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
+    with pytest.raises(ValueError, match="a chain of 40 atoms has no interior inside two "
+                                         "20-atom margins"):
+        verify_front(res.profile, NORMALIZED, pot, gamma=gamma, n_atoms=40, T=1.0, dt=0.01,
+                     stride=10)
 
 
 def test_verify_front_default_run_equals_whole_chain(front_005):

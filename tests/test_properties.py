@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from fpufronts import (
     NORMALIZED,
     ChainState,
-    EnergyLaw,
     FrontData,
     GraphViolatingPotential,
     GridProfile,
@@ -55,8 +54,6 @@ from fpufronts.errors import BlowUp, InvariantBoundNotFound
 from fpufronts.phases import _median
 
 from conftest import (
-    full_pool_energy_law,
-    joined_residual,
     whole_array_check_assumptions,
     whole_array_invariant_bound,
     whole_chain_verify,
@@ -326,88 +323,6 @@ def test_crossing_between_runs_equals_front_crossing(n, seed, v_minus, v_plus, w
     head, tail = int(at_head * head), int(at_tail * tail)
     got = lattice._crossing_between_runs(v, level, v_minus, v_plus, head, tail)
     assert repr(got) == repr(front_crossing(v, level))
-
-
-def window_snapshots(n, sigma, dt, stride, n_snaps, gap, seed):
-    """Snapshots of an n-atom chain at times (k * stride) * dt, as evolve takes them.
-
-    Each holds random strains and velocities on a random window of atoms and
-    sits exactly at (-1, 1) left of it and at (1, -1) right of it.  The first
-    window spans half the chain or more.  With ``gap``, the second half of the
-    snapshots comes so much later that their phases do not meet the first's.
-    """
-    rng = np.random.default_rng(seed)
-    jump = int(np.ceil(2 * n / abs(sigma * dt * stride))) if gap else 0
-    atoms = np.arange(n)
-    snaps = []
-    for k in range(n_snaps):
-        if k == 0:
-            lo, hi = rng.integers(0, n // 4), rng.integers(3 * n // 4, n + 1)
-        else:
-            lo, hi = np.sort(rng.integers(0, n + 1, size=2))
-        r = np.where(atoms < lo, -1.0, np.where(atoms < hi, rng.uniform(-1.5, 1.5, n), 1.0))
-        v = np.where(atoms < lo, 1.0, np.where(atoms < hi, rng.uniform(-1.5, 1.5, n), -1.0))
-        steps = (k + (jump if 2 * k >= n_snaps else 0)) * stride
-        snaps.append(ChainState(r, v, steps * dt, dt, -1.0, 1.0, 1.0, -1.0))
-    return snaps
-
-
-# sigma * dt * stride is often a short binary fraction, so that phases repeat
-# exactly across snapshots; dphi = 0.25 and 0.5 put grid points, and with
-# them block edges, exactly on such repeated phases.  Float sigma and dt put
-# block edges anywhere, x + c within rounding of an integer included.
-@settings(max_examples=30, deadline=None)
-@given(st.integers(300, 500),
-       st.one_of(st.sampled_from([0.25, 0.5, 1.0, 0.3, 1.7]), st.floats(0.1, 2.0)), st.booleans(),
-       st.one_of(st.sampled_from([0.01, 0.05, 0.0625, 0.25]), st.floats(0.005, 0.25)),
-       st.integers(1, 12), st.sampled_from([0.05, 0.25, 0.5]), st.integers(2, 12), st.booleans(),
-       seeds)
-@example(n=400, sigma=0.25, negative=False, dt=0.25, stride=4, dphi=0.25, n_snaps=12,
-         gap=False, seed=0)
-@example(n=300, sigma=1.0, negative=True, dt=0.05, stride=4, dphi=0.05, n_snaps=6,
-         gap=True, seed=1)
-# at 31 block starts, x_first + c lies within one ulp below an integer
-# (23.88 + 0.12, say) and its float sum rounds up to that integer
-@example(n=322, sigma=1.0, negative=False, dt=0.01, stride=3, dphi=0.25, n_snaps=5,
-         gap=False, seed=31)
-# the windows of snapshots 1 and 3 reach phases below, and that of snapshot
-# 6 phases above, every earlier window's by more than the points held, so
-# the held points grow over the pairs of the earlier snapshots' atoms
-@example(n=360, sigma=0.5, negative=False, dt=0.05, stride=7, dphi=0.05, n_snaps=8,
-         gap=False, seed=8)
-def test_block_pool_equals_full_pool(n, sigma, negative, dt, stride, dphi, n_snaps, gap, seed):
-    sigma = -sigma if negative else sigma
-    snaps = window_snapshots(n, sigma, dt, stride, n_snaps, gap, seed)
-    pot = QuarticPotential(0.05)
-    res, drift = full_pool_energy_law(snaps, pot, sigma, dphi=dphi)
-    law = EnergyLaw(pot, sigma, [s.t for s in snaps], dphi=dphi)
-    for s in snaps:
-        law.add(s)
-    report = law.report()
-    g0, part = joined_residual(law)
-    assert np.array_equal(part, res[g0:g0 + part.size])
-    assert not res[:g0].any() and not res[g0 + part.size:].any()
-    assert report.residual_sup == float(np.max(np.abs(res)))
-    assert report.energy_drift_rel == drift
-    # the kept phases span at least three blocks
-    lo, hi = np.array(law._windows).T
-    phases = np.concatenate([lo - sigma * np.array(law.times), hi - sigma * np.array(law.times)])
-    assert np.ptp(phases) >= 3 * lattice._BLOCK
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(-5000.0, 5000.0), st.floats(0.0, 3000.0),
-       st.sampled_from([0.05, 0.01, 0.1, 0.25, 0.03]), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-@example(first=-7.0, span=400.0, dphi=0.05, u0=0.0, u1=1.0)
-def test_arange_grid_equals_np_arange(first, span, dphi, u0, u1):
-    # EnergyLaw._residual's phase grid, np.arange(first + 1.5, last - 1.5,
-    # dphi), only as the slice [g0, g1) it interpolates
-    start, stop = first + 1.5, first + span - 1.5
-    full = np.arange(start, stop, dphi)
-    grid = lattice._ArangeGrid(start, stop, dphi)
-    assert grid.size == full.size
-    g0, g1 = sorted(int(u * full.size) for u in (u0, u1))
-    assert np.array_equal(grid.points(g0, g1), full[g0:g1])
 
 
 def _outcome(run):
