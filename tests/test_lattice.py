@@ -534,13 +534,14 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
-def test_energy_law_keeps_no_per_snapshot_arrays():
-    # Per snapshot the law keeps three floats (time, energy, flux), and of
-    # the last snapshot one energy-density array of 8000 atoms, 64 kB: its
-    # adds and report peak near 0.39 MB, or 1.08 MB where the snapshots'
-    # generator is the first to load numpy.random.  Keeping only the
-    # strains of each snapshot's atoms off the states would add about
-    # 1.7 MB, and two samples per phase-grid point near them 1.3 MB.
+def test_energy_law_report_memory_is_one_block():
+    # The law keeps no per-snapshot arrays.  Per snapshot it keeps three
+    # floats (time, energy, flux), and of the last snapshot one block, its
+    # energy-density array of 8000 atoms, 64 kB: its adds and report peak
+    # near 0.39 MB, or 1.08 MB where the snapshots' generator is the first
+    # to load numpy.random.  Keeping only the strains of each snapshot's
+    # atoms off the states would add about 1.7 MB, and two samples per
+    # phase-grid point near them 1.3 MB.
     def run():
         law = EnergyLaw(QuarticPotential(0.05), VERIFY_TIMES)
         for s in verify_like_snapshots():
