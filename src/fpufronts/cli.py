@@ -392,7 +392,7 @@ def _check_verify_args(args) -> None:
     if args.stride < 1:
         raise ConfigError(f"verify --stride must be at least 1, not {args.stride}")
     try:
-        steps = chain_clock(0.0, args.dt, args.time)[0]
+        steps = chain_clock(args.dt, args.time)
     except OverflowError:  # --time / --dt is no finite number of steps
         steps = 0
     if steps < args.stride:
@@ -617,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atoms", type=int, default=400)
     p.add_argument("--time", type=float, default=20.0)
     p.add_argument("--dt", type=float, default=0.01)
-    # Stride incommensurate with 1/(sigma*dt), so pooled snapshot phases
-    # interleave instead of aliasing onto the same offsets.
+    # verify.json lists the snapshot times, every 73 steps: a different
+    # default would change every verify.json.
     p.add_argument("--stride", type=int, default=73)
     p.set_defaults(func=cmd_verify)
 

@@ -46,18 +46,17 @@ snapshot list and a stream give the same floats.
 ``verify_front``, the check ``fpufronts verify`` runs, reduces each snapshot
 to its sup error against the translated profile, its front crossing, its
 total energy and its boundary flux, and reads for the first two only a
-window of atoms: those off the states, widened for the sup error by the
+window of atoms: the integrator's window, widened for the sup error by the
 atoms whose reference phase lies on the profile's nodes and for the
-crossing by one atom on each side.  The runs of atoms at the states that
-bound it are themselves read inside the integrator's window
-(``_state_runs``).  Outside it both reductions see exact equalities.  An
-atom at a state and ``np.interp``'s ``left=``/``right=`` value for a phase
-beyond the nodes are the same float, so their difference is 0.  Two
-neighbours at one state give the product ``(v - level)**2``, the same
-float all along the run, which is a crossing at the run's first pair if it
-is <= 0 and none if not.  So the window gives the whole chain's floats,
-provided the window's offset is added to the integer atom index before the
-fraction, as the whole-chain search adds it.
+crossing by one atom on each side.  Every atom outside it is at a state,
+where both reductions see exact equalities.  An atom at a state and
+``np.interp``'s ``left=``/``right=`` value for a phase beyond the nodes
+are the same float, so their difference is 0.  Two neighbours at one state
+give the product ``(v - level)**2``, the same float all along the run,
+which is a crossing at the run's first pair if it is <= 0 and none if
+not.  So the window gives the whole chain's floats, provided the window's
+offset is added to the integer atom index before the fraction, as the
+whole-chain search adds it.
 
 The snapshot's total energy stays one ``np.sum`` over the whole chain
 (``np.sum`` adds pairwise, and a sum over part of the chain rounds
@@ -122,12 +121,11 @@ class ChainState:
 
 def sample_front(result: RunResult, fd: FrontData, phi: np.ndarray):
     """Linear interpolation of the denormalized front profiles at phases ``phi``."""
-    return _profile_at(result.profile, fd, phi)
+    return _profile_at(result.profile.nodes, *denormalize_profile(result.profile, fd), fd, phi)
 
 
-def _profile_at(profile: GridProfile, fd: FrontData, phi: np.ndarray):
-    r_prof, v_prof = denormalize_profile(profile, fd)
-    nodes = profile.nodes
+def _profile_at(nodes: np.ndarray, r_prof: np.ndarray, v_prof: np.ndarray, fd: FrontData,
+                phi: np.ndarray):
     r = np.interp(phi, nodes, r_prof, left=fd.r_minus, right=fd.r_plus)
     v = np.interp(phi, nodes, v_prof, left=fd.v_minus, right=fd.v_plus)
     return r, v
@@ -148,13 +146,16 @@ def init_from_front(
         raise NotAFront(f"solver outcome was {result.outcome!r}")
     if offset is None:
         offset = n_atoms / 2.0
-    return _chain_on(result.profile, fd, n_atoms, offset, dt)
+    profile = result.profile
+    return _chain_on(profile.nodes, *denormalize_profile(profile, fd), fd, n_atoms, offset, dt)
 
 
-def _chain_on(profile: GridProfile, fd: FrontData, n_atoms: int, offset: float,
-              dt: float) -> ChainState:
+def _chain_on(nodes: np.ndarray, r_prof: np.ndarray, v_prof: np.ndarray, fd: FrontData,
+              n_atoms: int, offset: float, dt: float) -> ChainState:
+    """A chain of ``n_atoms`` atoms, atom j on the denormalized profiles
+    ``r_prof`` and ``v_prof`` at the phase ``j - offset``."""
     j = np.arange(n_atoms, dtype=float)
-    r, v = _profile_at(profile, fd, j - offset)
+    r, v = _profile_at(nodes, r_prof, v_prof, fd, j - offset)
     return ChainState(r=r, v=v, t=0.0, dt=dt,
                       r_minus=fd.r_minus, v_minus=fd.v_minus,
                       r_plus=fd.r_plus, v_plus=fd.v_plus)
@@ -180,25 +181,11 @@ def _at_state(r: np.ndarray, v: np.ndarray, r_state: float, v_state: float) -> n
 
 def _state_runs(state: ChainState) -> tuple[int, int]:
     """Lengths of the runs of atoms exactly at the left state (from the left
-    end) and at the right state (from the right end).
-
-    With a ``window`` only its atoms are read: the atoms left of it extend
-    the left run and those right of it the right run.  A run that covers
-    the whole window may go on beyond it (where both states are one), so
-    then the whole chain is read.
-    """
-    def runs(lo: int, hi: int) -> tuple[int, int]:
-        r, v = state.r[lo:hi], state.v[lo:hi]
-        return (_run_length(_at_state(r, v, state.r_minus, state.v_minus)),
-                _run_length(_at_state(r[::-1], v[::-1], state.r_plus, state.v_plus)))
-
-    n = state.n_atoms
-    lo, hi = state.window or (0, n)
-    head, tail = runs(lo, hi)
-    if (lo, hi) != (0, n) and hi - lo in (head, tail):
-        lo, hi = 0, n
-        head, tail = runs(lo, hi)
-    return lo + head, n - hi + tail
+    end) and at the right state (from the right end), read over the whole
+    chain."""
+    r, v = state.r, state.v
+    return (_run_length(_at_state(r, v, state.r_minus, state.v_minus)),
+            _run_length(_at_state(r[::-1], v[::-1], state.r_plus, state.v_plus)))
 
 
 # The largest leapfrog step of a chain run.
@@ -208,23 +195,17 @@ MAX_DT = 0.05
 MARGIN_ATOMS = 20
 
 
-def chain_clock(t0: float, dt: float, T: float,
-                stride: int | None = None) -> tuple[int, list[float]]:
-    """The clock of a chain run of ``T`` at step ``dt`` from time ``t0``.
+def chain_clock(dt: float, T: float) -> int:
+    """The step count ``round(T/dt)`` of a chain run of ``T`` at step ``dt``.
 
-    Returns its step count ``round(T/dt)`` and the times of the states
-    after the steps 0, ``stride``, 2 ``stride``, ... up to that count, or,
-    without a ``stride``, after step 0 and the last step: the state after
-    step k is at ``t0 + k*dt``.  ``evolve`` stamps its states with these
-    times.  Raises ValueError unless ``0 < dt <= MAX_DT`` and ``T`` is
-    finite and ``>= 0``.
+    Raises ValueError unless ``0 < dt <= MAX_DT`` and ``T`` is finite and
+    ``>= 0``.
     """
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must lie in (0, {MAX_DT}], not {dt!r}")
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"T must be finite and at least 0, not {T!r}")
-    n = int(round(T / dt))
-    return n, [t0 + k * dt for k in (range(0, n + 1, stride) if stride else (0, n))]
+    return int(round(T / dt))
 
 
 def evolve(
@@ -240,12 +221,13 @@ def evolve(
     Each step is a half velocity kick, a full strain drift, and a second half
     kick; the scheme is time-reversible up to rounding.  The force of the
     second kick is that of the next step's first kick, so it is evaluated,
-    and multiplied by ``dt/2``, once per step.  The steps and the states'
-    times are ``chain_clock``'s, which raises ValueError unless ``0 < dt <=
-    MAX_DT`` and ``T`` is finite and ``>= 0``.  Raises BlowUp at the first
-    step after which a strain leaves ten times the invariant interval or is
-    not finite (a NaN strain compares false with every bound, so the test is
-    ``not |r| <= bound``).  With ``snapshot_stride`` set, also returns the
+    and multiplied by ``dt/2``, once per step.  It takes ``chain_clock``'s
+    step count, which raises ValueError unless ``0 < dt <= MAX_DT`` and
+    ``T`` is finite and ``>= 0``, and stamps the state after step k with
+    the time ``state.t + k*dt``.  Raises BlowUp at the first step after
+    which a strain leaves ten times the invariant interval or is not finite
+    (a NaN strain compares false with every bound, so the test is ``not |r|
+    <= bound``).  With ``snapshot_stride`` set, also returns the
     intermediate states every that many steps.
 
     With ``observe`` set as well, ``observe(s)`` is called with each
@@ -270,7 +252,7 @@ def evolve(
     view of the velocity buffer, whose last slot is the ghost ``v_plus``
     (see the module docstring).
     """
-    n_steps, (_, t_end) = chain_clock(state.t, state.dt, T)
+    n_steps = chain_clock(state.dt, T)
     if observe is not None and not snapshot_stride:
         raise ValueError("observe needs a snapshot_stride")
     dt = state.dt
@@ -296,10 +278,8 @@ def evolve(
         def observe(s: ChainState) -> None:
             snapshots.append(ChainState(s.r.copy(), s.v.copy(), s.t, s.dt,
                                         s.r_minus, s.v_minus, s.r_plus, s.v_plus))
-    # the steps after which to observe a snapshot and to check the guard
-    # bands, and the snapshots' times (the first is the start's)
+    # the steps after which to observe a snapshot and to check the guard bands
     snap_at = snapshot_stride - 1 if snapshot_stride else -1
-    times = chain_clock(state.t, dt, T, snapshot_stride)[1]
     check_at = _CHECK_EVERY - 1
     # The step's constants as numpy floats, which its ufuncs take without
     # converting (a Python float converts to the same float64 on every
@@ -328,7 +308,7 @@ def evolve(
             raise BlowUp(f"strain exceeded 10*gamma at step {step}")
         if step == snap_at:
             snap_at += snapshot_stride
-            observe(ChainState(r, v, times[(step + 1) // snapshot_stride], dt,
+            observe(ChainState(r, v, state.t + (step + 1) * dt, dt,
                                state.r_minus, state.v_minus,
                                state.r_plus, state.v_plus, (lo, hi)))
         if step == check_at:
@@ -339,7 +319,7 @@ def evolve(
             if hi < n and not _at_state(rw[-_GUARD:], vw[-_GUARD:],
                                         state.r_plus, state.v_plus).all():
                 hi, resize = min(n, hi + _CHUNK), True
-    final = ChainState(r, v, t_end, dt,
+    final = ChainState(r, v, state.t + n_steps * dt, dt,
                        state.r_minus, state.v_minus,
                        state.r_plus, state.v_plus)
     if snapshots is not None:
@@ -370,20 +350,17 @@ class EnergyLawReport:
 class EnergyLaw:
     """The chain's energy balance, accumulated one snapshot at a time.
 
-    ``times`` announces the snapshots' times, in the order ``add`` takes
-    them.  ``add`` reads a snapshot, which may be a live ``evolve`` state,
-    and refuses one at any other time, or with another atom count or other
-    states than the first snapshot's; ``report`` refuses fewer than two
-    snapshots, or fewer than were announced.
+    ``add`` reads a snapshot, which may be a live ``evolve`` state, and
+    refuses one with another atom count or other states than the first
+    snapshot's; ``report`` refuses fewer than two snapshots.
 
     Per snapshot it keeps ``t``, the total energy and the boundary flux;
     of the last snapshot it keeps the energy density, atom by atom (see
     ``_energy``).  Nothing else grows with the snapshots or the atoms.
     """
 
-    def __init__(self, pot: Potential, times):
+    def __init__(self, pot: Potential):
         self.pot = pot
-        self._announced = list(times)
         self.times: list[float] = []
         self.energies: list[float] = []
         self.fluxes: list[float] = []
@@ -393,9 +370,6 @@ class EnergyLaw:
 
     def add(self, state: ChainState) -> None:
         k = len(self.times)
-        if k == len(self._announced) or state.t != self._announced[k]:
-            expected = self._announced[k] if k < len(self._announced) else "none"
-            raise ValueError(f"snapshot {k} is at t = {state.t!r}, not at the announced time {expected}")
         chain = (state.n_atoms, state.r_minus, state.v_minus, state.r_plus, state.v_plus)
         if k == 0:
             self._chain = chain
@@ -431,8 +405,6 @@ class EnergyLaw:
         relative to the first energy (or to 1, where that is smaller)."""
         if len(self.times) < 2:
             raise ValueError("need at least two snapshots")
-        if len(self.times) < len(self._announced):
-            raise ValueError(f"{len(self.times)} of {len(self._announced)} announced snapshots added")
         e0 = self.energies[0]
         times = np.array(self.times)
         energies = np.array(self.energies)
@@ -451,7 +423,7 @@ def check_energy_law(snapshots: list[ChainState], pot: Potential, sigma: float) 
     callers of this list-form helper, which goes with the others once
     ``evolve`` has one return shape.
     """
-    law = EnergyLaw(pot, [s.t for s in snapshots])
+    law = EnergyLaw(pot)
     for s in snapshots:
         law.add(s)
     return law.report()
@@ -573,21 +545,20 @@ def verify_front(
     mid-level ``front_crossing`` of the velocity; and the snapshot's total
     energy and boundary flux (``EnergyLaw``).  Then fits the front speed
     through the crossings and reports the energy drift.  The sup error and
-    the crossing read only a window of atoms and give the whole chain's
-    floats (see the module docstring for why).  Raises ValueError for a
-    chain of at most ``2 * MARGIN_ATOMS`` atoms, whose margins leave no atom
-    to compare.
+    the crossing read only the window ``evolve`` hands over with each
+    state, the whole chain at the start, and give the whole chain's floats
+    (see the module docstring for why).  Raises ValueError for a chain of at
+    most ``2 * MARGIN_ATOMS`` atoms, whose margins leave no atom to compare.
     """
     if n_atoms <= 2 * MARGIN_ATOMS:
         raise ValueError(f"a chain of {n_atoms} atoms has no interior inside two "
                          f"{MARGIN_ATOMS}-atom margins")
-    state = _chain_on(profile, fd, n_atoms, n_atoms / 2.0, dt)
     nodes = profile.nodes
-    r_prof, _ = denormalize_profile(profile, fd)
+    r_prof, v_prof = denormalize_profile(profile, fd)
+    state = _chain_on(nodes, r_prof, v_prof, fd, n_atoms, n_atoms / 2.0, dt)
     level = 0.5 * (fd.v_minus + fd.v_plus)
     sup_errors, crossings = [], []
-    # the start and every stride-th step, as evolve stamps them
-    law = EnergyLaw(pot, chain_clock(state.t, dt, T, stride)[1])
+    law = EnergyLaw(pot)
 
     def sup_error(s: ChainState, head: int, tail: int) -> float:
         # the atoms whose phase j - c may lie on [nodes[0], nodes[-1]], with
@@ -605,7 +576,10 @@ def verify_front(
         return float(np.max(np.abs(s.r[a:b] - r_ref)))
 
     def observe(s: ChainState) -> None:
-        head, tail = _state_runs(s)
+        # every atom left of the window is at the left state, every one
+        # right of it at the right state; the start state has no window
+        lo, hi = s.window or (0, n_atoms)
+        head, tail = lo, n_atoms - hi
         sup_errors.append(sup_error(s, head, tail))
         crossings.append(_crossing_between_runs(s.v, level, fd.v_minus, fd.v_plus, head, tail))
         law.add(s)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from fpufronts import (
     front_speed,
     init_from_front,
     measure_front_speed,
+    minimize,
     normalize_potential,
     sample_front,
     shock_profile,
@@ -460,9 +462,7 @@ def test_energy_law_energies_equal_total_energy(front_005, chain):
     # its narrower windows leave atoms that the first run moved.
     pot, gamma = front_005["pot"], front_005["gamma"]
     state, T, stride = chain(front_005)
-    steps = range(stride, int(round(T / state.dt)) + 1, stride)
-    run = [state.t + step * state.dt for step in steps]
-    law = EnergyLaw(pot, [state.t] + run + run)
+    law = EnergyLaw(pot)
     copies = []
 
     def observe(s):
@@ -508,13 +508,13 @@ def test_observe_sees_the_returned_snapshots(front_005):
 VERIFY_TIMES = [k * 73 * 0.01 for k in range(548)]
 
 
-def verify_like_snapshots():
+def verify_like_snapshots(rng):
     """548 snapshots of an 8000-atom chain as the verify over T = 400 sees
-    them: a live state whose window of random atoms widens from 38 atoms to
-    about 750, reaching from the front back to the radiation behind it, and
-    whose other atoms sit at (-1, 1) on the left and (1, -1) on the right."""
+    them: a live state whose window of atoms drawn from ``rng`` widens from
+    38 atoms to about 750, reaching from the front back to the radiation
+    behind it, and whose other atoms sit at (-1, 1) on the left and (1, -1)
+    on the right."""
     n = 8000
-    rng = np.random.default_rng(0)
     r, v = np.empty(n), np.empty(n)
     for t in VERIFY_TIMES:
         lo, hi = 3981 - int(0.8 * t), 4019 + int(t)
@@ -538,33 +538,19 @@ def test_energy_law_report_memory_is_one_block():
     # The law keeps no per-snapshot arrays.  Per snapshot it keeps three
     # floats (time, energy, flux), and of the last snapshot one block, its
     # energy-density array of 8000 atoms, 64 kB: its adds and report peak
-    # near 0.39 MB, or 1.08 MB where the snapshots' generator is the first
-    # to load numpy.random.  Keeping only the strains of each snapshot's
-    # atoms off the states would add about 1.7 MB, and two samples per
-    # phase-grid point near them 1.3 MB.
+    # near 0.39 MB.  Keeping only the strains of each snapshot's atoms off
+    # the states would add about 1.7 MB, and two samples per phase-grid
+    # point near them 1.3 MB.  The generator is made before the trace, so
+    # that numpy.random's first import is not traced.
+    rng = np.random.default_rng(0)
+
     def run():
-        law = EnergyLaw(QuarticPotential(0.05), VERIFY_TIMES)
-        for s in verify_like_snapshots():
+        law = EnergyLaw(QuarticPotential(0.05))
+        for s in verify_like_snapshots(rng):
             law.add(s)
         law.report()
 
     assert traced_peak(run) < 1.5e6
-
-
-def test_energy_law_refuses_unannounced_snapshots():
-    pot = QuarticPotential(0.05)
-    state = constant_state(0.3, 0.1, n=100)
-    law = EnergyLaw(pot, [0.0, 0.5, 1.0])
-    law.add(state)
-    with pytest.raises(ValueError, match="announced time 0.5"):
-        law.add(ChainState(state.r, state.v, 0.25, 0.05, 0.3, 0.1, 0.3, 0.1))
-    law.add(ChainState(state.r, state.v, 0.5, 0.05, 0.3, 0.1, 0.3, 0.1))
-    with pytest.raises(ValueError, match="2 of 3 announced"):
-        law.report()
-    law.add(ChainState(state.r, state.v, 1.0, 0.05, 0.3, 0.1, 0.3, 0.1))
-    with pytest.raises(ValueError, match="announced time none"):
-        law.add(ChainState(state.r, state.v, 1.5, 0.05, 0.3, 0.1, 0.3, 0.1))
-    assert law.report().energy_drift_rel == 0.0
 
 
 # A snapshot of another chain than the first one's, here the middle one of
@@ -615,3 +601,28 @@ def test_verify_front_default_run_equals_whole_chain(front_005):
         a = max(lattice._state_runs(s)[0] - 1, 0)
         late.append(a + front_crossing(s.v[a:], 0.0) != c)
     assert sum(late) >= 3
+
+
+def test_sup_error_falls_at_second_order_in_the_mesh(front_005):
+    # The chain follows the front more closely as the mesh is refined: the
+    # last sup error of a 400-atom chain over T = 20 falls from 4.19e-4 at
+    # D = 1600 to 1.08e-4 at D = 3200, order 1.96.  The step dt = 0.005
+    # keeps the leapfrog's error below the mesh's; at D = 3200 the mesh's
+    # error floors the sup error's order in dt, so that is not tested.
+    res, pot, gamma, cfg = (front_005[k] for k in ("result", "pot", "gamma", "cfg"))
+    coarse = minimize(replace(cfg, D=cfg.D // 2), pot)
+    assert coarse.outcome == "front_converged"
+    args = dict(gamma=gamma, n_atoms=400, T=20.0, dt=0.005, stride=146)
+    coarse_sup, fine_sup = (verify_front(r.profile, NORMALIZED, pot, **args).sup_errors[-1]
+                            for r in (coarse, res))
+    assert np.log2(coarse_sup / fine_sup) >= 1.8
+
+
+def test_energy_drift_falls_at_second_order_in_the_step(front_005):
+    # Leapfrog is second order: halving dt, with the snapshots at the same
+    # times, takes the drift from 8.11e-9 to 2.03e-9, order 2.0006.
+    res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
+    coarse, fine = (verify_front(res.profile, NORMALIZED, pot, gamma=gamma, n_atoms=400,
+                                 T=20.0, dt=dt, stride=stride).energy.energy_drift_rel
+                    for dt, stride in ((0.02, 36), (0.01, 72)))
+    assert np.log2(coarse / fine) >= 1.8
