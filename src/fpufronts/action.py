@@ -54,25 +54,28 @@ def _require_exact_tails(profile: GridProfile) -> None:
 class Evaluation:
     """The action kernel for one profile W, in O(D).
 
-    It extends W, averages it, and forms from that what the functionals, the
-    gradient and the solver read: N, P, L, ``step_target`` = A phi'(A W) on
-    the grid, and the gradient W - A phi'(A W) with its pinned window
-    (``GridProfile.pinned``) zeroed.  Each is
-    computed once, when first read, so ``pot`` may be None when only N is
-    read.  Tails are not checked here; the public functionals do that.
+    It averages W on the grid extended by one window width each side, and
+    forms from that what the functionals, the gradient and the solver read:
+    N, P, L, ``step_target`` = A phi'(A W) on the grid, and the norm of the
+    gradient W - A phi'(A W) with its pinned window (``GridProfile.pinned``)
+    zeroed.  Each is computed once, when first read, so ``pot`` may be None
+    when only N is read.  It holds U = A W, ``step_target`` once read, and
+    the floats: N builds the extended W and the gradient norm the gradient,
+    each only for as long as it reads it.  Tails are not checked here; the
+    public functionals do that.
     """
 
     def __init__(self, profile: GridProfile, pot: Potential | None):
         self.profile = profile
         self.pot = pot
         self.pad = 2 * profile.K * _PAD_UNITS
-        # W and U = A W on the grid extended by one window width each side.
-        self.w_ext = profile.extended(self.pad)
+        # U = A W on the grid extended by one window width each side.
         self.u_ext = averaged_extended(profile, self.pad)
 
     @cached_property
     def N(self) -> float:
-        return float(0.5 * np.trapezoid(self.w_ext**2 - self.u_ext**2, dx=self.profile.h))
+        w_ext = self.profile.extended(self.pad)
+        return float(0.5 * np.trapezoid(w_ext**2 - self.u_ext**2, dx=self.profile.h))
 
     @cached_property
     def P(self) -> float:
@@ -89,15 +92,11 @@ class Evaluation:
         return window_average(self.pot.phi_prime(self.u_ext), K)[lo: lo + self.profile.D + 1]
 
     @cached_property
-    def grad(self) -> np.ndarray:
+    def grad_norm(self) -> float:
         g = self.profile.values - self.step_target
         for end in self.profile.pinned:
             g[end] = 0.0
-        return g
-
-    @cached_property
-    def grad_norm(self) -> float:
-        return float(np.sqrt(self.profile.h * np.sum(self.grad**2)))
+        return float(np.sqrt(self.profile.h * np.sum(np.square(g, out=g))))
 
     def report(self) -> ActionReport:
         return ActionReport(N=self.N, P=self.P, L=self.L, grad_norm=self.grad_norm)

@@ -313,11 +313,11 @@ def evolve(
                                state.r_plus, state.v_plus, (lo, hi)))
         if step == check_at:
             check_at += _CHECK_EVERY
-            if lo > 0 and not _at_state(rw[:_GUARD], vw[:_GUARD],
-                                        state.r_minus, state.v_minus).all():
+            if lo > 0 and (np.count_nonzero(rw[:_GUARD] != state.r_minus)
+                           or np.count_nonzero(vw[:_GUARD] != state.v_minus)):
                 lo, resize = max(0, lo - _CHUNK), True
-            if hi < n and not _at_state(rw[-_GUARD:], vw[-_GUARD:],
-                                        state.r_plus, state.v_plus).all():
+            if hi < n and (np.count_nonzero(rw[-_GUARD:] != state.r_plus)
+                           or np.count_nonzero(vw[-_GUARD:] != state.v_plus)):
                 hi, resize = min(n, hi + _CHUNK), True
     final = ChainState(r, v, state.t + n_steps * dt, dt,
                        state.r_minus, state.v_minus,

@@ -94,25 +94,29 @@ def _pinned(values: np.ndarray, profile: GridProfile) -> np.ndarray:
     return values
 
 
-def _checked(ev: Evaluation) -> Evaluation:
+def _evaluated(w: GridProfile, pot: Potential) -> tuple[ActionReport, np.ndarray]:
+    """The report of ``w`` and its step target A phi'(A W): all that a step
+    reads of an iterate.  The evaluation, with its U = A W, ends here."""
+    ev = Evaluation(w, pot)
     if not (np.isfinite(ev.L) and np.isfinite(ev.grad_norm)):
         raise NonFiniteAction(
             f"action {ev.L!r} or gradient norm {ev.grad_norm!r} is not finite; "
             "the potential or its force returned a non-finite value"
         )
-    return ev
+    return ev.report(), ev.step_target
 
 
-def _step(ev: Evaluation, lam: float) -> np.ndarray:
-    """(1 - lam) W + lam A phi'(A W) for the profile of ``ev``, boundary re-pinned."""
-    return _pinned((1.0 - lam) * ev.profile.values + lam * ev.step_target, ev.profile)
+def _step(w: GridProfile, target: np.ndarray, lam: float) -> GridProfile:
+    """(1 - lam) W + lam A phi'(A W) for W = ``w`` and its step target
+    A phi'(A W), boundary re-pinned."""
+    return w.with_values(_pinned((1.0 - lam) * w.values + lam * target, w))
 
 
 def euler_step(w: GridProfile, pot: Potential, lam: float) -> GridProfile:
     """One explicit Euler step of the gradient flow, boundary region re-pinned."""
     if not (0.0 < lam < 1.0):
         raise ConfigInvalid("lambda must lie in (0, 1)")
-    return w.with_values(_step(Evaluation(w, pot), lam))
+    return _step(w, Evaluation(w, pot).step_target, lam)
 
 
 def classify_outcome(
@@ -163,15 +167,22 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
     NonFiniteAction as soon as an evaluated profile has a non-finite action
     or gradient norm, and StepSizeUnderflow when rejections drive lambda
     below 1e-14.
+
+    Of the iterate the flow holds only what its next step reads: the
+    profile W, its ``ActionReport`` and its step target A phi'(A W), two
+    grid arrays.  A candidate's evaluation is dropped once its report and
+    step target are formed, and a rejected candidate before the next one
+    is built, so at most two iterates' arrays are alive.
     """
     cfg.validate()
-    base = shock_profile(cfg.L, cfg.D)
-    state = _checked(Evaluation(base.with_values(_pinned(base.values.copy(), base)), pot))
+    w = shock_profile(cfg.L, cfg.D)
+    _pinned(w.values, w)
+    report, target = _evaluated(w, pot)
     lam = cfg.lambda0
-    history: list[ActionReport] = [state.report()]
+    history: list[ActionReport] = [report]
     lambda_history: list[float] = [lam]
     if callback is not None:
-        callback(0, state.profile.values)
+        callback(0, w.values)
 
     plateau: tuple[float, int] | None = None
     outcome = None
@@ -179,30 +190,32 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
     rejected = 0
     streak = 0  # accepted steps since lambda last changed
     while it < cfg.max_iters:
-        cand_state = _checked(Evaluation(base.with_values(_step(state, lam)), pot))
-        if cand_state.L > state.L + 1e-15 * max(1.0, abs(state.L)):
+        cand = _step(w, target, lam)
+        cand_report, cand_target = _evaluated(cand, pot)
+        if cand_report.L > report.L + 1e-15 * max(1.0, abs(report.L)):
+            del cand, cand_target
             lam *= 0.5
             rejected += 1
             streak = 0
             if lam < _LAMBDA_MIN:
                 raise StepSizeUnderflow(
                     f"{rejected} rejected steps drove lambda to {lam!r} after "
-                    f"{it} accepted steps at action {state.L!r}; no step size "
+                    f"{it} accepted steps at action {report.L!r}; no step size "
                     "lowers the action"
                 )
             continue
         it += 1
-        state = cand_state
-        history.append(state.report())
+        w, report, target = cand, cand_report, cand_target
+        history.append(report)
         lambda_history.append(lam)
         if callback is not None:
-            callback(it, state.profile.values)
+            callback(it, w.values)
 
-        if state.grad_norm <= cfg.grad_tol:
+        if report.grad_norm <= cfg.grad_tol:
             break
 
         if it % _PLATEAU_EVERY == 0:
-            plateau_prev, plateau = plateau, interior_plateau(state.profile)
+            plateau_prev, plateau = plateau, interior_plateau(w)
             if plateau is not None and plateau_prev is not None:
                 slope = (history[-_PLATEAU_EVERY - 1].L - history[-1].L) / _PLATEAU_EVERY
                 if plateau[1] > plateau_prev[1] and slope > 1e-12:
@@ -214,22 +227,21 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
             streak = 0
             lam = min(_GROW * lam, _LAMBDA_MAX)
 
-    profile = state.profile
     if outcome is None:
-        outcome = classify_outcome(history, profile, grad_tol=cfg.grad_tol)
+        outcome = classify_outcome(history, w, grad_tol=cfg.grad_tol)
 
     plateau_value = None
     if outcome == "plateau_diverging":
         plateau_value = plateau[0]
     elif outcome == "collapsed_to_constant":
-        vi = interior(profile)
+        vi = interior(w)
         plateau_value = float(0.5 * (np.max(vi) + np.min(vi)))
 
     return RunResult(
-        profile=profile,
+        profile=w,
         history=history,
         outcome=outcome,
-        final_grad_norm=state.grad_norm,
+        final_grad_norm=report.grad_norm,
         plateau_value=plateau_value,
         iterations=it,
         lambda_final=lam,

@@ -283,6 +283,62 @@ def test_nan_strain_blows_up_at_step_0(front_005, inexact_tails):
         evolve(state, pot, 5.0, gamma=gamma)
 
 
+@pytest.mark.parametrize("field", ["r", "v"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("departure", ["ulp", "nan"])
+def test_departure_in_a_guard_band_widens_the_window(front_005, side, field, departure):
+    # An observer at every window check (stride _CHECK_EVERY: it runs just
+    # before the check) writes a one-ulp departure, or a NaN, into the first
+    # exact guard band it sees on one side, and predicts every next window by
+    # the mask rule: a band widens its side by _CHUNK unless all its atoms
+    # are exactly at the state ((r == state) & (v == state)).  The window
+    # follows that rule at every check, and widens at the written one.  A
+    # NaN, which no check can see widen the window, is integrated at the
+    # next step, which blows up.
+    pot, gamma = front_005["pot"], front_005["gamma"]
+    state = init_from_front(front_005["result"], NORMALIZED, n_atoms=2000, dt=0.05)
+    G, C = lattice._GUARD, lattice._CHUNK
+    windows, predicted, written = [], [], []
+
+    def exact(s, band, r_state, v_state):
+        return ((s.r[band] == r_state) & (s.v[band] == v_state)).all()
+
+    def observe(s):
+        lo, hi = s.window
+        if predicted:
+            assert (lo, hi) == predicted[-1]
+        left, right = slice(lo, lo + G), slice(hi - G, hi)
+        if not written:
+            band, r_state, v_state = ((left, s.r_minus, s.v_minus) if side == "left"
+                                      else (right, s.r_plus, s.v_plus))
+            if exact(s, band, r_state, v_state):
+                x = s.r if field == "r" else s.v
+                j = band.start + G // 2
+                x[j] = np.nextafter(x[j], np.inf) if departure == "ulp" else np.nan
+                written.append(len(windows))
+        windows.append((lo, hi))
+        predicted.append((
+            max(0, lo - C) if lo > 0 and not exact(s, left, s.r_minus, s.v_minus) else lo,
+            min(state.n_atoms, hi + C) if hi < state.n_atoms
+            and not exact(s, right, s.r_plus, s.v_plus) else hi,
+        ))
+
+    def run():
+        evolve(state, pot, 20.0, gamma=gamma, snapshot_stride=lattice._CHECK_EVERY,
+               observe=observe)
+
+    if departure == "nan":
+        with pytest.raises(BlowUp) as blow_up:
+            run()
+        assert str(blow_up.value).endswith(f"at step {(written[0] + 1) * lattice._CHECK_EVERY}")
+        return
+    run()
+    assert written, "no exact guard band to write into"
+    k = written[0]
+    lo, hi = windows[k]
+    assert windows[k + 1] == ((lo - C, hi) if side == "left" else (lo, hi + C))
+
+
 def test_tail_state_beyond_bound_blows_up_at_step_0():
     # The atoms left of the window sit at a strain beyond 10*gamma = 20:
     # the window's check of the atoms it leaves out finds it at step 0, as
@@ -626,3 +682,18 @@ def test_energy_drift_falls_at_second_order_in_the_step(front_005):
                                  T=20.0, dt=dt, stride=stride).energy.energy_drift_rel
                     for dt, stride in ((0.02, 36), (0.01, 72)))
     assert np.log2(coarse / fine) >= 1.8
+
+
+def test_sup_error_falls_at_second_order_in_the_step(front_005):
+    # On a D = 12800 front the last sup error of a 400-atom chain over
+    # T = 20, snapshots 0.72 apart, reads 1.27e-4, 3.69e-5 and 1.43e-5 at
+    # dt = 0.02, 0.01 and 0.005.  The mesh's own error floors it, so two
+    # steps alone give order 1.79; the differences of three cancel the
+    # floor, e(dt) = e_mesh + c dt^p, and give p = 1.996.
+    pot, gamma, cfg = front_005["pot"], front_005["gamma"], front_005["cfg"]
+    fine = minimize(replace(cfg, D=12800), pot)
+    assert fine.outcome == "front_converged"
+    e1, e2, e3 = (verify_front(fine.profile, NORMALIZED, pot, gamma=gamma, n_atoms=400,
+                               T=20.0, dt=dt, stride=stride).sup_errors[-1]
+                  for dt, stride in ((0.02, 36), (0.01, 72), (0.005, 144)))
+    assert np.log2((e1 - e2) / (e2 - e3)) >= 1.8
