@@ -485,6 +485,10 @@ def cmd_verify(args) -> int:
 
     pot = build_potential(config)
     profile = read_profile_csv(profile_path, L, D)
+    # the inputs are read: from here a verify that stops leaves no report,
+    # rather than an earlier run's
+    out_path = run_dir / "verify.json"
+    out_path.unlink(missing_ok=True)
     try:
         check = verify_front(profile, fd, pot, gamma=gamma, n_atoms=args.atoms, T=args.time,
                              dt=args.dt, stride=args.stride)
@@ -508,8 +512,9 @@ def cmd_verify(args) -> int:
             for t, c, e, f in zip(check.times, check.crossings, check.energies, check.fluxes)
         ],
     }
-    out_path = run_dir / "verify.json"
-    out_path.write_text(json.dumps(out, indent=2) + "\n")
+    with out_path.open("w") as f:  # streamed: the report's text is never held whole
+        json.dump(out, f, indent=2)
+        f.write("\n")
     print(json.dumps({"passed": out["passed"], "verify": str(out_path)}))
     return 0 if ok else 1
 

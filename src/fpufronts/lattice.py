@@ -46,9 +46,10 @@ snapshot list and a stream give the same floats.
 ``verify_front``, the check ``fpufronts verify`` runs, reduces each snapshot
 to its sup error against the translated profile, its front crossing, its
 total energy and its boundary flux, and reads for the first two only a
-window of atoms: the integrator's window, widened for the sup error by the
-atoms whose reference phase lies on the profile's nodes and for the
-crossing by one atom on each side.  Every atom outside it is at a state,
+window of atoms: the integrator's window (for the start state, the atoms
+between its runs at the states), widened for the sup error by the atoms
+whose reference phase lies on the profile's nodes and for the crossing by
+one atom on each side.  Every atom outside it is at a state,
 where both reductions see exact equalities.  An atom at a state and
 ``np.interp``'s ``left=``/``right=`` value for a phase beyond the nodes
 are the same float, so their difference is 0.  Two neighbours at one state
@@ -62,10 +63,11 @@ The snapshot's total energy stays one ``np.sum`` over the whole chain
 (``np.sum`` adds pairwise, and a sum over part of the chain rounds
 differently), but of an energy-density array that ``EnergyLaw`` keeps from
 snapshot to snapshot: evaluated in full for a run's first snapshot, and
-after that only inside the window.  An atom outside the window has not
-changed since the run started, and the window only widens, so the atom was
-outside every window since the full evaluation: its entry is the float a
-fresh evaluation gives, and the sum is the whole chain's.
+after that only inside the window, in either case a fixed block of atoms
+at a time.  An atom outside the window has not changed since the run
+started, and the window only widens, so the atom was outside every window
+since the full evaluation: its entry is the float a fresh evaluation gives,
+and the sum is the whole chain's.
 
 The front speed is the least-squares slope through the visible crossings in
 closed form, ``sum(t*c) / sum(t*t)`` over the centred times and crossings,
@@ -342,6 +344,11 @@ def boundary_flux(state: ChainState, pot: Potential) -> float:
     return fp_last * state.v_plus - fp_ghost * float(state.v[0])
 
 
+# The atoms of one energy-density evaluation: a whole-chain evaluation
+# holds this block's temporaries, 8 kB each, not the chain's.
+_DENSITY_BLOCK = 1024
+
+
 @dataclass
 class EnergyLawReport:
     energy_drift_rel: float
@@ -355,8 +362,9 @@ class EnergyLaw:
     snapshot's; ``report`` refuses fewer than two snapshots.
 
     Per snapshot it keeps ``t``, the total energy and the boundary flux;
-    of the last snapshot it keeps the energy density, atom by atom (see
-    ``_energy``).  Nothing else grows with the snapshots or the atoms.
+    of the last snapshot it keeps the energy density, atom by atom, in one
+    array made at the first snapshot and filled in place (see ``_energy``).
+    Nothing else grows with the snapshots or the atoms.
     """
 
     def __init__(self, pot: Potential):
@@ -365,7 +373,7 @@ class EnergyLaw:
         self.energies: list[float] = []
         self.fluxes: list[float] = []
         self._chain = None  # (n, r_minus, v_minus, r_plus, v_plus), from the first snapshot
-        self._density = np.empty(0)  # the last snapshot's energy density, atom by atom
+        self._density = None  # the last snapshot's energy density, atom by atom
         self._live = None  # that snapshot's r, where it came with a window
 
     def add(self, state: ChainState) -> None:
@@ -373,6 +381,7 @@ class EnergyLaw:
         chain = (state.n_atoms, state.r_minus, state.v_minus, state.r_plus, state.v_plus)
         if k == 0:
             self._chain = chain
+            self._density = np.empty(state.n_atoms)
         elif chain != self._chain:
             raise ValueError(f"snapshot {k} has (atoms, r_minus, v_minus, r_plus, v_plus) = "
                              f"{chain}, not the first snapshot's {self._chain}")
@@ -384,18 +393,23 @@ class EnergyLaw:
         """``total_energy(state, pot)``: one ``np.sum`` of the energy density
         over every atom.
 
-        Where the last snapshot was one of the same ``evolve`` run (the same
-        live ``r``), only the density inside the ``window`` is evaluated.
-        The atoms outside it have not changed since the run started, and the
-        window only widens, so they were outside every window since the
+        The density is evaluated over a span of atoms, ``_DENSITY_BLOCK``
+        atoms at a time, into the law's own array; each entry is the float
+        a whole-chain evaluation gives, so the sum is too, and no
+        evaluation holds more than a block's temporaries.  The span is the
+        whole chain, except where the last snapshot was one of the same
+        ``evolve`` run (the same live ``r``): then it is the ``window``.
+        The atoms outside it have not changed since the run started, and
+        the window only widens, so they were outside every window since the
         density was last evaluated in full, on this run: their entries are
-        the floats a fresh evaluation gives, and so is the sum.
+        the floats a fresh evaluation gives.
         """
-        if state.window is None or state.r is not self._live:
-            self._density = _energy_density(state.r, state.v, self.pot)
-        else:
+        lo, hi = 0, state.n_atoms
+        if state.window is not None and state.r is self._live:
             lo, hi = state.window
-            self._density[lo:hi] = _energy_density(state.r[lo:hi], state.v[lo:hi], self.pot)
+        for a in range(lo, hi, _DENSITY_BLOCK):
+            b = min(a + _DENSITY_BLOCK, hi)
+            self._density[a:b] = _energy_density(state.r[a:b], state.v[a:b], self.pot)
         self._live = None if state.window is None else state.r
         return float(np.sum(self._density))
 
@@ -545,10 +559,13 @@ def verify_front(
     mid-level ``front_crossing`` of the velocity; and the snapshot's total
     energy and boundary flux (``EnergyLaw``).  Then fits the front speed
     through the crossings and reports the energy drift.  The sup error and
-    the crossing read only the window ``evolve`` hands over with each
-    state, the whole chain at the start, and give the whole chain's floats
-    (see the module docstring for why).  Raises ValueError for a chain of at
-    most ``2 * MARGIN_ATOMS`` atoms, whose margins leave no atom to compare.
+    the crossing read only the atoms off the states: of the start state,
+    those between its runs at the states (``_state_runs``, the read that
+    gives ``evolve`` its first window), and after that the window
+    ``evolve`` hands over with each state.  They give the whole chain's
+    floats (see the module docstring for why).  Raises ValueError for a
+    chain of at most ``2 * MARGIN_ATOMS`` atoms, whose margins leave no
+    atom to compare.
     """
     if n_atoms <= 2 * MARGIN_ATOMS:
         raise ValueError(f"a chain of {n_atoms} atoms has no interior inside two "
@@ -575,17 +592,17 @@ def verify_front(
                           nodes, r_prof, left=fd.r_minus, right=fd.r_plus)
         return float(np.max(np.abs(s.r[a:b] - r_ref)))
 
-    def observe(s: ChainState) -> None:
-        # every atom left of the window is at the left state, every one
-        # right of it at the right state; the start state has no window
-        lo, hi = s.window or (0, n_atoms)
-        head, tail = lo, n_atoms - hi
+    def reduce(s: ChainState, head: int, tail: int) -> None:
+        # the first head atoms are at the left state, the last tail at the right
         sup_errors.append(sup_error(s, head, tail))
         crossings.append(_crossing_between_runs(s.v, level, fd.v_minus, fd.v_plus, head, tail))
         law.add(s)
 
-    observe(state)
-    evolve(state, pot, T, gamma=gamma, snapshot_stride=stride, observe=observe)
+    # the start state's runs at the states, which evolve reads for its first
+    # window; then every atom outside a window is at its state
+    reduce(state, *_state_runs(state))
+    evolve(state, pot, T, gamma=gamma, snapshot_stride=stride,
+           observe=lambda s: reduce(s, s.window[0], n_atoms - s.window[1]))
     return FrontVerification(
         times=law.times, sup_errors=sup_errors, crossings=crossings,
         energies=law.energies, fluxes=law.fluxes,

@@ -531,6 +531,20 @@ def test_verify_command(solved_run, capsys):
     assert all(abs(row["boundary_flux"]) < 1e-12 for row in rows)
 
 
+def test_verify_report_keeps_its_format(solved_run, tmp_path, capsys):
+    # verify.json is streamed into its file, with the bytes of the whole
+    # text indented by two and ended by a newline; a second verify of the
+    # same run writes the same bytes
+    run = tmp_path / "run"
+    shutil.copytree(solved_run["run_dir"], run)
+    reports = []
+    for _ in range(2):
+        assert main(["verify", str(solved_run["config"]), str(run), "--time", "5"]) == 0
+        reports.append((run / "verify.json").read_text())
+    assert reports[0] == json.dumps(json.loads(reports[0]), indent=2) + "\n"
+    assert reports[0] == reports[1]
+
+
 def test_verify_memory_stays_bounded(solved_run):
     # A verify keeps no full-chain snapshot copies: of each snapshot it keeps
     # its time, sup error, crossing, total energy and boundary flux, so 2000
@@ -551,12 +565,16 @@ def test_verify_memory_stays_bounded(solved_run):
 
 def test_long_chain_verify_allocates_little(solved_run):
     # The benchmark's long-chain verify, 8000 atoms over T = 400 of quartic
-    # beta = 0.05 solved at D = 3200: its own arrays are a few of 8000
-    # floats (64 kB each) and five floats per snapshot, and it peaks near
-    # 1.16 MB (CPython 3.11, numpy 2.4); an energy law that also held two
-    # samples per phase-grid point near the atoms off the states peaked
-    # near 2.27 MB.  The default 400-atom verify first loads every module
-    # and lazy numpy piece a verify uses, so that only the run is traced.
+    # beta = 0.05 solved at D = 3200: it holds the seeded chain, the
+    # integrator's five arrays of 8000 floats (64 kB each), the energy
+    # density and the profile, and five floats per snapshot, and it peaks
+    # near 0.78 MB (CPython 3.11, numpy 2.4).  One more array of 8000
+    # floats held through the run crosses the bound; building the report's
+    # whole text before writing it, and evaluating the start state's sup
+    # error, crossing and energy density over the whole chain at once,
+    # peaked near 1.18 MB.  The default 400-atom verify first loads every
+    # module and lazy numpy piece a verify uses, so that only the run is
+    # traced.
     import tracemalloc
 
     run = ["verify", str(solved_run["config"]), str(solved_run["run_dir"])]
@@ -569,7 +587,7 @@ def test_long_chain_verify_allocates_little(solved_run):
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert peak < 1.4e6
+    assert peak < 0.83e6
 
 
 def test_fine_solve_allocates_little(tmp_path):
@@ -625,6 +643,23 @@ def test_verify_blow_up_names_unstable_states(solved_run, tmp_path, capsys):
                          r"unstable", err["message"])
     assert match
     assert [float(x) for x in match.groups()] == pytest.approx([1 - 8 * 0.3] * 2, abs=1e-12)
+
+
+def test_verify_that_stops_leaves_no_earlier_report(solved_run, tmp_path, capsys):
+    # An earlier run's verify.json stays through a verify refused at its
+    # arguments, and is gone once a verify has read its inputs, so a chain
+    # run that stops (here the BlowUp of the unstable states above) leaves
+    # no report to be read as its own.
+    run = tmp_path / "run"
+    shutil.copytree(solved_run["run_dir"], run)
+    (run / "verify.json").write_text("earlier\n")
+    cfg = write_config(tmp_path / "q03.json", potential={"family": "quartic",
+                                                          "params": {"beta": 0.3}})
+    assert main(["verify", str(cfg), str(run), "--atoms", "40"]) == 2
+    assert (run / "verify.json").read_text() == "earlier\n"
+    assert main(["verify", str(cfg), str(run), "--time", "50"]) == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "BlowUp"
+    assert not (run / "verify.json").exists()
 
 
 def test_verify_blow_up_on_stable_states_keeps_its_message(solved_run, tmp_path, capsys):

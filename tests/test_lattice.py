@@ -519,27 +519,59 @@ def test_energy_law_energies_equal_total_energy(front_005, chain):
     pot, gamma = front_005["pot"], front_005["gamma"]
     state, T, stride = chain(front_005)
     law = EnergyLaw(pot)
-    copies = []
+    copies, windows, evaluated = [], [], []
 
     def observe(s):
+        evaluated.append(0)
         law.add(s)
         copies.append(ChainState(s.r.copy(), s.v.copy(), s.t, s.dt,
                                  s.r_minus, s.v_minus, s.r_plus, s.v_plus))
+        windows.append(s.window)
 
-    observe(state)
-    sizes = []
     density = lattice._energy_density
-    with mock.patch.object(lattice, "_energy_density",
-                           side_effect=lambda r, v, p: sizes.append(r.size) or density(r, v, p)):
+
+    def count(r, v, p):
+        evaluated[-1] += r.size
+        return density(r, v, p)
+
+    with mock.patch.object(lattice, "_energy_density", side_effect=count):
+        observe(state)
         for _ in range(2):
             evolve(state, pot, T, gamma=gamma, snapshot_stride=stride, observe=observe)
     assert law.energies == [total_energy(c, pot) for c in copies]
-    # each run's first snapshot is evaluated in full, the others in their window
+    # the atoms evaluated per snapshot: all of them for the start state (no
+    # window) and for each run's first snapshot, the window for the others
+    n, per_run = state.n_atoms, (len(windows) - 1) // 2
+    first = {0, 1, 1 + per_run}
+    assert evaluated == [n if k in first else hi - lo for k, (lo, hi) in
+                         enumerate([(0, n)] + windows[1:])]
+    if chain is not _inexact_tails_chain:
+        assert min(evaluated) < n
+
+
+@chains
+def test_verify_front_start_state_equals_whole_chain(front_005, chain):
+    # verify_front reads the start state's sup error and crossing between its
+    # runs at the states, which evolve reads for its first window: they are
+    # the whole chain's floats, also where the tails are off the states and
+    # the runs are empty.
+    res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
+    state, T, stride = chain(front_005)
     n = state.n_atoms
+    args = dict(gamma=gamma, n_atoms=n, T=T, dt=state.dt, stride=stride)
+    with mock.patch.object(lattice, "_chain_on", return_value=state):
+        with mock.patch.object(lattice, "_crossing", wraps=lattice._crossing) as crossing:
+            check = verify_front(res.profile, NORMALIZED, pot, **args)
+        whole = whole_chain_verify(res, NORMALIZED, pot, **args)
+    assert check == whole
+    # the start state's crossing reads from the last atom of the left run to
+    # the first of the right run
+    head, tail = lattice._state_runs(state)
     if chain is _inexact_tails_chain:
-        assert set(sizes) == {n}
+        assert (head, tail) == (0, 0)
     else:
-        assert sizes.count(n) == 2 and sizes[0] == sizes[len(sizes) // 2] == n
+        assert head > 1 and tail > 1
+    assert crossing.call_args_list[0].args[0].size == n - max(head - 1, 0) - max(tail - 1, 0)
 
 
 def test_observe_sees_the_returned_snapshots(front_005):
@@ -594,7 +626,7 @@ def test_energy_law_report_memory_is_one_block():
     # The law keeps no per-snapshot arrays.  Per snapshot it keeps three
     # floats (time, energy, flux), and of the last snapshot one block, its
     # energy-density array of 8000 atoms, 64 kB: its adds and report peak
-    # near 0.39 MB.  Keeping only the strains of each snapshot's atoms off
+    # near 0.26 MB.  Keeping only the strains of each snapshot's atoms off
     # the states would add about 1.7 MB, and two samples per phase-grid
     # point near them 1.3 MB.  The generator is made before the trace, so
     # that numpy.random's first import is not traced.

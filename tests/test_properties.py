@@ -1,14 +1,13 @@
 """Property tests of the averaging operator, the quadratic part and the
 gradient over random aligned grids, at the tolerances of the fixed-grid tests,
 of the tabulated potential against SciPy's PCHIP as an oracle, of the
-streamed energy law against a sort of every snapshot's whole interior
-and of its phase grid against ``np.arange``, of ``verify_front``'s
-window-only reductions (the state runs, the crossing and the whole
-verification) against the whole chain, of the closed-form front speed
-against ``np.polyfit`` and rational arithmetic, of the plateau median
-against ``np.median``, of the tilted quartic against its closed form, of
-the scans' generated samples against ``np.linspace``, and of the blocked
-admissibility scans against the same scans on whole sample arrays.
+energy law's block-by-block energy density against ``total_energy``, of
+``verify_front``'s window-only reductions (the state runs, the crossing
+and the whole verification) against the whole chain, of the closed-form
+front speed against ``np.polyfit`` and rational arithmetic, of the plateau
+median against ``np.median``, of the tilted quartic against its closed
+form, of the scans' generated samples against ``np.linspace``, and of the
+blocked admissibility scans against the same scans on whole sample arrays.
 
 A grid is aligned when half the unit window is K whole cells: L = m/4 with
 D = m K gives h = 1/(2K) for every integer m >= 8 (L >= 2) and K >= 1.
@@ -27,6 +26,7 @@ from hypothesis import strategies as st
 from fpufronts import (
     NORMALIZED,
     ChainState,
+    EnergyLaw,
     FrontData,
     GraphViolatingPotential,
     GridProfile,
@@ -46,6 +46,7 @@ from fpufronts import (
     interior_plateau,
     minimize,
     n_identity_check,
+    total_energy,
     verify_front,
     window_kernel,
 )
@@ -314,6 +315,35 @@ def test_crossing_between_runs_equals_front_crossing(n, seed, v_minus, v_plus, w
     head, tail = int(at_head * head), int(at_tail * tail)
     got = lattice._crossing_between_runs(v, level, v_minus, v_plus, head, tail)
     assert repr(got) == repr(front_crossing(v, level))
+
+
+# Chains shorter than one density block, exactly one block, and not a
+# multiple of it, read in full at the first snapshot, then through windows
+# of a live state that widen from anywhere, then in full again from a copy:
+# every energy is total_energy's float.
+BLOCK = lattice._DENSITY_BLOCK
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3 * BLOCK + 10), seeds, st.integers(1, 5))
+@example(n=BLOCK - 1, seed=0, snapshots=3)
+@example(n=BLOCK, seed=1, snapshots=3)
+@example(n=2 * BLOCK + 1, seed=2, snapshots=3)
+def test_energy_law_blocks_equal_total_energy(n, seed, snapshots):
+    rng = np.random.default_rng(seed)
+    pot = QuarticPotential(0.05)
+    law = EnergyLaw(pot)
+    r, v = np.empty(n), np.empty(n)
+    lo, hi = sorted(int(i) for i in rng.integers(0, n + 1, 2))
+    copies = []
+    for k in range(snapshots):
+        r[:lo], v[:lo], r[hi:], v[hi:] = -1.0, 1.0, 1.0, -1.0
+        r[lo:hi], v[lo:hi] = rng.uniform(-1.5, 1.5, (2, hi - lo))
+        law.add(ChainState(r, v, float(k), 0.01, -1.0, 1.0, 1.0, -1.0, (lo, hi)))
+        copies.append(ChainState(r.copy(), v.copy(), float(k), 0.01, -1.0, 1.0, 1.0, -1.0))
+        lo, hi = int(rng.integers(0, lo + 1)), int(rng.integers(hi, n + 1))
+    law.add(copies[-1])
+    assert law.energies == [total_energy(c, pot) for c in copies + copies[-1:]]
 
 
 def _outcome(run):
