@@ -31,6 +31,10 @@ from .potentials import Potential
 # full window; one extra unit of domain covers every integrand.
 _PAD_UNITS = 1
 
+# The nodes of one psi evaluation in ``Evaluation.P``: it holds this
+# block's temporaries, 8 kB each, not the extended grid's.
+_PSI_BLOCK = 1024
+
 
 @dataclass
 class ActionReport:
@@ -61,8 +65,9 @@ class Evaluation:
     zeroed.  Each is computed once, when first read, so ``pot`` may be None
     when only N is read.  It holds U = A W, ``step_target`` once read, and
     the floats: N builds the extended W and the gradient norm the gradient,
-    each only for as long as it reads it.  Tails are not checked here; the
-    public functionals do that.
+    each only for as long as it reads it, and P evaluates psi
+    ``_PSI_BLOCK`` nodes at a time into one array.  Tails are not checked
+    here; the public functionals do that.
     """
 
     def __init__(self, profile: GridProfile, pot: Potential | None):
@@ -74,12 +79,20 @@ class Evaluation:
 
     @cached_property
     def N(self) -> float:
+        # W^2 - U^2, in the extended W's own array
         w_ext = self.profile.extended(self.pad)
-        return float(0.5 * np.trapezoid(w_ext**2 - self.u_ext**2, dx=self.profile.h))
+        np.square(w_ext, out=w_ext)
+        w_ext -= np.square(self.u_ext)
+        return float(0.5 * np.trapezoid(w_ext, dx=self.profile.h))
 
     @cached_property
     def P(self) -> float:
-        return float(np.trapezoid(self.pot.psi(self.u_ext), dx=self.profile.h))
+        # psi is elementwise, so its blocks give the floats of one evaluation
+        u = self.u_ext
+        psi = np.empty_like(u)
+        for a in range(0, u.size, _PSI_BLOCK):
+            psi[a: a + _PSI_BLOCK] = self.pot.psi(u[a: a + _PSI_BLOCK])
+        return float(np.trapezoid(psi, dx=self.profile.h))
 
     @property
     def L(self) -> float:

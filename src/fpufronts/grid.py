@@ -150,10 +150,12 @@ def window_average(x: np.ndarray, K: int) -> np.ndarray:
     # Window i = b*2K + r takes cells r.. of block b and cells ..r-1 of block
     # b+1, so per-block prefix sums and block totals give every window.
     blocks = cells.reshape(n_blocks, B)
+    # Once the prefix sums have read the cells, the window sums go into the
+    # cells' own buffer.
     prefix = np.cumsum(blocks, axis=1)
     total = prefix[:-1, -1:].copy()
     prefix -= blocks
-    windows = prefix[1:] - prefix[:-1]
+    windows = np.subtract(prefix[1:], prefix[:-1], out=blocks[:-1])
     windows += total
     out = windows.reshape(-1)[: n - B]
     # Window average of the extension: windows i < c - 2K see only the left

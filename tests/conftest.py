@@ -215,6 +215,39 @@ def whole_array_invariant_bound(pot, search_limit=6.0, n_samples=100_000):
     raise InvariantBoundNotFound("containment iteration did not settle")
 
 
+def fresh_sums_window_average(x, K):
+    """``window_average`` with its window sums in an array of their own,
+    not in the buffer of its cell means.
+
+    ``window_average`` must return the same floats.
+    """
+    n = x.size
+    c = n // 2
+    left, right = x[0], x[-1]
+    B = 2 * K
+    q = 0.5 / B
+    n_blocks = (n - 2) // B + 2
+    cells = np.zeros(n_blocks * B)
+    dev = cells[: n - 1]
+    np.add(x[:-1], x[1:], out=dev)
+    dev *= q
+    dev[: c - 1] -= (left + left) * q
+    dev[c - 1] -= (left + right) * q
+    dev[c:] -= (right + right) * q
+    blocks = cells.reshape(n_blocks, B)
+    prefix = np.cumsum(blocks, axis=1)
+    total = prefix[:-1, -1:].copy()
+    prefix -= blocks
+    windows = prefix[1:] - prefix[:-1]
+    windows += total
+    out = windows.reshape(-1)[: n - B]
+    lo = c - B
+    out[:lo] += left
+    out[c:] += right
+    out[lo:c] += left + (right - left) * (np.arange(1, 2 * B, 2) / (2 * B))
+    return out
+
+
 @pytest.fixture(scope="session")
 def front_005():
     """Converged front for the mildly non-convex quartic, with iterate trace."""

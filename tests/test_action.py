@@ -3,8 +3,11 @@ import pytest
 from scipy.integrate import quad
 
 from fpufronts import (
+    GraphViolatingPotential,
     GridProfile,
     QuarticPotential,
+    TabulatedPotential,
+    TiltedPotential,
     apply_averaging,
     functional_L,
     functional_N,
@@ -12,9 +15,12 @@ from fpufronts import (
     grad_norm,
     gradient,
     n_identity_check,
+    normalize_potential,
     quadratic_M,
     shock_profile,
+    solve_front_data,
 )
+from fpufronts.action import Evaluation
 from fpufronts.errors import NonZeroTails, TailNotConverged
 
 from conftest import compact_perturbation, pinned_tanh_profile
@@ -122,3 +128,42 @@ def test_averaged_profile_tails_are_exact():
     k = w.K
     assert np.all(u.values[:k] == -1.0)
     assert np.all(u.values[-k:] == 1.0)
+
+
+def _table():
+    u = np.arange(-400, 401) / 100
+    return TabulatedPotential(u, 0.5 * u**2 - 0.05 * (u**2 - 1.0) ** 2)
+
+
+def _normalized():
+    pot = QuarticPotential(0.05)
+    return normalize_potential(pot, solve_front_data(-1.2, 1.2, None, +1, pot))
+
+
+@pytest.mark.parametrize("D", [800, 3200, 12800])
+@pytest.mark.parametrize("make_pot", [
+    lambda: QuarticPotential(0.05), lambda: TiltedPotential(0.1, 0.1),
+    lambda: GraphViolatingPotential(0.1, -0.5), _table, _normalized,
+], ids=["quartic", "tilted", "graph_violating", "user_table", "normalized"])
+def test_n_and_p_equal_np_trapezoid(D, make_pot):
+    # N squares the extended W in place and P evaluates psi block by block
+    # (1024 nodes, so D = 3200 and 12800 cross block edges); both give the
+    # floats of np.trapezoid over whole arrays
+    pot = make_pot()
+    w = pinned_tanh_profile(np.random.default_rng(D), D=D)
+    ev = Evaluation(w, pot)
+    w_ext = w.extended(ev.pad)
+    n = 0.5 * np.trapezoid(w_ext**2 - ev.u_ext**2, dx=w.h)
+    p = np.trapezoid(pot.psi(ev.u_ext), dx=w.h)
+    assert (ev.N.hex(), ev.P.hex()) == (float(n).hex(), float(p).hex())
+
+
+@pytest.mark.parametrize("front", ["front_005", "front_03"])
+def test_converged_front_shifted_by_one_node_keeps_its_action(front, request):
+    # translation is the action's flat direction: a converged front moved one
+    # node either way has the same L to rounding
+    fx = request.getfixturevalue(front)
+    w, pot = fx["result"].profile, fx["pot"]
+    v = w.values
+    for shifted in (np.concatenate([[-1.0], v[:-1]]), np.concatenate([v[1:], [1.0]])):
+        assert abs(functional_L(w.with_values(shifted), pot) - functional_L(w, pot)) <= 1e-15

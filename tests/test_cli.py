@@ -594,10 +594,14 @@ def test_fine_solve_allocates_little(tmp_path):
     # The benchmark's fine.q1 solve, quartic beta = 1.0 at D = 12800 (58
     # accepted steps): the flow holds of an iterate only the profile, its
     # report and its step target, and drops a rejected candidate before the
-    # next, so the solve peaks near 0.94 MB (CPython 3.11, numpy 2.4); an
-    # iterate that kept its evaluation, U = A W and the gradient with it,
-    # peaked near 2.0 MB.  A D = 800 solve first loads every module and
-    # lazy numpy piece a solve uses, so that only the run is traced.
+    # next; the averaging writes its window sums into its cell buffer, N
+    # squares the extended W in place and P evaluates psi in blocks, so the
+    # solve peaks near 0.84 MB (CPython 3.11, numpy 2.4), in the averaging
+    # of the step target.  With a fresh array for the window sums and
+    # whole-array N and P it peaked near 0.94 MB; an iterate that kept its
+    # evaluation, U = A W and the gradient with it, near 2.0 MB.  A D = 800
+    # solve first loads every module and lazy numpy piece a solve uses, so
+    # that only the run is traced.
     import tracemalloc
 
     def config(beta, D, name):
@@ -612,7 +616,63 @@ def test_fine_solve_allocates_little(tmp_path):
     finally:
         tracemalloc.stop()
     assert (summary["outcome"], summary["iterations"]) == ("front_converged", 58)
-    assert peak < 1.1e6
+    assert peak < 0.9e6
+
+
+def traced_second_run(argv):
+    """The exit code of ``main(argv)`` and the peak bytes it allocates, traced
+    on a second run: the first loads every module and lazy numpy piece the
+    command uses, so that only the command is traced."""
+    import tracemalloc
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        first = main(argv)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == first
+    return code, peak
+
+
+def test_normalize_allocates_little(tmp_path):
+    # normalize holds the config, the potential, the front data and
+    # two-float arrays: it peaks near 40 kB (CPython 3.11, numpy 2.4), and
+    # one more array of 8192 floats (64 kB, a scan block) crosses the bound.
+    cfg = write_config(tmp_path / "states.json", states={"r_minus": -1.0, "r_plus": 1.0})
+    code, peak = traced_second_run(["normalize", str(cfg)])
+    assert code == 0
+    assert peak < 0.07e6
+
+
+def test_check_potential_on_a_table_allocates_little(tmp_path):
+    # The benchmark's tabulated quartic (beta = 0.05, 801 samples on
+    # [-4, 4]): the scans evaluate the table 8192 samples at a time, and
+    # the piecewise evaluation's temporaries of one block set the peak,
+    # near 0.74-0.75 MB (CPython 3.11, numpy 2.4); one more array of a
+    # block's 8192 floats held through the scan crosses the bound.  The
+    # table dips below -1e-10, so check-potential exits 1.
+    u = [(i - 400) / 100 for i in range(801)]
+    phi = [0.5 * x * x - 0.05 * (x * x - 1.0) ** 2 for x in u]
+    cfg = write_config(tmp_path / "table.json", potential={
+        "family": "user_table", "params": {"u_samples": u, "phi_samples": phi}})
+    code, peak = traced_second_run(["check-potential", str(cfg)])
+    assert code == 1
+    assert peak < 0.78e6
+
+
+def test_default_verify_allocates_little(solved_run):
+    # The default verify, 400 atoms over T = 20 of the D = 3200 front: the
+    # profile's nodes and its strain and velocity columns (3201 floats,
+    # 25.6 kB each) and the 400-atom chain set its peak near 0.22-0.23 MB
+    # (CPython 3.11, numpy 2.4); one more profile-sized array held through
+    # the run crosses the bound.
+    code, peak = traced_second_run(["verify", str(solved_run["config"]),
+                                    str(solved_run["run_dir"])])
+    assert code == 0
+    assert peak < 0.245e6
 
 
 def test_verify_corrupted_profile_fails(solved_run, tmp_path, capsys):

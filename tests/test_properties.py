@@ -1,13 +1,15 @@
 """Property tests of the averaging operator, the quadratic part and the
 gradient over random aligned grids, at the tolerances of the fixed-grid tests,
-of the tabulated potential against SciPy's PCHIP as an oracle, of the
-energy law's block-by-block energy density against ``total_energy``, of
-``verify_front``'s window-only reductions (the state runs, the crossing
-and the whole verification) against the whole chain, of the closed-form
-front speed against ``np.polyfit`` and rational arithmetic, of the plateau
-median against ``np.median``, of the tilted quartic against its closed
-form, of the scans' generated samples against ``np.linspace``, and of the
-blocked admissibility scans against the same scans on whole sample arrays.
+of the averaging's window sums against the same sums in an array of their
+own, of a converged front's action under admissible bumps, of the tabulated
+potential against SciPy's PCHIP as an oracle, of the energy law's
+block-by-block energy density against ``total_energy``, of
+``verify_front``'s window-only reductions (the state runs, the crossing and
+the whole verification) against the whole chain, of the closed-form front
+speed against ``np.polyfit`` and rational arithmetic, of the plateau median
+against ``np.median``, of the tilted quartic against its closed form, of
+the scans' generated samples against ``np.linspace``, and of the blocked
+admissibility scans against the same scans on whole sample arrays.
 
 A grid is aligned when half the unit window is K whole cells: L = m/4 with
 D = m K gives h = 1/(2K) for every integer m >= 8 (L >= 2) and K >= 1.
@@ -52,9 +54,11 @@ from fpufronts import (
 )
 from fpufronts import lattice, potentials, solver
 from fpufronts.errors import BlowUp, InvariantBoundNotFound
+from fpufronts.grid import window_average
 from fpufronts.phases import _median
 
 from conftest import (
+    fresh_sums_window_average,
     whole_array_check_assumptions,
     whole_array_invariant_bound,
     whole_chain_verify,
@@ -100,6 +104,22 @@ def test_averaging_matches_convolution(grid, seed, left, right, pad):
     pad = pad % (2 * K + 1)
     reference = np.convolve(prof.extended(pad + K), window_kernel(K), "valid")
     assert np.max(np.abs(averaged_extended(prof, pad) - reference)) <= 1e-13
+
+
+# The window sums go into the buffer of the cell means: the floats of sums
+# in an array of their own, for windows of 2 to 400 cells, random values
+# between constant runs of any length at either end, and either extension.
+@examples
+@given(st.integers(1, 200), seeds, levels, levels, st.data())
+@example(K=1, seed=0, left=-1.0, right=1.0, data=None)
+@example(K=160, seed=1, left=-1.0, right=1.0, data=None)
+def test_window_average_equals_fresh_sums(K, seed, left, right, data):
+    extra, tails = (0, 0) if data is None else (
+        data.draw(st.integers(0, 3000)), data.draw(st.integers(0, 3 * K)))
+    x = np.random.default_rng(seed).uniform(-2.0, 2.0, 4 * K + extra)
+    x[: tails + 1], x[x.size - tails - 1:] = left, right
+    got = window_average(x, K)
+    assert got.tobytes() == fresh_sums_window_average(x, K).tobytes()
 
 
 @examples
@@ -583,3 +603,19 @@ def test_invariant_bound_equals_whole_arrays(pot, n_samples, limit, block):
     with mock.patch.object(potentials, "_SCAN_BLOCK", block):
         got = _scan_outcome(lambda: compute_invariant_bound(pot, limit, n_samples))
     assert got == _scan_outcome(lambda: whole_array_invariant_bound(pot, limit, n_samples))
+
+
+# A converged front is a local minimizer of the action: a Gaussian bump of
+# either sign, anywhere in [-8, 8] and 0.3 to 3 wide, zero on the pinned
+# window, does not lower L at eps = 1e-3 (it raises it by at least about
+# 2e-8 on these fronts, where rounding is near 1e-16).
+@settings(max_examples=25, deadline=None)
+@given(st.booleans(), st.floats(-8.0, 8.0), st.floats(0.3, 3.0), st.sampled_from([-1.0, 1.0]))
+def test_converged_front_is_a_local_minimizer(front_005, front_03, non_monotone, centre, width,
+                                             sign):
+    fx = front_03 if non_monotone else front_005
+    w, pot = fx["result"].profile, fx["pot"]
+    h = sign * np.exp(-((w.nodes - centre) / width) ** 2)
+    for end in w.pinned:
+        h[end] = 0.0
+    assert functional_L(w.with_values(w.values + 1e-3 * h), pot) >= functional_L(w, pot)
