@@ -55,6 +55,15 @@ def _require_exact_tails(profile: GridProfile) -> None:
         )
 
 
+def _trapezoid(y: np.ndarray, dx: float) -> float:
+    """``np.trapezoid(y, dx=dx)`` for a 1-d ``y``, the same floats, with its
+    pairwise sums, products and quotients in one buffer."""
+    t = np.add(y[1:], y[:-1])
+    t *= dx
+    t /= 2.0
+    return t.sum()
+
+
 class Evaluation:
     """The action kernel for one profile W, in O(D).
 
@@ -63,11 +72,14 @@ class Evaluation:
     N, P, L, ``step_target`` = A phi'(A W) on the grid, and the norm of the
     gradient W - A phi'(A W) with its pinned window (``GridProfile.pinned``)
     zeroed.  Each is computed once, when first read, so ``pot`` may be None
-    when only N is read.  It holds U = A W, ``step_target`` once read, and
-    the floats: N builds the extended W and the gradient norm the gradient,
-    each only for as long as it reads it, and P evaluates psi
-    ``_PSI_BLOCK`` nodes at a time into one array.  Tails are not checked
-    here; the public functionals do that.
+    when only N is read.  It holds U = A W until ``step_target`` is read:
+    the force phi'(U) is written into U's own buffer, so U and phi'(U) are
+    never held together, and N and P must be read before the step target
+    (reading either after it raises ``RuntimeError``).  N builds the
+    extended W and the gradient norm the gradient, each only for as long as
+    it reads it, P evaluates psi ``_PSI_BLOCK`` nodes at a time into one
+    array, and both form their trapezoid sums in one buffer.  Tails are not
+    checked here; the public functionals do that.
     """
 
     def __init__(self, profile: GridProfile, pot: Potential | None):
@@ -75,7 +87,17 @@ class Evaluation:
         self.pot = pot
         self.pad = 2 * profile.K * _PAD_UNITS
         # U = A W on the grid extended by one window width each side.
-        self.u_ext = averaged_extended(profile, self.pad)
+        self._u_ext: np.ndarray | None = averaged_extended(profile, self.pad)
+
+    @property
+    def u_ext(self) -> np.ndarray:
+        """U = A W on the extended grid, until ``step_target`` overwrites it."""
+        if self._u_ext is None:
+            raise RuntimeError(
+                "U = A W holds phi'(U) once step_target is read; "
+                "read N and P before the step target"
+            )
+        return self._u_ext
 
     @cached_property
     def N(self) -> float:
@@ -83,7 +105,7 @@ class Evaluation:
         w_ext = self.profile.extended(self.pad)
         np.square(w_ext, out=w_ext)
         w_ext -= np.square(self.u_ext)
-        return float(0.5 * np.trapezoid(w_ext, dx=self.profile.h))
+        return float(0.5 * _trapezoid(w_ext, self.profile.h))
 
     @cached_property
     def P(self) -> float:
@@ -92,7 +114,7 @@ class Evaluation:
         psi = np.empty_like(u)
         for a in range(0, u.size, _PSI_BLOCK):
             psi[a: a + _PSI_BLOCK] = self.pot.psi(u[a: a + _PSI_BLOCK])
-        return float(np.trapezoid(psi, dx=self.profile.h))
+        return float(_trapezoid(psi, self.profile.h))
 
     @property
     def L(self) -> float:
@@ -100,9 +122,12 @@ class Evaluation:
 
     @cached_property
     def step_target(self) -> np.ndarray:
-        # A phi'(U) lives on the grid extended by pad - K nodes; keep the grid part.
+        # phi'(U) in U's own buffer, which the evaluation then lets go; A
+        # phi'(U) lives on the grid extended by pad - K nodes, keep the grid part.
+        force, self._u_ext = self.u_ext, None
+        self.pot.phi_prime(force, out=force)
         K, lo = self.profile.K, self.pad - self.profile.K
-        return window_average(self.pot.phi_prime(self.u_ext), K)[lo: lo + self.profile.D + 1]
+        return window_average(force, K)[lo: lo + self.profile.D + 1]
 
     @cached_property
     def grad_norm(self) -> float:

@@ -29,7 +29,9 @@ class Potential:
     written into ``out`` where it is given, and returned.  Every family
     writes its last ufunc into it, so ``phi_prime(u, out=buf)`` leaves in
     ``buf`` exactly the floats of ``phi_prime(u)`` and allocates nothing
-    for the result (the chain integrator calls it so every step).
+    for the result (the chain integrator calls it so every step).  ``out``
+    may be ``u`` itself: the action's step target writes the force over the
+    averaged profile it was computed from.
     """
 
     family = "base"
@@ -120,8 +122,18 @@ class GraphViolatingPotential(Potential):
         return 0.5 * u**2 - self._psi(u)
 
     def phi_prime(self, u, out=None):
+        # u - _psi_prime(u), each IEEE operation as that expression makes it
+        # (a product's two factors commute exactly), in two temporaries
         u = np.asarray(u, dtype=float)
-        return np.subtract(u, self._psi_prime(u), out=out)
+        t = np.square(u)
+        t -= 1.0
+        t *= u * (2.0 * self.beta)
+        g = np.square(u)
+        g *= 3.0
+        g += 2.0 * self.c
+        g -= 1.0
+        t *= g
+        return np.subtract(u, t, out=out)
 
 
 class TiltedPotential(QuarticPotential):

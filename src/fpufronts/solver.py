@@ -168,11 +168,14 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
     or gradient norm, and StepSizeUnderflow when rejections drive lambda
     below 1e-14.
 
-    Of the iterate the flow holds only what its next step reads: the
-    profile W, its ``ActionReport`` and its step target A phi'(A W), two
-    grid arrays.  A candidate's evaluation is dropped once its report and
-    step target are formed, and a rejected candidate before the next one
-    is built, so at most two iterates' arrays are alive.
+    While a candidate is evaluated, and while the plateau is checked, the
+    flow holds of the iterate only the profile W and its ``ActionReport``:
+    the candidate is formed from W's step target A phi'(A W), which is then
+    dropped.  An accepted candidate keeps the step target formed with its
+    report for the next step, except across a plateau check; after a
+    rejected step or a plateau check W's step target is evaluated again,
+    which gives the same floats.  Each evaluation holds U = A W until its
+    step target writes the force phi'(U) into U's own buffer.
     """
     cfg.validate()
     w = shock_profile(cfg.L, cfg.D)
@@ -190,10 +193,12 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
     rejected = 0
     streak = 0  # accepted steps since lambda last changed
     while it < cfg.max_iters:
-        cand = _step(w, target, lam)
-        cand_report, cand_target = _evaluated(cand, pot)
+        if target is None:  # dropped by a rejected step or a plateau check
+            target = Evaluation(w, pot).step_target
+        cand, target = _step(w, target, lam), None
+        cand_report, target = _evaluated(cand, pot)
         if cand_report.L > report.L + 1e-15 * max(1.0, abs(report.L)):
-            del cand, cand_target
+            cand = target = None
             lam *= 0.5
             rejected += 1
             streak = 0
@@ -205,7 +210,7 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
                 )
             continue
         it += 1
-        w, report, target = cand, cand_report, cand_target
+        w, report = cand, cand_report
         history.append(report)
         lambda_history.append(lam)
         if callback is not None:
@@ -215,6 +220,7 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
             break
 
         if it % _PLATEAU_EVERY == 0:
+            target = None  # the next step evaluates it again
             plateau_prev, plateau = plateau, interior_plateau(w)
             if plateau is not None and plateau_prev is not None:
                 slope = (history[-_PLATEAU_EVERY - 1].L - history[-1].L) / _PLATEAU_EVERY

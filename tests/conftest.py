@@ -20,8 +20,10 @@ from fpufronts import (
     init_from_front,
     minimize,
     sample_front,
+    shock_profile,
     total_energy,
 )
+from fpufronts.action import Evaluation
 from fpufronts.errors import InvalidScan, InvariantBoundNotFound
 
 L_DEFAULT = 20.0
@@ -77,9 +79,9 @@ class NaNBeyondPotential(Potential):
         u = np.asarray(u, dtype=float)
         return np.where(np.abs(u) > 1.5, np.nan, 1.5 * u**2)
 
-    def phi_prime(self, u):
+    def phi_prime(self, u, out=None):
         u = np.asarray(u, dtype=float)
-        return np.where(np.abs(u) > 1.5, np.nan, 3.0 * u)
+        return np.positive(np.where(np.abs(u) > 1.5, np.nan, 3.0 * u), out=out)
 
 
 class UphillForcePotential(Potential):
@@ -94,8 +96,8 @@ class UphillForcePotential(Potential):
     def phi(self, u):
         return np.zeros_like(np.asarray(u, dtype=float))
 
-    def phi_prime(self, u):
-        return 3.0 * np.asarray(u, dtype=float)
+    def phi_prime(self, u, out=None):
+        return np.multiply(3.0, np.asarray(u, dtype=float), out=out)
 
 
 @contextlib.contextmanager
@@ -246,6 +248,48 @@ def fresh_sums_window_average(x, K):
     out[c:] += right
     out[lo:c] += left + (right - left) * (np.arange(1, 2 * B, 2) / (2 * B))
     return out
+
+
+def kept_target_minimize(cfg, pot):
+    """``minimize``'s step loop with the accepted iterate's step target kept
+    between steps, so a rejected step reuses it instead of evaluating W again.
+
+    Returns the profile, the history, ``lambda_history`` and the rejected
+    steps of a run that converges or runs to ``max_iters`` (no plateau
+    check); ``minimize`` must give the same floats.
+    """
+    def evaluated(w):
+        ev = Evaluation(w, pot)
+        return ev.report(), ev.step_target
+
+    w = shock_profile(cfg.L, cfg.D)
+    head, tail = w.pinned
+    w.values[head], w.values[tail] = w.left_value, w.right_value
+    report, target = evaluated(w)
+    lam = cfg.lambda0
+    history, lambdas = [report], [lam]
+    it = rejected = streak = 0
+    while it < cfg.max_iters:
+        v = (1.0 - lam) * w.values + lam * target
+        v[head], v[tail] = w.left_value, w.right_value
+        cand = w.with_values(v)
+        cand_report, cand_target = evaluated(cand)
+        if cand_report.L > report.L + 1e-15 * max(1.0, abs(report.L)):
+            lam *= 0.5
+            rejected += 1
+            streak = 0
+            continue
+        it += 1
+        w, report, target = cand, cand_report, cand_target
+        history.append(report)
+        lambdas.append(lam)
+        if report.grad_norm <= cfg.grad_tol:
+            break
+        streak += 1
+        if streak == 5:
+            streak = 0
+            lam = min(1.5 * lam, 0.95)
+    return w, history, lambdas, rejected
 
 
 @pytest.fixture(scope="session")

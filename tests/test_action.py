@@ -158,6 +158,21 @@ def test_n_and_p_equal_np_trapezoid(D, make_pot):
     assert (ev.N.hex(), ev.P.hex()) == (float(n).hex(), float(p).hex())
 
 
+@pytest.mark.parametrize("part", ["N", "P"])
+def test_n_and_p_cannot_be_read_after_the_step_target(part):
+    # the step target writes phi'(U) into U's buffer, so N and P read after
+    # it would integrate the force; they raise instead, and read before it
+    # they keep their floats
+    pot = QuarticPotential(0.05)
+    w = pinned_tanh_profile(np.random.default_rng(3), D=800)
+    first, after = Evaluation(w, pot), Evaluation(w, pot)
+    value = getattr(first, part)
+    assert first.step_target.tobytes() == after.step_target.tobytes()
+    assert getattr(first, part) == value
+    with pytest.raises(RuntimeError, match="before the step target"):
+        getattr(after, part)
+
+
 @pytest.mark.parametrize("front", ["front_005", "front_03"])
 def test_converged_front_shifted_by_one_node_keeps_its_action(front, request):
     # translation is the action's flat direction: a converged front moved one

@@ -592,31 +592,37 @@ def test_long_chain_verify_allocates_little(solved_run):
 
 def test_fine_solve_allocates_little(tmp_path):
     # The benchmark's fine.q1 solve, quartic beta = 1.0 at D = 12800 (58
-    # accepted steps): the flow holds of an iterate only the profile, its
-    # report and its step target, and drops a rejected candidate before the
-    # next; the averaging writes its window sums into its cell buffer, N
-    # squares the extended W in place and P evaluates psi in blocks, so the
-    # solve peaks near 0.84 MB (CPython 3.11, numpy 2.4), in the averaging
-    # of the step target.  With a fresh array for the window sums and
-    # whole-array N and P it peaked near 0.94 MB; an iterate that kept its
-    # evaluation, U = A W and the gradient with it, near 2.0 MB.  A D = 800
-    # solve first loads every module and lazy numpy piece a solve uses, so
-    # that only the run is traced.
+    # accepted and 6 rejected steps), and its fine.gv solve, graph_violating
+    # beta = 0.1, c = -0.5 (plateau_diverging after 100 steps).  While a
+    # candidate is evaluated or the plateau checked, the flow holds of the
+    # iterate only the profile and its report; an evaluation holds U = A W
+    # until the force overwrites it, and the averaging writes its window
+    # sums into its cell buffer.  So each solve peaks near 0.63 MB (CPython
+    # 3.11, numpy 2.4), in the averaging of U = A W.  With the step target
+    # kept between steps and the force in an array of its own it peaked near
+    # 0.84 MB, with a fresh array for the window sums and whole-array N and
+    # P near 0.94 MB, and with an iterate that kept its evaluation near
+    # 2.0 MB.  A D = 800 solve first loads every module and lazy numpy piece
+    # a solve uses, so that only the run is traced.
     import tracemalloc
 
-    def config(beta, D, name):
-        return {"potential": {"family": "quartic", "params": {"beta": beta}},
-                "grid": {"L": 20.0, "D": D}, "output_dir": str(tmp_path / name)}
+    def config(potential, D, name):
+        return {"potential": potential, "grid": {"L": 20.0, "D": D},
+                "output_dir": str(tmp_path / name)}
 
-    cli.run_solve(config(1.0, 800, "warm"))
-    tracemalloc.start()
-    try:
-        summary = cli.run_solve(config(1.0, 12800, "fine"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (summary["outcome"], summary["iterations"]) == ("front_converged", 58)
-    assert peak < 0.9e6
+    quartic = {"family": "quartic", "params": {"beta": 1.0}}
+    graph_violating = {"family": "graph_violating", "params": {"beta": 0.1, "c": -0.5}}
+    cli.run_solve(config(quartic, 800, "warm"))
+    for potential, name, expected in ((quartic, "q1", ("front_converged", 58, 6)),
+                                      (graph_violating, "gv", ("plateau_diverging", 100, 0))):
+        tracemalloc.start()
+        try:
+            summary = cli.run_solve(config(potential, 12800, name))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (summary["outcome"], summary["iterations"], summary["rejected_steps"]) == expected
+        assert peak < 0.66e6
 
 
 def traced_second_run(argv):

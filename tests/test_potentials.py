@@ -248,9 +248,9 @@ def _same(a, b):
 @pytest.mark.parametrize("family", ["quartic", "tilted", "graph_violating", "user_table",
                                     "linear_force", "normalized"])
 def test_phi_prime_writes_its_floats_into_out(family):
-    # phi_prime(u, out=buf) returns buf holding exactly phi_prime(u), and
-    # both are the floats of the force as written before it took out; a
-    # scalar or 0-d u still gets the type it got then
+    # phi_prime(u, out=buf) returns buf holding exactly phi_prime(u), also
+    # where buf is u itself, and both are the floats of the force as written
+    # before it took out; a scalar or 0-d u still gets the type it got then
     pot, force = _force_families()[family]
     with np.errstate(all="ignore"):
         u = _FORCE_POINTS.copy()
@@ -259,8 +259,13 @@ def test_phi_prime_writes_its_floats_into_out(family):
         assert pot.phi_prime(u, out=buf) is buf
         assert _same(buf, force(u))
         assert np.array_equal(u, _FORCE_POINTS, equal_nan=True)  # u is left as it was
+        assert pot.phi_prime(u, out=u) is u  # out may be u itself
+        assert _same(u, force(_FORCE_POINTS))
         for x in (0.6, -0.0, 1e200, np.float64(-1.7), np.array(2.5), np.array(np.nan)):
             assert _same(pot.phi_prime(x), force(x))
             buf = np.empty(())
             assert pot.phi_prime(x, out=buf) is buf
+            assert _same(buf, np.asarray(force(x)))
+            buf = np.array(x, dtype=float)
+            assert pot.phi_prime(buf, out=buf) is buf
             assert _same(buf, np.asarray(force(x)))

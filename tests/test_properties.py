@@ -53,6 +53,7 @@ from fpufronts import (
     window_kernel,
 )
 from fpufronts import lattice, potentials, solver
+from fpufronts.action import _trapezoid
 from fpufronts.errors import BlowUp, InvariantBoundNotFound
 from fpufronts.grid import window_average
 from fpufronts.phases import _median
@@ -120,6 +121,18 @@ def test_window_average_equals_fresh_sums(K, seed, left, right, data):
     x[: tails + 1], x[x.size - tails - 1:] = left, right
     got = window_average(x, K)
     assert got.tobytes() == fresh_sums_window_average(x, K).tobytes()
+
+
+# N and P sum in one buffer: the floats of np.trapezoid, for 2 to 40 000
+# values of either sign spread over 17 decades.
+@examples
+@given(st.integers(2, 40_000), seeds, st.floats(1e-6, 1e3))
+@example(n=2, seed=0, dx=0.003125)
+@example(n=13441, seed=1, dx=0.003125)
+def test_trapezoid_equals_np_trapezoid(n, seed, dx):
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-8, 9, n)
+    assert float(_trapezoid(y, dx)).hex() == float(np.trapezoid(y, dx=dx)).hex()
 
 
 @examples

@@ -19,7 +19,7 @@ from fpufronts import (
 )
 from fpufronts.errors import ConfigInvalid, NonFiniteAction, StepSizeUnderflow
 
-from conftest import NaNBeyondPotential, UphillForcePotential
+from conftest import NaNBeyondPotential, UphillForcePotential, kept_target_minimize
 
 
 def test_config_validation():
@@ -206,6 +206,20 @@ def test_stiff_quartic_does_not_stall(beta):
     assert res.iterations < 300
     ls = [rep.L for rep in res.history]
     assert all(b <= a + 1e-15 * max(1.0, abs(a)) for a, b in zip(ls[:-1], ls[1:]))
+
+
+def test_flow_equals_a_loop_that_keeps_the_step_target():
+    # minimize drops the step target once a candidate is formed and, after a
+    # rejection, evaluates W's target again: the same floats as keeping it
+    cfg = SolverConfig(gamma=2.0, D=800)
+    pot = QuarticPotential(1.0)
+    res = minimize(cfg, pot)
+    w, history, lambdas, rejected = kept_target_minimize(cfg, pot)
+    assert (res.outcome, res.iterations, res.rejected_steps) == ("front_converged", 58, 6)
+    assert res.profile.values.tobytes() == w.values.tobytes()
+    assert res.history == history
+    assert res.lambda_history == lambdas
+    assert res.rejected_steps == rejected
 
 
 def test_constraint_set_entry_and_invariance(front_005, front_03):
