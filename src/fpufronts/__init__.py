@@ -19,9 +19,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "potentials": (
         "Potential", "QuarticPotential", "GraphViolatingPotential",
-        "TiltedPotential", "TabulatedPotential", "LinearForcePotential",
-        "make_potential", "check_assumptions", "compute_invariant_bound",
-        "AssumptionReport",
+        "TiltedPotential", "TabulatedPotential", "make_potential",
+        "check_assumptions", "compute_invariant_bound", "AssumptionReport",
     ),
     "grid": (
         "GridProfile", "shock_profile", "window_kernel", "apply_averaging",

@@ -16,9 +16,12 @@ before a departure from the states can reach past its edges, so the result
 is bit for bit that of stepping the whole chain.  A strain beyond ten times
 the invariant bound, or one that is not a number, stops the run (BlowUp).
 
-A step costs a fixed number of numpy calls on the window's slices, about
-fifteen for the quartic, and on windows of a few hundred atoms each call
-costs mostly its own overhead, so the step's cost is its call count.  ``v``
+A step costs a fixed number of numpy calls on the window's slices, fifteen
+for the quartic (thirteen ufuncs, the force's ``np.asarray`` and the strain
+bound's ``argmax``) and then one element read, and every ``_CHECK_EVERY``
+steps the guard bands' check adds at most four comparisons and four
+``np.count_nonzero``.  On windows of a few hundred atoms each call costs
+mostly its own overhead, so the step's cost is its call count.  ``v``
 has one trailing ghost slot holding ``v_plus`` and ``phi'(r)`` one leading
 ghost slot holding ``phi'(r_minus)``, so the drift ``v_{j+1} - v_j`` and the
 force ``phi'(r_j) - phi'(r_{j-1})`` are one subtraction each, with no
@@ -27,10 +30,13 @@ the ghost or an atom exactly at that state, the same float.  The product
 ``force * dt/2`` is made once per step, at its end, and added in that
 step's second half kick and in the next step's first: it is the float
 each of the two kicks would compute.  The potential writes ``phi'(r)``
-straight into its slots (``phi_prime(r, out=...)``), with no copy; ``dt``
-and ``dt/2`` are numpy floats made once per run, so no call converts a
-Python float (to the same float64); and the strain bound reads the largest
-``|r|`` at ``argmax``, which is the first NaN where there is one.
+straight into its slots (``phi_prime(r, out=...)``), with no copy.
+``dt`` and ``dt/2``, like the quartic force's constants, are 0-d arrays
+made once, which a ufunc takes at less cost than a numpy or a Python
+float of the same float64 (a 600-atom ``np.multiply`` took 0.48 against
+0.73 us on a 2-core Xeon).  The strain bound reads the largest ``|r|``
+at ``argmax``, which is the first NaN where there is one, after every
+step: a strain can leave the bound and come back between two checks.
 
 The checks read the chain snapshot by snapshot, so a long run keeps no
 full-chain copies.  ``evolve(..., observe=f)`` calls ``f`` with a
@@ -78,6 +84,7 @@ its float does not depend on the BLAS kernel.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -210,6 +217,12 @@ def chain_clock(dt: float, T: float) -> int:
     return int(round(T / dt))
 
 
+def _check_stride(stride, name: str) -> None:
+    """Raises ValueError, naming the stride, unless it is an integer >= 1."""
+    if not (isinstance(stride, numbers.Integral) and stride >= 1):
+        raise ValueError(f"{name} must be an integer of at least 1, not {stride!r}")
+
+
 def evolve(
     state: ChainState,
     pot: Potential,
@@ -230,7 +243,8 @@ def evolve(
     which a strain leaves ten times the invariant interval or is not finite
     (a NaN strain compares false with every bound, so the test is ``not |r|
     <= bound``).  With ``snapshot_stride`` set, also returns the
-    intermediate states every that many steps.
+    intermediate states every that many steps; a stride that is not an
+    integer of at least 1 raises ValueError.
 
     With ``observe`` set as well, ``observe(s)`` is called with each
     intermediate state instead, and only the final state is returned.  ``s``
@@ -255,7 +269,9 @@ def evolve(
     (see the module docstring).
     """
     n_steps = chain_clock(state.dt, T)
-    if observe is not None and not snapshot_stride:
+    if snapshot_stride is not None:
+        _check_stride(snapshot_stride, "snapshot_stride")
+    elif observe is not None:
         raise ValueError("observe needs a snapshot_stride")
     dt = state.dt
     bound = 10.0 * gamma
@@ -283,10 +299,10 @@ def evolve(
     # the steps after which to observe a snapshot and to check the guard bands
     snap_at = snapshot_stride - 1 if snapshot_stride else -1
     check_at = _CHECK_EVERY - 1
-    # The step's constants as numpy floats, which its ufuncs take without
-    # converting (a Python float converts to the same float64 on every
-    # call), and its ufuncs as locals.
-    step_dt, half_dt = np.float64(dt), np.float64(0.5 * dt)
+    # The step's constants as 0-d arrays, which its ufuncs take at less cost
+    # than a numpy or a Python float (the same float64), and its ufuncs as
+    # locals.
+    step_dt, half_dt = np.array(dt), np.array(0.5 * dt)
     add, subtract, multiply, absolute = np.add, np.subtract, np.multiply, np.absolute
     phi_prime = pot.phi_prime
     for step in range(n_steps):
@@ -565,8 +581,10 @@ def verify_front(
     ``evolve`` hands over with each state.  They give the whole chain's
     floats (see the module docstring for why).  Raises ValueError for a
     chain of at most ``2 * MARGIN_ATOMS`` atoms, whose margins leave no
-    atom to compare.
+    atom to compare, and for a ``stride`` that is not an integer of at
+    least 1.
     """
+    _check_stride(stride, "stride")
     if n_atoms <= 2 * MARGIN_ATOMS:
         raise ValueError(f"a chain of {n_atoms} atoms has no interior inside two "
                          f"{MARGIN_ATOMS}-atom margins")

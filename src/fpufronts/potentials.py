@@ -20,6 +20,10 @@ import numpy as np
 from .errors import InvalidScan, InvariantBoundNotFound
 
 _FD_STEP = 1e-6
+# The quartic force's 1.0 as a 0-d array (its 4*beta is made per instance): a
+# ufunc takes a 0-d array at less cost than a Python or a numpy float, with the
+# same float64.
+_ONE = np.array(1.0)
 
 
 class Potential:
@@ -75,6 +79,7 @@ class QuarticPotential(Potential):
         if beta <= 0:
             raise ValueError("beta must be positive")
         self.beta = float(beta)
+        self._4beta = np.array(4.0 * self.beta)
 
     def phi(self, u):
         u = np.asarray(u, dtype=float)
@@ -82,11 +87,13 @@ class QuarticPotential(Potential):
 
     def phi_prime(self, u, out=None):
         # u - 4.0*beta*u*(u**2 - 1.0), each IEEE operation as that expression
-        # makes it (a product's two factors commute exactly), in temporaries
+        # makes it (a product's two factors commute exactly), in temporaries;
+        # the constants are 0-d arrays, and a scalar or 0-d u still gives a
+        # numpy float (a ufunc returns one where every operand is 0-d)
         u = np.asarray(u, dtype=float)
         t = np.square(u)
-        t -= 1.0
-        t *= u * (4.0 * self.beta)
+        t -= _ONE
+        t *= u * self._4beta
         return np.subtract(u, t, out=out)
 
     def phi_second(self, u):
@@ -269,26 +276,6 @@ def _evaluate_piecewise(x, c, u, out=None):
             res = res + c[k][i] * z
             z = z * s
         return np.add(res, c[0][i] * z, out=out)
-
-
-class LinearForcePotential(Potential):
-    """phi(u) = u^2/2, so psi vanishes identically.
-
-    Degenerate case used in tests: the force is the identity and no invariant
-    bound strictly above 1 exists.
-    """
-
-    family = "linear_force"
-
-    def phi(self, u):
-        u = np.asarray(u, dtype=float)
-        return 0.5 * u**2
-
-    def phi_prime(self, u, out=None):
-        # np.positive copies every float exactly, -0.0 and NaN included; the
-        # force of a scalar or a 0-d u stays a 0-d array, as u is
-        u = np.asarray(u, dtype=float)
-        return np.asarray(np.positive(u, out=out))
 
 
 _FAMILIES = {

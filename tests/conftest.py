@@ -69,6 +69,26 @@ def compact_perturbation(rng, L=L_DEFAULT, D=D_DEFAULT, scale=0.1):
     return prof.with_values(v)
 
 
+class LinearForcePotential(Potential):
+    """phi(u) = u^2/2, so psi vanishes identically.
+
+    Degenerate case: the force is the identity and no invariant bound
+    strictly above 1 exists.
+    """
+
+    family = "linear_force"
+
+    def phi(self, u):
+        u = np.asarray(u, dtype=float)
+        return 0.5 * u**2
+
+    def phi_prime(self, u, out=None):
+        # np.positive copies every float exactly, -0.0 and NaN included; the
+        # force of a scalar or a 0-d u stays a 0-d array, as u is
+        u = np.asarray(u, dtype=float)
+        return np.asarray(np.positive(u, out=out))
+
+
 class NaNBeyondPotential(Potential):
     """phi(u) = 3 u^2 / 2, not a number past |u| > 1.5.
 

@@ -531,6 +531,20 @@ def test_verify_command(solved_run, capsys):
     assert all(abs(row["boundary_flux"]) < 1e-12 for row in rows)
 
 
+@pytest.mark.parametrize("r_plus, sigma", [(1.2, 0.954987), (0.5, 1.072381)])
+def test_verify_passes_at_physical_states_off_sigma_1(tmp_path, capsys, r_plus, sigma):
+    # The chain runs on the physical states -+r_plus, where the front speed
+    # sigma is not 1: the measured speed must follow that sigma.
+    cfg = write_config(tmp_path / "states.json", states={"r_minus": -r_plus, "r_plus": r_plus},
+                       output_dir=str(tmp_path / "run"))
+    assert main(["solve", str(cfg)]) == 0
+    assert main(["verify", str(cfg), str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "verify.json").read_text())
+    assert report["sigma"] == pytest.approx(sigma, abs=1e-6)
+    assert report["passed"]
+    assert abs(report["measured_speed"] - sigma) <= 0.02 * sigma
+
+
 def test_verify_report_keeps_its_format(solved_run, tmp_path, capsys):
     # verify.json is streamed into its file, with the bytes of the whole
     # text indented by two and ended by a newline; a second verify of the

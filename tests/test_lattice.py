@@ -11,10 +11,12 @@ from fpufronts import (
     NORMALIZED,
     QuarticPotential,
     RunResult,
+    SolverConfig,
     TabulatedPotential,
     TiltedPotential,
     boundary_flux,
     check_energy_law,
+    compute_invariant_bound,
     evolve,
     front_crossing,
     front_speed,
@@ -247,6 +249,34 @@ def test_evolve_matches_full_chain_for_other_families(front_005, family):
         evolve(state, unstable, 50.0, gamma=gamma)
 
 
+def test_evolve_matches_full_chain_at_physical_states():
+    # A front solved at the physical states r = -+1.2 (sigma = 0.954987) on
+    # the quartic it came from, as verify runs it: the chain's states are
+    # not the normalization's, and the guard bands compare against them, so
+    # the window, every float and every snapshot are still the full chain's.
+    pot = QuarticPotential(0.05)
+    fd = solve_front_data(-1.2, 1.2, None, 1, pot)
+    assert fd.sigma == pytest.approx(0.954987, abs=1e-6)
+    norm = normalize_potential(pot, fd)
+    gamma = compute_invariant_bound(norm)
+    res = minimize(SolverConfig(gamma=gamma), norm)
+    state = init_from_front(res, fd, n_atoms=1000, dt=0.05)
+    final, snaps = evolve(state, pot, 100.0, gamma=gamma, snapshot_stride=13)
+    r, v, ref_snaps, blowup = full_chain_leapfrog(state, pot, 100.0, gamma, 13)
+    assert blowup is None
+    assert np.array_equal(final.r, r)
+    assert np.array_equal(final.v, v)
+    for s, (rs, vs) in zip(snaps, ref_snaps, strict=True):
+        assert np.array_equal(s.r, rs)
+        assert np.array_equal(s.v, vs)
+    # the departure from each state spread through a guard band, so the
+    # window widened on both sides
+    assert exact_run(state.r, state.v, fd.r_minus, fd.v_minus) \
+        - exact_run(final.r, final.v, fd.r_minus, fd.v_minus) > lattice._GUARD
+    assert exact_run(state.r[::-1], state.v[::-1], fd.r_plus, fd.v_plus) \
+        - exact_run(final.r[::-1], final.v[::-1], fd.r_plus, fd.v_plus) > lattice._GUARD
+
+
 def test_inexact_tails_integrate_the_whole_chain(front_005):
     res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
     state = init_from_front(res, NORMALIZED, n_atoms=600, dt=0.01)
@@ -268,6 +298,36 @@ def test_blow_up_step_matches_full_chain(front_005):
     assert ref_step is not None
     with pytest.raises(BlowUp, match=f"at step {ref_step}$"):
         evolve(state, pot, 50.0, gamma=gamma)
+    # A sharp velocity pulse on a stiff chain at rest, run 12 steps and
+    # reversed, focuses back: its strain leaves 10*gamma between two window
+    # checks and is inside it at every check, so only a test after each
+    # step, as the full chain makes, sees it.
+    stiff, pulse = QuarticPotential(75.0), constant_state(0.0, 0.0, n=200, dt=0.02)
+    pulse.v[100] = 0.5
+    r, v, _, _ = full_chain_leapfrog(pulse, stiff, 0.24, np.inf)
+    pulse = replace(pulse, r=r, v=-v)
+    *_, ref_step = full_chain_leapfrog(pulse, stiff, 0.8, 0.0015)
+    _, _, at_checks, _ = full_chain_leapfrog(pulse, stiff, 0.8, np.inf, lattice._CHECK_EVERY)
+    assert ref_step is not None and max(np.max(np.abs(r)) for r, _ in at_checks) <= 0.015
+    with pytest.raises(BlowUp, match=f"at step {ref_step}$"):
+        evolve(pulse, stiff, 0.8, gamma=0.0015)
+
+
+@pytest.mark.parametrize("stride", [-3, 0, 2.5, 4.0, "7"])
+def test_a_stride_that_is_not_a_positive_integer_is_refused(front_005, stride):
+    # Such a stride once took no snapshot and raised nothing, or, for
+    # verify_front, raised that the front crossing was not visible.
+    res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
+    state = init_from_front(res, NORMALIZED, n_atoms=100, dt=0.05)
+    message = f"stride must be an integer of at least 1, not {stride!r}$"
+    with pytest.raises(ValueError, match=f"^snapshot_{message}"):
+        evolve(state, pot, 1.0, gamma=gamma, snapshot_stride=stride)
+    with pytest.raises(ValueError, match=f"^snapshot_{message}"):
+        evolve(state, pot, 1.0, gamma=gamma, snapshot_stride=stride,
+               observe=lambda s: None)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        verify_front(res.profile, NORMALIZED, pot, gamma=gamma, n_atoms=100, T=1.0, dt=0.05,
+                     stride=stride)
 
 
 @pytest.mark.parametrize("inexact_tails", [False, True], ids=["windowed", "inexact_tails"])

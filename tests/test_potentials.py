@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from fpufronts import (
     GraphViolatingPotential,
     InvariantBoundNotFound,
-    LinearForcePotential,
     QuarticPotential,
     TabulatedPotential,
     TiltedPotential,
@@ -16,6 +15,8 @@ from fpufronts import (
     solve_front_data,
 )
 from fpufronts.errors import InvalidScan
+
+from conftest import LinearForcePotential
 
 
 def test_quartic_psi_closed_form():
