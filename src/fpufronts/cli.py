@@ -144,7 +144,7 @@ def config_grid(config: dict) -> tuple[float, int]:
     try:
         check_grid(L, D)
     except (ValueError, WindowMisaligned) as exc:
-        raise ConfigError(f"grid L={L}, D={D}: {exc}") from None
+        raise ConfigError(f"grid.L={L}, grid.D={D}: {exc}") from None
     return L, D
 
 
@@ -381,30 +381,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _check_verify_args(args) -> None:
-    """Refuse chain-run arguments that leave nothing to integrate or compare."""
-    from .lattice import MARGIN_ATOMS, MAX_DT, chain_clock
-
-    if not 0.0 < args.dt <= MAX_DT:
-        raise ConfigError(f"verify --dt must lie in (0, {MAX_DT}], not {args.dt!r}")
-    if not (math.isfinite(args.time) and args.time > 0.0):
-        raise ConfigError(f"verify --time must be finite and positive, not {args.time!r}")
-    if args.stride < 1:
-        raise ConfigError(f"verify --stride must be at least 1, not {args.stride}")
-    try:
-        steps = chain_clock(args.dt, args.time)
-    except OverflowError:  # --time / --dt is no finite number of steps
-        steps = 0
-    if steps < args.stride:
-        raise ConfigError(
-            f"verify --time {args.time!r} at --dt {args.dt!r} must take at least "
-            f"--stride {args.stride} steps, so that a snapshot is taken"
-        )
-    if args.atoms <= 2 * MARGIN_ATOMS:
-        raise ConfigError(f"verify --atoms must exceed {2 * MARGIN_ATOMS} "
-                          f"(two {MARGIN_ATOMS}-atom margins), not {args.atoms}")
-
-
 # The number fields of a run summary that verify reads besides the front
 # data's; grid.D is an integer.
 _SUMMARY_NUMBERS = ("final_grad_norm", "gamma", "grid.L", "grid.D")
@@ -467,9 +443,13 @@ def _unstable_states(pot: Potential, fd: FrontData) -> str:
 
 
 def cmd_verify(args) -> int:
-    from .lattice import verify_front
+    from .lattice import check_chain_run, verify_front
 
-    _check_verify_args(args)
+    flags = f"--atoms {args.atoms} --time {args.time!r} --dt {args.dt!r} --stride {args.stride}"
+    try:  # lattice's chain-run rules, before any file is read
+        check_chain_run(args.atoms, args.time, args.dt, args.stride)
+    except ValueError as exc:
+        raise ConfigError(f"verify {flags}: {exc}") from None
     config = load_config(args.config)
     run_dir = Path(args.run_dir)
     summary_path = run_dir / "summary.json"
@@ -477,8 +457,11 @@ def cmd_verify(args) -> int:
     if not summary_path.exists() or not profile_path.exists():
         raise FileNotFoundError(f"run artifacts not found in {run_dir}")
     summary, fd = read_run_summary(summary_path)
+    try:
+        L, D = config_grid(summary)
+    except ConfigError as exc:
+        raise ConfigError(f"run summary {summary_path}: {exc}") from None
     outcome = summary["outcome"]
-    L, D = summary["grid"]["L"], summary["grid"]["D"]
     gamma = summary["gamma"]  # bounds the chain's strains
     if outcome != "front_converged":
         raise FpuFrontsError(f"profile outcome is {outcome!r}, not a front")
@@ -492,9 +475,8 @@ def cmd_verify(args) -> int:
     try:
         check = verify_front(profile, fd, pot, gamma=gamma, n_atoms=args.atoms, T=args.time,
                              dt=args.dt, stride=args.stride)
-    except ValueError as exc:  # a chain run too short or too small to read
-        raise ConfigError(f"verify --atoms {args.atoms} --time {args.time!r} --dt {args.dt!r} "
-                          f"leaves too little to check: {exc}") from None
+    except ValueError as exc:  # the summary's gamma, or no front speed to fit
+        raise ConfigError(f"verify {flags} of {summary_path}: {exc}") from None
     except BlowUp as exc:
         raise BlowUp(f"{exc}{_unstable_states(pot, fd)}") from None
     budget = 0.05

@@ -49,6 +49,10 @@ started, so a reduction may read the window alone.  ``front_crossing`` and
 ``measure_front_speed`` and ``check_energy_law`` are loops over them, so a
 snapshot list and a stream give the same floats.
 
+Each rule on a chain run's inputs is written once, here: ``chain_clock``,
+``_check_stride``, ``check_chain_run`` and ``evolve``'s ``gamma > 0``.
+``fpufronts verify`` runs ``check_chain_run`` before it reads a file.
+
 ``verify_front``, the check ``fpufronts verify`` runs, reduces each snapshot
 to its sup error against the translated profile, its front crossing, its
 total energy and its boundary flux, and reads for the first two only a
@@ -74,11 +78,6 @@ at a time.  An atom outside the window has not changed since the run
 started, and the window only widens, so the atom was outside every window
 since the full evaluation: its entry is the float a fresh evaluation gives,
 and the sum is the whole chain's.
-
-The front speed is the least-squares slope through the visible crossings in
-closed form, ``sum(t*c) / sum(t*t)`` over the centred times and crossings,
-summed by numpy reductions: a two-parameter fit needs no LAPACK call, and
-its float does not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -207,20 +206,39 @@ MARGIN_ATOMS = 20
 def chain_clock(dt: float, T: float) -> int:
     """The step count ``round(T/dt)`` of a chain run of ``T`` at step ``dt``.
 
-    Raises ValueError unless ``0 < dt <= MAX_DT`` and ``T`` is finite and
-    ``>= 0``.
+    Raises ValueError unless ``0 < dt <= MAX_DT``, ``T`` is finite and
+    ``>= 0``, and ``T/dt`` is finite, which a subnormal ``dt`` can overflow.
     """
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"dt must lie in (0, {MAX_DT}], not {dt!r}")
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"T must be finite and at least 0, not {T!r}")
-    return int(round(T / dt))
+    steps = T / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"T/dt = {T!r}/{dt!r} is no finite step count")
+    return int(round(steps))
 
 
 def _check_stride(stride, name: str) -> None:
     """Raises ValueError, naming the stride, unless it is an integer >= 1."""
     if not (isinstance(stride, numbers.Integral) and stride >= 1):
         raise ValueError(f"{name} must be an integer of at least 1, not {stride!r}")
+
+
+def check_chain_run(n_atoms: int, T: float, dt: float, stride: int) -> int:
+    """The step count of ``verify_front``'s run of ``n_atoms`` atoms over
+    ``T`` at step ``dt``, reduced every ``stride`` steps.  Raises ValueError,
+    naming the rule, unless ``chain_clock`` counts the steps, ``stride`` is
+    an integer >= 1 that the steps reach, and ``n_atoms`` exceeds the two
+    ``MARGIN_ATOMS`` margins."""
+    n_steps = chain_clock(dt, T)
+    _check_stride(stride, "stride")
+    if n_steps < stride:
+        raise ValueError(f"a run of {n_steps} steps is shorter than its stride, {stride}")
+    if n_atoms <= 2 * MARGIN_ATOMS:
+        raise ValueError(f"a chain of {n_atoms} atoms has no interior inside two "
+                         f"{MARGIN_ATOMS}-atom margins")
+    return n_steps
 
 
 def evolve(
@@ -237,14 +255,14 @@ def evolve(
     kick; the scheme is time-reversible up to rounding.  The force of the
     second kick is that of the next step's first kick, so it is evaluated,
     and multiplied by ``dt/2``, once per step.  It takes ``chain_clock``'s
-    step count, which raises ValueError unless ``0 < dt <= MAX_DT`` and
-    ``T`` is finite and ``>= 0``, and stamps the state after step k with
-    the time ``state.t + k*dt``.  Raises BlowUp at the first step after
-    which a strain leaves ten times the invariant interval or is not finite
-    (a NaN strain compares false with every bound, so the test is ``not |r|
-    <= bound``).  With ``snapshot_stride`` set, also returns the
-    intermediate states every that many steps; a stride that is not an
-    integer of at least 1 raises ValueError.
+    step count, which refuses a ``dt`` or a ``T`` with ValueError, and
+    stamps the state after step k with the time ``state.t + k*dt``.  Raises
+    ValueError unless ``gamma > 0`` (NaN too), and BlowUp at the first step
+    after which a strain leaves ten times the invariant interval or is not
+    finite (a NaN strain compares false with every bound, so the test is
+    ``not |r| <= bound``).  With ``snapshot_stride`` set, also returns the
+    intermediate states every that many steps; ``_check_stride`` refuses a
+    stride that is not an integer of at least 1.
 
     With ``observe`` set as well, ``observe(s)`` is called with each
     intermediate state instead, and only the final state is returned.  ``s``
@@ -269,6 +287,8 @@ def evolve(
     (see the module docstring).
     """
     n_steps = chain_clock(state.dt, T)
+    if not gamma > 0:  # NaN too
+        raise ValueError(f"gamma must be a number > 0, not {gamma!r}")
     if snapshot_stride is not None:
         _check_stride(snapshot_stride, "snapshot_stride")
     elif observe is not None:
@@ -579,15 +599,11 @@ def verify_front(
     those between its runs at the states (``_state_runs``, the read that
     gives ``evolve`` its first window), and after that the window
     ``evolve`` hands over with each state.  They give the whole chain's
-    floats (see the module docstring for why).  Raises ValueError for a
-    chain of at most ``2 * MARGIN_ATOMS`` atoms, whose margins leave no
-    atom to compare, and for a ``stride`` that is not an integer of at
-    least 1.
+    floats (see the module docstring for why).  ``check_chain_run`` refuses
+    the run before the chain is built, and ``evolve`` a ``gamma`` that is
+    not ``> 0``, each with a ValueError.
     """
-    _check_stride(stride, "stride")
-    if n_atoms <= 2 * MARGIN_ATOMS:
-        raise ValueError(f"a chain of {n_atoms} atoms has no interior inside two "
-                         f"{MARGIN_ATOMS}-atom margins")
+    check_chain_run(n_atoms, T, dt, stride)
     nodes = profile.nodes
     r_prof, v_prof = denormalize_profile(profile, fd)
     state = _chain_on(nodes, r_prof, v_prof, fd, n_atoms, n_atoms / 2.0, dt)

@@ -783,16 +783,22 @@ def _set_field(summary, path, value):
     ("grid.L", "x"),
     ("grid.D", None),
     ("grid.D", 3200.0),
+    ("grid.L", 1.0),
+    ("grid.L", 19.9),
+    ("gamma", 0.0),
+    ("gamma", -1.0),
     ("front_data.sigma", "fast"),
     ("front_data.v_plus", float("nan")),
     ("front_data.parabola", [1.0, 0.0]),
     ("front_data.parabola", [1.0, 0.0, True]),
 ], ids=["front_data", "gamma", "gamma_string", "outcome_list", "final_grad_norm_null",
-        "grid_string", "L_string", "D_null", "D_float", "sigma_string", "v_plus_nan",
-        "parabola_short", "parabola_bool"])
+        "grid_string", "L_string", "D_null", "D_float", "L_below_2", "L_misaligned",
+        "gamma_zero", "gamma_negative", "sigma_string", "v_plus_nan", "parabola_short",
+        "parabola_bool"])
 def test_verify_malformed_summary_exits_2(solved_run, tmp_path, capsys, field, value):
     # a summary without a number for gamma leaves the BlowUp bound to a guess;
-    # a field of another type would end in a TypeError traceback
+    # a field of another type would end in a TypeError traceback; a grid that
+    # config_grid refuses, or a gamma <= 0, leaves no profile or no chain run
     run2 = tmp_path / "malformed"
     shutil.copytree(solved_run["run_dir"], run2)
     summary = json.loads((run2 / "summary.json").read_text())
@@ -838,12 +844,13 @@ def _field_paths(mapping, prefix=()):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_verify_any_one_summary_field_changed_exits_legibly(solved_run, data):
-    # one field of a valid summary deleted or given a value of another kind;
-    # verify runs on its defaults (400 atoms, T = 20)
+    # one field of a valid summary deleted, given a value of another kind or
+    # an in-type value out of its range; verify runs on its defaults (400
+    # atoms, T = 20)
     summary = json.loads((solved_run["run_dir"] / "summary.json").read_text())
     path = data.draw(st.sampled_from(sorted(_field_paths(summary))))
     value = data.draw(st.sampled_from(
-        [DELETE, "x", None, [1.0], True, float("nan"), float("inf")]))
+        [DELETE, "x", None, [1.0], True, float("nan"), float("inf"), -1.0, 0.0, 1.0]))
     _set_field(summary, path, value)
     with tempfile.TemporaryDirectory() as tmp:
         run2 = Path(tmp) / "run"
@@ -854,7 +861,9 @@ def test_verify_any_one_summary_field_changed_exits_legibly(solved_run, data):
             code = main(["verify", str(solved_run["config"]), str(run2)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    if code != 0:
+    if code == 1 and not err.getvalue():  # a chain check that did not pass
+        assert json.loads(out.getvalue())["passed"] is False
+    elif code != 0:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error", "message"}
@@ -950,24 +959,27 @@ def test_malformed_profile_exits_2(solved_run, tmp_path, capsys, command, defect
     assert fragment in err["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["--dt", "0"],
-    ["--dt", "-0.01"],
-    ["--dt", "0.1"],
-    ["--time", "0"],
-    ["--time", "-5"],
-    ["--time", "inf"],
-    ["--atoms", "0"],
-    ["--atoms", "40"],
-    ["--stride", "0"],
-    ["--stride", "100000"],
+@pytest.mark.parametrize("argv, rule", [
+    (["--dt", "0"], "dt must lie in (0, 0.05], not 0.0"),
+    (["--dt", "-0.01"], "dt must lie in (0, 0.05], not -0.01"),
+    (["--dt", "0.1"], "dt must lie in (0, 0.05], not 0.1"),
+    (["--time", "0"], "a run of 0 steps is shorter than its stride, 73"),
+    (["--time", "-5"], "T must be finite and at least 0, not -5.0"),
+    (["--time", "inf"], "T must be finite and at least 0, not inf"),
+    (["--atoms", "0"], "a chain of 0 atoms has no interior inside two 20-atom margins"),
+    (["--atoms", "40"], "a chain of 40 atoms has no interior inside two 20-atom margins"),
+    (["--stride", "0"], "stride must be an integer of at least 1, not 0"),
+    (["--stride", "100000"], "a run of 2000 steps is shorter than its stride, 100000"),
     # a step so small that the centred snapshot times square to 0, which
     # leaves the speed fit no slope
-    ["--dt", "1e-320", "--time", "1e-318"],
+    (["--dt", "1e-320", "--time", "1e-318"], "the visible crossings' times give no finite slope"),
+    # a span over a step that overflows to an infinite step count
+    (["--dt", "1e-320", "--time", "1e300"], "T/dt = 1e+300/1e-320 is no finite step count"),
 ], ids=["zero_dt", "negative_dt", "large_dt", "zero_time", "negative_time",
         "infinite_time", "zero_atoms", "margins_only", "zero_stride", "stride_beyond_run",
-        "subnormal_dt"])
-def test_verify_bad_arguments_exit_2(solved_run, capsys, argv):
+        "subnormal_dt", "infinite_steps"])
+def test_verify_bad_arguments_exit_2(solved_run, capsys, argv, rule):
+    # every flag is named in the message, so each row also names its rule
     code = main(["verify", str(solved_run["config"]), str(solved_run["run_dir"]), *argv])
     assert code == 2
     captured = capsys.readouterr()
@@ -975,6 +987,7 @@ def test_verify_bad_arguments_exit_2(solved_run, capsys, argv):
     err = json.loads(captured.err)
     assert err["error"] == "ConfigError"
     assert argv[0] in err["message"]
+    assert rule in err["message"]
 
 
 # argparse's own refusals: each prints one JSON ConfigError, not usage text

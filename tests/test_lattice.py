@@ -70,6 +70,31 @@ def test_dt_cap(dt, T):
         evolve(state, pot, T)
 
 
+def test_chain_clock_refuses_a_step_count_that_is_not_finite():
+    # 1e300 / 1e-320 overflows to inf, which round() cannot make an integer
+    with pytest.raises(ValueError, match=r"^T/dt = 1e\+300/1e-320 is no finite step count$"):
+        lattice.chain_clock(1e-320, 1e300)
+
+
+# A strain bound 10*gamma that no strain can meet; NaN compares false with it
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+def test_gamma_that_is_not_positive_is_refused_before_the_first_step(gamma):
+    state = constant_state(0.0, 0.0)
+    seen = []
+    with pytest.raises(ValueError, match=f"^gamma must be a number > 0, not {gamma!r}$"):
+        evolve(state, QuarticPotential(0.2), 1.0, gamma=gamma, snapshot_stride=1,
+               observe=seen.append)
+    assert seen == []
+
+
+def test_verify_front_refuses_a_run_shorter_than_its_stride(front_005):
+    # 50 steps at a stride of 73 take no snapshot after the start
+    res, pot, gamma = front_005["result"], front_005["pot"], front_005["gamma"]
+    with pytest.raises(ValueError, match="^a run of 50 steps is shorter than its stride, 73$"):
+        verify_front(res.profile, NORMALIZED, pot, gamma=gamma, n_atoms=100, T=0.5, dt=0.01,
+                     stride=73)
+
+
 def test_dt_cap_and_empty_span_are_accepted():
     pot = QuarticPotential(0.2)
     assert evolve(constant_state(0.0, 0.0, dt=0.05), pot, 0.1).t == pytest.approx(0.1)
