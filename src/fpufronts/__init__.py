@@ -49,10 +49,11 @@ _EXPORTS = {
         "FrontVerification", "verify_front",
     ),
     "errors": (
-        "FpuFrontsError", "InadmissibleFront", "NotAdmissible",
+        "FpuFrontsError", "InvalidScan", "InadmissibleFront", "NotAdmissible",
         "InvariantBoundNotFound", "WindowMisaligned", "GridMismatch",
-        "TailNotConverged", "EmptyZeroSet", "ConfigInvalid", "NotAFront",
-        "BlowUp", "NonFiniteAction", "StepSizeUnderflow",
+        "TailNotConverged", "NonZeroTails", "EmptyZeroSet", "AnchorNotInZeroSet",
+        "LayerCostBelowBound", "ConfigInvalid", "NotAFront", "BlowUp",
+        "NonFiniteAction", "StepSizeUnderflow",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -135,6 +135,24 @@ def config_front_data(states: dict, pot: Potential) -> FrontData:
         raise ConfigError(f"states: {exc}") from None
 
 
+def config_run(config: dict, pot: Potential) -> tuple[FrontData, Potential]:
+    """The run a config names: its front data, and the potential the flow
+    runs on.
+
+    Without ``states`` these are ``NORMALIZED`` and ``pot`` itself; with
+    them, the front data of the jump conditions (``config_front_data``) and
+    ``pot`` normalized to it.  ``solve``, ``verify`` and ``diagnose`` read a
+    config's run through this alone.
+    """
+    from .macroscopic import NORMALIZED, normalize_potential
+
+    states = config.get("states")
+    if not states:
+        return NORMALIZED, pot
+    fd = config_front_data(states, pot)
+    return fd, normalize_potential(pot, fd)
+
+
 def config_grid(config: dict) -> tuple[float, int]:
     """The grid (L, D) of a config, checked so that the averaging window aligns."""
     from .grid import DEFAULT_D, DEFAULT_L, check_grid
@@ -273,15 +291,11 @@ def cmd_check_potential(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    from .macroscopic import normalize_potential
-
     config = load_config(args.config)
     pot = build_potential(config)
-    states = config.get("states")
-    if not states:
+    if not config.get("states"):
         raise ConfigError("normalize requires a 'states' section")
-    fd = config_front_data(states, pot)
-    norm = normalize_potential(pot, fd)
+    fd, norm = config_run(config, pot)
     ends = np.array([-1.0, 1.0])
     out = {
         "front_data": fd.to_dict(),
@@ -293,13 +307,14 @@ def cmd_normalize(args) -> int:
 
 
 def flow_gamma(pot: Potential) -> tuple[float, str]:
-    """The invariant bound gamma of ``pot`` and where it came from.
+    """The gamma a flow on ``pot`` runs with and where it came from.
 
     The source is ``"invariant_bound"`` when ``compute_invariant_bound``
-    finds one, and ``"fallback"`` when it does not and gamma is set to 2.
+    finds one, and gamma is that bound but at least 1; and ``"fallback"``
+    when it does not and gamma is set to 2.
     """
     try:
-        return compute_invariant_bound(pot), "invariant_bound"
+        return max(compute_invariant_bound(pot), 1.0), "invariant_bound"
     except FpuFrontsError:
         return 2.0, "fallback"
 
@@ -318,7 +333,6 @@ def run_solve(config: dict) -> dict:
     behind for ``verify`` or ``diagnose`` to read as its own.
     """
     from .grid import apply_averaging
-    from .macroscopic import NORMALIZED, normalize_potential
     from .phases import separate_phases
     from .solver import minimize
 
@@ -326,23 +340,15 @@ def run_solve(config: dict) -> dict:
     out_dir = Path(config.get("output_dir", "."))
     for name in _RUN_ARTIFACTS:
         (out_dir / name).unlink(missing_ok=True)
-    pot = build_potential(config)
-    states = config.get("states")
-    fd = NORMALIZED
-    if states:
-        fd = config_front_data(states, pot)
-        pot_run = normalize_potential(pot, fd)
-    else:
-        pot_run = pot
-
+    fd, pot_run = config_run(config, build_potential(config))
     gamma, gamma_source = flow_gamma(pot_run)
-    cfg = build_solver_config(config, gamma=max(gamma, 1.0))
+    cfg = build_solver_config(config, gamma=gamma)
     result = minimize(cfg, pot_run)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_profile_csv(out_dir / "profile.csv", result.profile)
     write_history_csv(out_dir / "history.csv", result.history, result.lambda_history)
-    if states:
+    if config.get("states"):
         write_physical_csv(out_dir / "profile_physical.csv", result.profile, fd)
 
     try:
@@ -381,53 +387,45 @@ def cmd_solve(args) -> int:
     return 0
 
 
-# The number fields of a run summary that verify reads besides the front
-# data's; grid.D is an integer.
-_SUMMARY_NUMBERS = ("final_grad_norm", "gamma", "grid.L", "grid.D")
+# The number fields of a run summary that verify reads; its grid and front
+# data must be the config's.
+_SUMMARY_NUMBERS = ("final_grad_norm", "gamma")
 
 
-def read_run_summary(path: Path) -> tuple[dict, FrontData]:
-    """The ``summary.json`` of a solve, with every field ``verify`` reads
-    checked, and the ``FrontData`` of its ``front_data``.
+def read_run_summary(path: Path, grid: dict, fd: FrontData) -> dict:
+    """The ``summary.json`` of a solve, checked against the run its config
+    names: the config's ``grid`` (``{"L": L, "D": D}``) and front data.
 
-    Raises ConfigError for a file that is not JSON, a field that is missing,
-    or a field of another type: ``outcome`` must be a string,
-    ``front_data.parabola`` a list of three finite numbers, ``grid.D`` an
-    integer, and the other fields of ``_SUMMARY_NUMBERS`` and of
-    ``FrontData`` finite numbers, checked in that order.
+    Raises ConfigError for a file that is not JSON, a field that is
+    missing, an ``outcome`` that is not a string, a ``final_grad_norm`` or
+    ``gamma`` that is not a finite number, or a ``grid`` or ``front_data``
+    other than the JSON ``solve`` writes for ``grid`` and ``fd``; values are
+    compared as ``json.dumps`` text, and the message names the first key
+    that differs.
     """
-    from dataclasses import fields
-
-    from .macroscopic import FrontData
-
     where = f"run summary {path}"
     try:
         summary = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"malformed {where}: {exc!r}") from None
-
-    def field(name: str):
-        value = summary
-        for key in name.split("."):
-            if not isinstance(value, dict) or key not in value:
-                raise ConfigError(f"malformed {where}: it has no field {name}")
-            value = value[key]
-        return value
-
-    outcome = field("outcome")
+    for name in ("outcome", *_SUMMARY_NUMBERS, "grid", "front_data"):
+        if not isinstance(summary, dict) or name not in summary:
+            raise ConfigError(f"malformed {where}: it has no field {name}")
+    outcome = summary["outcome"]
     if not isinstance(outcome, str):
         raise ConfigError(f"{where}: outcome must be a string, not {json.dumps(outcome)}")
-    numbers = [f.name for f in fields(FrontData) if f.name != "parabola"]
-    for name in (*_SUMMARY_NUMBERS, *(f"front_data.{n}" for n in numbers)):
-        _check_number(field(name), f"{where}: {name}", integer=name == "grid.D")
-    parabola = field("front_data.parabola")
-    if not (isinstance(parabola, list) and len(parabola) == 3):
-        raise ConfigError(f"{where}: front_data.parabola must be a list of three numbers, "
-                          f"not {json.dumps(parabola)}")
-    for x in parabola:
-        _check_number(x, f"{where}: front_data.parabola")
-    front = summary["front_data"]
-    return summary, FrontData(**{n: front[n] for n in numbers}, parabola=tuple(parabola))
+    for name in _SUMMARY_NUMBERS:
+        _check_number(summary[name], f"{where}: {name}")
+    for name, ours in (("grid", grid), ("front_data", fd.to_dict())):
+        theirs = summary[name]
+        if not isinstance(theirs, dict):
+            raise ConfigError(f"{where}: {name} is {json.dumps(theirs)}, "
+                              f"not the config's {json.dumps(ours)}")
+        for key in {**ours, **theirs}:
+            found, wanted = (json.dumps(d[key]) if key in d else "absent" for d in (theirs, ours))
+            if found != wanted:
+                raise ConfigError(f"{where}: {name}.{key} is {found}, not the config's {wanted}")
+    return summary
 
 
 def _unstable_states(pot: Potential, fd: FrontData) -> str:
@@ -443,6 +441,13 @@ def _unstable_states(pot: Potential, fd: FrontData) -> str:
 
 
 def cmd_verify(args) -> int:
+    """Run the chain check of the solved front in ``args.run_dir``.
+
+    The run is the one the config names: its grid (``config_grid``) and
+    front data (``config_run``), which the run's ``summary.json`` must
+    hold; the summary gives the outcome and ``gamma``, and ``profile.csv``
+    the front.
+    """
     from .lattice import check_chain_run, verify_front
 
     flags = f"--atoms {args.atoms} --time {args.time!r} --dt {args.dt!r} --stride {args.stride}"
@@ -456,17 +461,15 @@ def cmd_verify(args) -> int:
     profile_path = run_dir / "profile.csv"
     if not summary_path.exists() or not profile_path.exists():
         raise FileNotFoundError(f"run artifacts not found in {run_dir}")
-    summary, fd = read_run_summary(summary_path)
-    try:
-        L, D = config_grid(summary)
-    except ConfigError as exc:
-        raise ConfigError(f"run summary {summary_path}: {exc}") from None
+    L, D = config_grid(config)
+    pot = build_potential(config)
+    fd, _ = config_run(config, pot)
+    summary = read_run_summary(summary_path, {"L": L, "D": D}, fd)
     outcome = summary["outcome"]
     gamma = summary["gamma"]  # bounds the chain's strains
     if outcome != "front_converged":
         raise FpuFrontsError(f"profile outcome is {outcome!r}, not a front")
 
-    pot = build_potential(config)
     profile = read_profile_csv(profile_path, L, D)
     # the inputs are read: from here a verify that stops leaves no report,
     # rather than an earlier run's
@@ -506,10 +509,10 @@ def cmd_diagnose(args) -> int:
     from .phases import separate_phases
 
     config = load_config(args.config)
-    pot = build_potential(config)
+    _, pot_run = config_run(config, build_potential(config))
     L, D = config_grid(config)
     profile = read_profile_csv(Path(args.profile), L, D)
-    gamma, gamma_source = flow_gamma(pot)
+    gamma, gamma_source = flow_gamma(pot_run)
     sep = separate_phases(apply_averaging(profile), gamma)
     print(json.dumps({**sep.to_dict(), "gamma": gamma, "gamma_source": gamma_source}, indent=2))
     return 0

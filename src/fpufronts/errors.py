@@ -50,10 +50,6 @@ class EmptyZeroSet(FpuFrontsError):
     """Profile has no transition region; it does not connect -1 to +1."""
 
 
-class SignInconsistent(FpuFrontsError):
-    """Profile is not uniformly signed between transition layers."""
-
-
 class AnchorNotInZeroSet(FpuFrontsError):
     """Layer-cost anchor lies outside the zero set of the averaged profile."""
 

@@ -9,11 +9,11 @@ one layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnchorNotInZeroSet, EmptyZeroSet, LayerCostBelowBound, SignInconsistent
+from .errors import AnchorNotInZeroSet, EmptyZeroSet, LayerCostBelowBound
 from .grid import GridProfile, apply_averaging
 from .potentials import Potential
 
@@ -28,7 +28,6 @@ class PhaseSeparation:
     eta_bar: float
     m: int
     sign_consistent: bool = True
-    conflicts: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -71,15 +70,14 @@ def mu_bar_for(pot: Potential, gamma: float, n_samples: int = 20_001) -> float:
     return 2.0 * eta * max(inf_psi, 0.0)
 
 
-def separate_phases(u: GridProfile, gamma: float, strict: bool = False) -> PhaseSeparation:
+def separate_phases(u: GridProfile, gamma: float) -> PhaseSeparation:
     """Greedy construction of a separation of phases for an averaged profile.
 
     Anchors at the smallest uncovered zero-set point, opens an interval of
     half-width 2*eta_bar around it, repeats, then merges overlaps.  Signs are
     read off the gaps between consecutive intervals and the two tails; a gap
-    on which U is not uniformly signed is flagged (and raised when
-    ``strict``).  A profile without a zero set raises ``zero_set``'s
-    EmptyZeroSet.
+    on which U is not uniformly signed clears ``sign_consistent``.  A
+    profile without a zero set raises ``zero_set``'s EmptyZeroSet.
     """
     nodes = u.nodes
     zidx = zero_set(u)
@@ -111,12 +109,12 @@ def separate_phases(u: GridProfile, gamma: float, strict: bool = False) -> Phase
     ]
 
     signs = []
-    conflicts = []
+    consistent = True
     gap_edges = [(-np.inf, intervals[0][0])]
     for (a, b) in zip(intervals[:-1], intervals[1:]):
         gap_edges.append((a[1], b[0]))
     gap_edges.append((intervals[-1][1], np.inf))
-    for gi, (lo, hi) in enumerate(gap_edges):
+    for lo, hi in gap_edges:
         inside = (nodes > lo) & (nodes < hi)
         vals = u.values[inside]
         if lo == -np.inf:
@@ -127,13 +125,10 @@ def separate_phases(u: GridProfile, gamma: float, strict: bool = False) -> Phase
             s = int(np.sign(np.mean(np.sign(vals))) or 1)
         else:
             s = signs[-1]
-        if vals.size and (np.any(vals * s <= 0)):
-            conflicts.append(gi)
+        if vals.size and np.any(vals * s <= 0):
+            consistent = False
         signs.append(s)
 
-    consistent = not conflicts
-    if strict and not consistent:
-        raise SignInconsistent(f"gaps {conflicts} are not uniformly signed")
     return PhaseSeparation(
         intervals=intervals,
         anchors=anchors,
@@ -141,7 +136,6 @@ def separate_phases(u: GridProfile, gamma: float, strict: bool = False) -> Phase
         eta_bar=eta,
         m=len(intervals),
         sign_consistent=consistent,
-        conflicts=conflicts,
     )
 
 

@@ -246,6 +246,12 @@ def test_lazy_namespace_resolves_every_export():
     assert set(fpufronts.__all__) <= set(dir(fpufronts))
     with pytest.raises(AttributeError, match="no_such_name"):
         fpufronts.no_such_name
+    # every package error that a public function raises is public too
+    from fpufronts import errors
+
+    for name, value in vars(errors).items():
+        if isinstance(value, type) and issubclass(value, errors.FpuFrontsError):
+            assert getattr(fpufronts, name) is value, name
 
 
 @pytest.mark.parametrize("u, phi, fragment", [
@@ -791,14 +797,18 @@ def _set_field(summary, path, value):
     ("front_data.v_plus", float("nan")),
     ("front_data.parabola", [1.0, 0.0]),
     ("front_data.parabola", [1.0, 0.0, True]),
+    ("front_data.r_plus", -1.0),
+    ("front_data.sigma", 0.0),
+    ("front_data.sigma", -1.0),
 ], ids=["front_data", "gamma", "gamma_string", "outcome_list", "final_grad_norm_null",
         "grid_string", "L_string", "D_null", "D_float", "L_below_2", "L_misaligned",
         "gamma_zero", "gamma_negative", "sigma_string", "v_plus_nan", "parabola_short",
-        "parabola_bool"])
+        "parabola_bool", "r_plus_equal_r_minus", "sigma_zero", "sigma_negative"])
 def test_verify_malformed_summary_exits_2(solved_run, tmp_path, capsys, field, value):
     # a summary without a number for gamma leaves the BlowUp bound to a guess;
-    # a field of another type would end in a TypeError traceback; a grid that
-    # config_grid refuses, or a gamma <= 0, leaves no profile or no chain run
+    # a gamma <= 0 leaves no chain run; a grid or front data other than the
+    # config's, r_plus = r_minus or a sigma <= 0 among them, is not the run
+    # the config names
     run2 = tmp_path / "malformed"
     shutil.copytree(solved_run["run_dir"], run2)
     summary = json.loads((run2 / "summary.json").read_text())
@@ -812,9 +822,48 @@ def test_verify_malformed_summary_exits_2(solved_run, tmp_path, capsys, field, v
     assert field in payload["message"]
 
 
+@pytest.fixture(scope="module")
+def states_run(tmp_path_factory):
+    """A run solved with states -+2 on the quartic beta = 0.05."""
+    base = tmp_path_factory.mktemp("states")
+    cfg = write_config(base / "states.json", states={"r_minus": -2.0, "r_plus": 2.0},
+                       output_dir=str(base / "run"))
+    assert main(["solve", str(cfg)]) == 0
+    return {"config": cfg, "run_dir": base / "run"}
+
+
+@pytest.mark.parametrize("run, overrides, message", [
+    ("solved_run", {"grid": {"L": 10.0, "D": 1600}}, "grid.L is 20.0, not the config's 10.0"),
+    ("solved_run", {"states": {"r_minus": -2.0, "r_plus": 2.0}},
+     "front_data.r_minus is -1.0, not the config's -2.0"),
+    ("states_run", {}, "front_data.r_minus is -2.0, not the config's -1.0"),
+], ids=["other_grid", "states_added", "states_removed"])
+def test_verify_of_another_configs_run_exits_2(request, tmp_path, capsys, run, overrides,
+                                               message):
+    # verify checks the run the config names: a run solved on another grid
+    # or for other states is refused, not checked on the run's own terms
+    cfg = write_config(tmp_path / "other.json", **overrides)
+    assert main(["verify", str(cfg), str(request.getfixturevalue(run)["run_dir"])]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"].endswith(message)
+
+
+def test_diagnose_reports_the_phases_of_a_states_solve(states_run, capsys):
+    # diagnose separates the phases with the gamma of the normalized
+    # potential the flow ran on, as solve does (the raw quartic's is 1.00005)
+    summary = json.loads((states_run["run_dir"] / "summary.json").read_text())
+    assert summary["gamma"] > 1.4
+    assert main(["diagnose", str(states_run["config"]),
+                 str(states_run["run_dir"] / "profile.csv")]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {**summary["phases"], "gamma": summary["gamma"],
+                   "gamma_source": summary["gamma_source"]}
+
+
 def test_front_data_round_trips_from_solve_to_verify(tmp_path, monkeypatch):
-    # verify reads back, field for field, the front data that solve wrote:
-    # here with sigma < 0 and the gauge v_minus set
+    # the summary solve writes holds, field for field, the front data verify
+    # takes from the same config: here with sigma < 0 and the gauge v_minus set
     from fpufronts import lattice
 
     states = {"r_minus": -1.0, "r_plus": 1.0, "v_minus": 0.25, "sigma_sign": -1}
@@ -1196,15 +1245,16 @@ def test_commands_on_mutated_configs_exit_legibly(config, command):
 @pytest.fixture(scope="module")
 def argv_paths(solved_run, tmp_path_factory):
     """Paths for random command lines: a small L = 2.5, D = 40 config with
-    its run (which stops at max_iters), a converged front's run, a missing
-    file and an output directory."""
+    its run (which stops at max_iters), a converged front's run and the
+    config it was solved with, a missing file and an output directory."""
     base = tmp_path_factory.mktemp("argv")
     config = dict(_SMALL_CONFIG, output_dir=str(base / "small_run"))
     (base / "small.json").write_text(json.dumps(config))
     assert main(["solve", str(base / "small.json")]) == 0
     shutil.copytree(solved_run["run_dir"], base / "front_run")
     return {"config": base / "small.json", "small_run": base / "small_run",
-            "front_run": base / "front_run", "profile": base / "small_run" / "profile.csv",
+            "front_config": solved_run["config"], "front_run": base / "front_run",
+            "profile": base / "small_run" / "profile.csv",
             "missing": base / "missing.json", "out": base / "out"}
 
 
@@ -1217,7 +1267,7 @@ def argv_paths(solved_run, tmp_path_factory):
 # run's cost (the largest here, 400 atoms over 2000 steps with a snapshot at
 # each, takes about 0.15 s).
 _LINES = {"check-potential": ["{config}"], "normalize": ["{config}"], "solve": ["{config}"],
-          "verify": ["{config}", "{front_run}"], "diagnose": ["{config}", "{profile}"],
+          "verify": ["{front_config}", "{front_run}"], "diagnose": ["{config}", "{profile}"],
           "sweep": ["{config}"], "bogus": ["{config}"]}
 _PATHS = ["{config}", "{small_run}", "{front_run}", "{profile}", "{missing}"]
 _OPTIONS = {  # (good values, bad values)

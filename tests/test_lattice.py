@@ -479,7 +479,7 @@ def test_measured_speed_matches_sigma(front_005):
     assert speed == pytest.approx(1.0, rel=0.02)
 
 
-def test_energy_law_residual_and_drift(front_005):
+def test_energy_law_drift(front_005):
     res = front_005["result"]
     pot = front_005["pot"]
     state = init_from_front(res, NORMALIZED, n_atoms=400, dt=0.01)
