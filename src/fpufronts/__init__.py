@@ -39,7 +39,7 @@ _EXPORTS = {
         "separate_phases", "layer_cost", "is_monotone", "interior_plateau",
     ),
     "solver": (
-        "SolverConfig", "RunResult", "OUTCOMES", "euler_step",
+        "SolverConfig", "RunResult", "euler_step",
         "classify_outcome", "minimize",
     ),
     "lattice": (
@@ -49,7 +49,7 @@ _EXPORTS = {
         "FrontVerification", "verify_front",
     ),
     "errors": (
-        "FpuFrontsError", "InvalidScan", "InadmissibleFront", "NotAdmissible",
+        "FpuFrontsError", "InadmissibleFront", "NotAdmissible",
         "InvariantBoundNotFound", "WindowMisaligned", "GridMismatch",
         "TailNotConverged", "NonZeroTails", "EmptyZeroSet", "AnchorNotInZeroSet",
         "LayerCostBelowBound", "ConfigInvalid", "NotAFront", "BlowUp",

@@ -122,34 +122,27 @@ def build_potential(config: dict) -> Potential:
         raise ConfigError(f"potential: {exc}") from None
 
 
-def config_front_data(states: dict, pot: Potential) -> FrontData:
-    """Front data for the ``states`` section of a config."""
-    from .macroscopic import solve_front_data
-
-    try:
-        return solve_front_data(
-            states["r_minus"], states["r_plus"], states.get("v_minus"),
-            states.get("sigma_sign", 1), pot,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"states: {exc}") from None
-
-
 def config_run(config: dict, pot: Potential) -> tuple[FrontData, Potential]:
     """The run a config names: its front data, and the potential the flow
     runs on.
 
     Without ``states`` these are ``NORMALIZED`` and ``pot`` itself; with
-    them, the front data of the jump conditions (``config_front_data``) and
+    them, the front data of the jump conditions for the ``states`` and
     ``pot`` normalized to it.  ``solve``, ``verify`` and ``diagnose`` read a
     config's run through this alone.
     """
-    from .macroscopic import NORMALIZED, normalize_potential
+    from .macroscopic import NORMALIZED, normalize_potential, solve_front_data
 
     states = config.get("states")
     if not states:
         return NORMALIZED, pot
-    fd = config_front_data(states, pot)
+    try:
+        fd = solve_front_data(
+            states["r_minus"], states["r_plus"], states.get("v_minus"),
+            states.get("sigma_sign", 1), pot,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"states: {exc}") from None
     return fd, normalize_potential(pot, fd)
 
 

@@ -5,10 +5,6 @@ class FpuFrontsError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidScan(FpuFrontsError):
-    """Assumption scan requested on an interval that is too small."""
-
-
 class InvariantBoundNotFound(FpuFrontsError):
     """No invariant interval for the force could be located below the search limit."""
 

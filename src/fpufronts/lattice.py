@@ -140,22 +140,15 @@ def _profile_at(nodes: np.ndarray, r_prof: np.ndarray, v_prof: np.ndarray, fd: F
 
 
 def init_from_front(
-    result: RunResult,
-    fd: FrontData,
-    n_atoms: int = 400,
-    offset: float | None = None,
-    dt: float = 0.01,
+    result: RunResult, fd: FrontData, n_atoms: int = 400, dt: float = 0.01
 ) -> ChainState:
-    """Chain initialized on the travelling-wave ansatz at time zero.
-
-    ``offset`` places the transition; by default it sits mid-chain.
-    """
+    """Chain initialized on the travelling-wave ansatz at time zero, with
+    the transition mid-chain."""
     if result.outcome != "front_converged":
         raise NotAFront(f"solver outcome was {result.outcome!r}")
-    if offset is None:
-        offset = n_atoms / 2.0
     profile = result.profile
-    return _chain_on(profile.nodes, *denormalize_profile(profile, fd), fd, n_atoms, offset, dt)
+    return _chain_on(profile.nodes, *denormalize_profile(profile, fd), fd, n_atoms,
+                     n_atoms / 2.0, dt)
 
 
 def _chain_on(nodes: np.ndarray, r_prof: np.ndarray, v_prof: np.ndarray, fd: FrontData,
@@ -547,16 +540,13 @@ def front_speed(times: list[float], crossings: list[float | None]) -> float:
     return slope
 
 
-def measure_front_speed(snapshots: list[ChainState], level: float | None = None) -> float:
-    """Front speed from the drift of the mid-level crossing of the velocity profile.
-
-    ``level`` defaults to the mean of the asymptotic velocities.
-    """
+def measure_front_speed(snapshots: list[ChainState]) -> float:
+    """Front speed from the drift of the mid-level crossing of the velocity
+    profile, the level the mean of the asymptotic velocities."""
     if len(snapshots) < 2:
         raise ValueError("need at least two snapshots")
     s0 = snapshots[0]
-    if level is None:
-        level = 0.5 * (s0.v_minus + s0.v_plus)
+    level = 0.5 * (s0.v_minus + s0.v_plus)
     return front_speed([s.t for s in snapshots], [front_crossing(s.v, level) for s in snapshots])
 
 

@@ -20,6 +20,11 @@ from .errors import InadmissibleFront, NotAdmissible
 from .grid import GridProfile, apply_averaging
 from .potentials import Potential
 
+# The relative tolerances of the kinetic relation in ``solve_front_data``
+# and of the jump residuals in ``normalize_potential``.
+_KINETIC_TOL = 1e-9
+_JUMP_TOL = 1e-8
+
 
 def jump(minus: float, plus: float) -> float:
     return plus - minus
@@ -83,20 +88,15 @@ def jump_residuals(fd: FrontData, pot: Potential) -> tuple[float, float, float]:
 
 
 def solve_front_data(
-    r_minus: float,
-    r_plus: float,
-    v_minus: float | None,
-    sigma_sign: int,
-    pot: Potential,
-    tol: float = 1e-9,
+    r_minus: float, r_plus: float, v_minus: float | None, sigma_sign: int, pot: Potential
 ) -> FrontData:
     """Solve the jump conditions for given asymptotic strains.
 
     Checks the kinetic relation (energy condition rewritten through the
-    discrete Leibniz rule) and the sign of the force secant, then fills in the
-    speed, the downstream velocity, and the touching parabola.  ``v_minus``
-    fixes the Galilean gauge; ``None`` selects the gauge with zero mean
-    velocity.
+    discrete Leibniz rule) to a relative 1e-9 and the sign of the force
+    secant, then fills in the speed, the downstream velocity, and the
+    touching parabola.  ``v_minus`` fixes the Galilean gauge; ``None``
+    selects the gauge with zero mean velocity.
     """
     if r_minus == r_plus:
         raise ValueError("asymptotic strains must differ")
@@ -109,7 +109,7 @@ def solve_front_data(
 
     kinetic = j_phi - jr * m_fp
     scale = abs(j_phi) + abs(jr * m_fp)
-    if abs(kinetic) > tol * max(1.0, scale):
+    if abs(kinetic) > _KINETIC_TOL * max(1.0, scale):
         raise InadmissibleFront("kinetic", f"residual {kinetic:.3e}")
     slope = j_fp / jr
     if slope <= 0:
@@ -162,10 +162,11 @@ class NormalizedPotential(Potential):
                            2.0 * self._m_fp / self._j_fp, out=out)
 
 
-def normalize_potential(pot: Potential, fd: FrontData, tol: float = 1e-8) -> NormalizedPotential:
-    """Renormalize ``pot`` to the states of ``fd``; verifies the result."""
+def normalize_potential(pot: Potential, fd: FrontData) -> NormalizedPotential:
+    """Renormalize ``pot`` to the states of ``fd``, whose jump residuals must
+    be within 1e-8 * max(1, |sigma|); verifies the result."""
     residuals = jump_residuals(fd, pot)
-    if max(abs(r) for r in residuals) > tol * max(1.0, abs(fd.sigma)):
+    if max(abs(r) for r in residuals) > _JUMP_TOL * max(1.0, abs(fd.sigma)):
         raise NotAdmissible(f"jump residuals {residuals}")
     norm = NormalizedPotential(pot, fd)
     ends = np.array([-1.0, 1.0])

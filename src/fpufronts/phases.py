@@ -17,6 +17,19 @@ from .errors import AnchorNotInZeroSet, EmptyZeroSet, LayerCostBelowBound
 from .grid import GridProfile, apply_averaging
 from .potentials import Potential
 
+# The samples of |u| <= 3/4 that ``mu_bar_for`` reads, and the largest step
+# down that ``is_monotone`` still counts as nondecreasing.
+_MU_SAMPLES = 20_001
+_MONOTONE_TOL = 1e-12
+# The interior the outcome classifier and the plateau check read: the nodes
+# at least this many phase units inside the grid's ends.
+_INTERIOR_MARGIN = 2.0
+# The plateau rule of ``interior_plateau``: its run length, its flatness
+# tolerance and its least distance from the states.
+_PLATEAU_NODES = 50
+_PLATEAU_TOL = 1e-3
+_PLATEAU_DISTINCT = 1e-2
+
 
 @dataclass
 class PhaseSeparation:
@@ -54,17 +67,18 @@ def eta_bar_for(gamma: float) -> float:
     return 1.0 / (8.0 * gamma)
 
 
-def mu_bar_for(pot: Potential, gamma: float, n_samples: int = 20_001) -> float:
+def mu_bar_for(pot: Potential, gamma: float) -> float:
     """Guaranteed lower bound for the layer cost integral.
 
     Computed as 2*eta_bar times the smallest defect value a layer can realize:
     within eta_bar of a zero-set point the averaged profile stays in
     [-3/4, 3/4] and cannot move further than 1/4 from its anchor value, so
     |U| stays in a band where the defect is bounded below by its minimum over
-    1/4 <= |u| <= 3/4 ... conservatively, over |u| <= 3/4.
+    1/4 <= |u| <= 3/4 ... conservatively, over |u| <= 3/4, sampled at 20 001
+    points.
     """
     eta = eta_bar_for(gamma)
-    u = np.linspace(-0.75, 0.75, n_samples)
+    u = np.linspace(-0.75, 0.75, _MU_SAMPLES)
     band = np.abs(u) >= 0.25
     inf_psi = float(np.min(pot.psi(u[band])))
     return 2.0 * eta * max(inf_psi, 0.0)
@@ -161,9 +175,9 @@ def layer_cost(w: GridProfile, pot: Potential, anchor: float, gamma: float) -> f
     return cost
 
 
-def is_monotone(w: GridProfile, tol: float = 1e-12) -> bool:
-    """Nondecreasing profile check."""
-    return bool(np.all(np.diff(w.values) >= -tol))
+def is_monotone(w: GridProfile) -> bool:
+    """Nondecreasing profile check, up to steps down of 1e-12."""
+    return bool(np.all(np.diff(w.values) >= -_MONOTONE_TOL))
 
 
 def _median(a: np.ndarray) -> float:
@@ -181,44 +195,36 @@ def _median(a: np.ndarray) -> float:
     return float(((0.0 + p[k]) + p[m]) / 2)
 
 
-# The interior the outcome classifier and the plateau check read: the nodes
-# at least this many phase units inside the grid's ends.
-_INTERIOR_MARGIN = 2.0
+def interior(w: GridProfile) -> np.ndarray:
+    """The values of ``w`` at the nodes with ``|phi| <= L - 2``."""
+    return w.values[np.abs(w.nodes) <= w.L - _INTERIOR_MARGIN]
 
 
-def interior(w: GridProfile, margin_units: float = _INTERIOR_MARGIN) -> np.ndarray:
-    """The values of ``w`` at the nodes with ``|phi| <= L - margin_units``."""
-    return w.values[np.abs(w.nodes) <= w.L - margin_units]
-
-
-def interior_plateau(
-    w: GridProfile,
-    min_nodes: int = 50,
-    value_tol: float = 1e-3,
-    distinct_tol: float = 1e-2,
-    margin_units: float = _INTERIOR_MARGIN,
-) -> tuple[float, int] | None:
+def interior_plateau(w: GridProfile) -> tuple[float, int] | None:
     """Longest interior run of near-constant values away from +-1.
 
     Returns (plateau value, run length in nodes) or None.  Used by the solver
     to detect the action-unbounded failure mode where iterates grow a plateau
-    at an interior defect minimizer.
+    at an interior defect minimizer.  The rule: among the ``interior`` nodes
+    (``|phi| <= L - 2``), the level is the median of the locally flat ones
+    (within 1e-3 of their left neighbour) more than 1e-2 from both +-1, and
+    a plateau is a run of at least 50 consecutive nodes within 1e-3 of it.
     """
-    v = interior(w, margin_units)
-    if v.size < min_nodes:
+    v = interior(w)
+    if v.size < _PLATEAU_NODES:
         return None
     # Candidate plateau level: locally flat nodes away from both states.
-    flat = np.abs(np.diff(v)) <= value_tol
+    flat = np.abs(np.diff(v)) <= _PLATEAU_TOL
     cand = v[1:][flat]
-    cand = cand[np.minimum(np.abs(cand - 1.0), np.abs(cand + 1.0)) > distinct_tol]
+    cand = cand[np.minimum(np.abs(cand - 1.0), np.abs(cand + 1.0)) > _PLATEAU_DISTINCT]
     if cand.size == 0:
         return None
     val = _median(cand)  # cand holds no NaN: a NaN node is never flat
-    close = np.abs(v - val) <= value_tol
+    close = np.abs(v - val) <= _PLATEAU_TOL
     # Longest consecutive run at that level: the padded mask flips at the
     # start and one past the end of every run.
     flips = np.flatnonzero(np.diff(np.concatenate(([False], close, [False]))))
     best = int((flips[1::2] - flips[::2]).max(initial=0))
-    if best < min_nodes:
+    if best < _PLATEAU_NODES:
         return None
     return val, best

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidScan, InvariantBoundNotFound
+from .errors import InvariantBoundNotFound
 
 _FD_STEP = 1e-6
 # The quartic force's 1.0 as a 0-d array (its 4*beta is made per instance): a
@@ -121,16 +121,14 @@ class GraphViolatingPotential(Potential):
     def _psi(self, u):
         return self.beta * (u**2 - 1.0) ** 2 * (u**2 + self.c)
 
-    def _psi_prime(self, u):
-        return 2.0 * self.beta * u * (u**2 - 1.0) * (3.0 * u**2 + 2.0 * self.c - 1.0)
-
     def phi(self, u):
         u = np.asarray(u, dtype=float)
         return 0.5 * u**2 - self._psi(u)
 
     def phi_prime(self, u, out=None):
-        # u - _psi_prime(u), each IEEE operation as that expression makes it
-        # (a product's two factors commute exactly), in two temporaries
+        # u - psi'(u) with psi'(u) = 2*beta*u*(u**2 - 1.0)*(3.0*u**2 + 2.0*c - 1.0),
+        # each IEEE operation as that expression makes it (a product's two
+        # factors commute exactly), in two temporaries
         u = np.asarray(u, dtype=float)
         t = np.square(u)
         t -= 1.0
@@ -351,41 +349,37 @@ class AssumptionReport:
         }
 
 
-# The scans below evaluate the potential on consecutive blocks of this many
-# of their samples, each block generated on its own (``_Samples``), so that
-# a scan holds a few small arrays whatever its sample count.
+# The admissibility scans' half-width, sample count and tolerance, one set
+# for ``check_assumptions`` and the ``compute_invariant_bound`` it calls.
+_SCAN_HALFWIDTH = 6.0
+_SCAN_SAMPLES = 100_000
+_SCAN_TOL = 1e-10
+# The scans evaluate the potential on consecutive blocks of this many of
+# their samples, each block generated on its own (``_Samples``), so that a
+# scan holds a few small arrays whatever its sample count.
 _SCAN_BLOCK = 8192
 
 
 class _Samples:
     """The samples of ``np.linspace(start, stop, num)``, without building the array.
 
-    numpy fills entry i with ``i * step + start``, ``step = (stop - start) /
-    (num - 1)``, or with ``(i / (num - 1)) * (stop - start) + start`` where
-    that step is 0 (a subnormal range), and then sets the last entry to
-    ``stop``; ``num`` 0 or 1 gives ``i * (stop - start) + start``.
-    ``points`` and ``at`` repeat those floats, so a slice of the samples
-    costs its own length.
+    For ``num >= 2`` and a step ``(stop - start) / (num - 1)`` that is not
+    0, numpy fills entry i with ``i * step + start`` and then sets the last
+    entry to ``stop``; the scans' ranges, [-6, 6], [1, 6] and [-Gamma, Gamma]
+    with Gamma > 1, all have such a step.  ``points`` and ``at`` repeat
+    those floats, so a slice of the samples costs its own length.
     """
 
     def __init__(self, start: float, stop: float, num: int):
         self.start, self.stop, self.size = float(start), float(stop), num
-        self.div = num - 1
-        self.delta = self.stop - self.start
-        self.step = self.delta / self.div if self.div > 0 else math.nan
+        self.step = (self.stop - self.start) / (num - 1)
 
     def points(self, i0: int, i1: int) -> np.ndarray:
         """``np.linspace(start, stop, num)[i0:i1]``, for 0 <= i0 <= i1 <= num."""
         y = np.arange(i0, i1, dtype=float)
-        if self.div <= 0:
-            y *= self.delta
-        elif self.step == 0:
-            y /= self.div
-            y *= self.delta
-        else:
-            y *= self.step
+        y *= self.step
         y += self.start
-        if self.div > 0 and i0 < i1 == self.size:
+        if i0 < i1 == self.size:
             y[-1] = self.stop
         return y
 
@@ -402,17 +396,13 @@ def _blocks(u: _Samples, first: int = 0):
         yield a, u.points(a, min(a + _SCAN_BLOCK, u.size))
 
 
-def check_assumptions(
-    pot: Potential,
-    scan_halfwidth: float = 6.0,
-    n_samples: int = 100_000,
-    tol: float = 1e-10,
-) -> AssumptionReport:
+def check_assumptions(pot: Potential) -> AssumptionReport:
     """Sample-based verification of the admissibility conditions.
 
     All conditions are stated on the whole real line; for the polynomial
-    built-in families a dense scan of ``[-scan_halfwidth, scan_halfwidth]``
-    plus tail-sign checks is conclusive at desk scale.
+    built-in families a dense scan of [-6, 6] (100 000 samples) plus
+    tail-sign checks is conclusive at desk scale.  Each condition holds up
+    to the tolerance 1e-10, which the report records.
 
     The scan generates its samples and evaluates psi block by block
     (``_SCAN_BLOCK`` samples at a time), so no array spans the scan, and
@@ -425,15 +415,9 @@ def check_assumptions(
     from a later block; positivity is a conjunction.  The tail test reads
     psi' only at the two ends of the scan.  Every sample, those of the
     blocks and the single ones read (the spacing, the minimizer and the two
-    ends), is the float of ``np.linspace(-scan_halfwidth, scan_halfwidth,
-    n_samples)``.
+    ends), is the float of ``np.linspace(-6.0, 6.0, 100_000)``.
     """
-    if scan_halfwidth < 2:
-        raise InvalidScan("scan_halfwidth must be at least 2")
-    if n_samples < 1000:
-        raise InvalidScan("n_samples must be at least 1000")
-
-    u = _Samples(-scan_halfwidth, scan_halfwidth, n_samples)
+    u = _Samples(-_SCAN_HALFWIDTH, _SCAN_HALFWIDTH, _SCAN_SAMPLES)
     spacing = u.at(1) - u.at(0)
     delta = 10.0 * spacing
 
@@ -447,25 +431,25 @@ def check_assumptions(
         if i_min < 0 or (not math.isnan(psi_min) and (math.isnan(value) or value < psi_min)):
             i_min, psi_min = a + j, value
         away = np.abs(np.abs(ub) - 1.0) > delta
-        positive_away = positive_away and bool(np.all(psi[away] > tol))
+        positive_away = positive_away and bool(np.all(psi[away] > _SCAN_TOL))
     psi_argmin = u.at(i_min)
-    graph_ok = bool(psi_min >= -tol)
+    graph_ok = bool(psi_min >= -_SCAN_TOL)
 
     # Genericity: strictly positive curvature at the states, and psi strictly
     # positive away from small neighbourhoods of +-1 (the scan above).
     curv = pot.psi_second(np.array([-1.0, 1.0]))
-    genericity_ok = bool(np.all(curv > tol) and positive_away)
+    genericity_ok = bool(np.all(curv > _SCAN_TOL) and positive_away)
 
-    supersonic_ok = bool(np.all(pot.phi_second(np.array([-1.0, 1.0])) < 1.0 + tol))
+    supersonic_ok = bool(np.all(pot.phi_second(np.array([-1.0, 1.0])) < 1.0 + _SCAN_TOL))
 
     # Monotone tails: the sign of psi' must be constant on a nonempty run that
     # reaches the scan boundary on each side.  Both ends of the scan lie
-    # beyond the states (scan_halfwidth >= 2), and the sign is read there.
+    # beyond the states, and the sign is read there.
     ends = np.asarray(pot.psi_prime(np.array([u.at(0), u.at(-1)])))
     monotone_tails_ok = bool(ends[-1] > 0 and ends[0] < 0)
 
     try:
-        gamma = compute_invariant_bound(pot, search_limit=scan_halfwidth)
+        gamma = compute_invariant_bound(pot)
     except InvariantBoundNotFound:
         gamma = None
 
@@ -477,21 +461,19 @@ def check_assumptions(
         gamma=gamma,
         psi_min=psi_min,
         psi_argmin=psi_argmin,
-        scan_interval=(-scan_halfwidth, scan_halfwidth),
-        tolerance=tol,
+        scan_interval=(-_SCAN_HALFWIDTH, _SCAN_HALFWIDTH),
+        tolerance=_SCAN_TOL,
     )
 
 
-def compute_invariant_bound(
-    pot: Potential, search_limit: float = 6.0, n_samples: int = 100_000
-) -> float:
+def compute_invariant_bound(pot: Potential) -> float:
     """Smallest sampled bound Gamma > 1 with phi'([-Gamma, Gamma]) inside itself.
 
     First locates the smallest sampled threshold above which the force stays
     strictly between the tails (phi'(u) < u for u above, phi'(u) > u for u
     below), then enlarges by the interior force maximum and verifies the
     containment by dense sampling.  Raises InvariantBoundNotFound when the
-    tail condition never holds below ``search_limit``.
+    tail condition never holds below 6, or the force reaches beyond 6.
 
     Both scans generate their samples and evaluate the force block by block
     (``_SCAN_BLOCK`` samples at a time), so no array spans a scan, and fold
@@ -500,13 +482,10 @@ def compute_invariant_bound(
     any sample is NaN, as ``np.max`` gives.  Both equal the whole-array
     results exactly, because neither depends on how the samples are
     grouped: each is a maximum.  The samples are the floats of
-    ``np.linspace(1.0, search_limit, n_samples)`` but its first, and of
-    ``np.linspace(-gamma, gamma, n_samples)``.
+    ``np.linspace(1.0, 6.0, 100_000)`` but its first, and of
+    ``np.linspace(-gamma, gamma, 100_000)``.
     """
-    if search_limit <= 1:
-        raise InvariantBoundNotFound("search_limit must exceed 1")
-
-    u = _Samples(1.0, search_limit, n_samples)
+    u = _Samples(1.0, _SCAN_HALFWIDTH, _SCAN_SAMPLES)
     # Tail condition in terms of the defect: psi'(u) > 0 for u > gamma_tilde
     # and, by symmetry of the check, psi'(-u) < 0.  It is tested on every
     # sample but u = 1, which counts as failing: gamma_tilde is the sample
@@ -523,11 +502,11 @@ def compute_invariant_bound(
 
     gamma = gamma_tilde
     for _ in range(64):
-        dense = _Samples(-gamma, gamma, n_samples)
+        dense = _Samples(-gamma, gamma, _SCAN_SAMPLES)
         reach = float(np.max([np.max(np.abs(pot.phi_prime(b))) for _, b in _blocks(dense)]))
         if reach <= gamma * (1.0 + 1e-12):
             return gamma
-        if reach > search_limit:
+        if reach > _SCAN_HALFWIDTH:
             raise InvariantBoundNotFound("force escapes the searched range")
         gamma = reach
     raise InvariantBoundNotFound("containment iteration did not settle")

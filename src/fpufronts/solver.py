@@ -65,14 +65,6 @@ class SolverConfig:
             raise ConfigInvalid("gamma must be at least 1")
 
 
-OUTCOMES = (
-    "front_converged",
-    "plateau_diverging",
-    "collapsed_to_constant",
-    "max_iters_reached",
-)
-
-
 @dataclass
 class RunResult:
     profile: GridProfile

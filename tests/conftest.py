@@ -24,7 +24,7 @@ from fpufronts import (
     total_energy,
 )
 from fpufronts.action import Evaluation
-from fpufronts.errors import InvalidScan, InvariantBoundNotFound
+from fpufronts.errors import InvariantBoundNotFound
 
 L_DEFAULT = 20.0
 D_DEFAULT = 3200
@@ -161,13 +161,8 @@ def whole_array_check_assumptions(pot, scan_halfwidth=6.0, n_samples=100_000, to
     sample at once, ``np.argmin`` over all of psi.
 
     The blocked scan must give the same report; its invariant bound comes
-    from ``whole_array_invariant_bound``.
+    from ``whole_array_invariant_bound`` over the same sample count.
     """
-    if scan_halfwidth < 2:
-        raise InvalidScan("scan_halfwidth must be at least 2")
-    if n_samples < 1000:
-        raise InvalidScan("n_samples must be at least 1000")
-
     u = np.linspace(-scan_halfwidth, scan_halfwidth, n_samples)
     spacing = u[1] - u[0]
     psi = np.asarray(pot.psi(u))
@@ -195,7 +190,7 @@ def whole_array_check_assumptions(pot, scan_halfwidth=6.0, n_samples=100_000, to
     )
 
     try:
-        gamma = whole_array_invariant_bound(pot, search_limit=scan_halfwidth)
+        gamma = whole_array_invariant_bound(pot, scan_halfwidth, n_samples)
     except InvariantBoundNotFound:
         gamma = None
 
@@ -215,9 +210,6 @@ def whole_array_check_assumptions(pot, scan_halfwidth=6.0, n_samples=100_000, to
 def whole_array_invariant_bound(pot, search_limit=6.0, n_samples=100_000):
     """``compute_invariant_bound`` on whole sample arrays: the tail condition
     at every sample at once, and ``np.max`` over every sample of the force."""
-    if search_limit <= 1:
-        raise InvariantBoundNotFound("search_limit must exceed 1")
-
     u = np.linspace(1.0, search_limit, n_samples)[1:]
     ok = (pot.psi_prime(u) > 0) & (pot.psi_prime(-u) < 0)
     if not ok[-1]:

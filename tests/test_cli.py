@@ -869,7 +869,8 @@ def test_front_data_round_trips_from_solve_to_verify(tmp_path, monkeypatch):
     states = {"r_minus": -1.0, "r_plus": 1.0, "v_minus": 0.25, "sigma_sign": -1}
     cfg = write_config(tmp_path / "left.json", states=states, output_dir=str(tmp_path / "run"))
     assert main(["solve", str(cfg)]) == 0
-    solved = cli.config_front_data(states, cli.build_potential(cli.load_config(str(cfg))))
+    config = cli.load_config(str(cfg))
+    solved, _ = cli.config_run(config, cli.build_potential(config))
     assert solved.sigma < 0 and solved.v_minus == 0.25
     read, verify_front = [], lattice.verify_front
 

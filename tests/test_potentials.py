@@ -14,7 +14,6 @@ from fpufronts import (
     normalize_potential,
     solve_front_data,
 )
-from fpufronts.errors import InvalidScan
 
 from conftest import LinearForcePotential
 
@@ -113,13 +112,6 @@ def test_invariant_bound_containment_property():
 def test_invariant_bound_missing_for_identity_force():
     with pytest.raises(InvariantBoundNotFound):
         compute_invariant_bound(LinearForcePotential())
-
-
-def test_scan_rejects_tiny_intervals():
-    with pytest.raises(InvalidScan):
-        check_assumptions(QuarticPotential(0.1), scan_halfwidth=1.0)
-    with pytest.raises(InvalidScan):
-        check_assumptions(QuarticPotential(0.1), n_samples=10)
 
 
 def test_tabulated_roundtrip_matches_quartic():

@@ -1,9 +1,9 @@
 """Property tests of the averaging operator, the quadratic part and the
 gradient over random aligned grids, at the tolerances of the fixed-grid tests,
 of the averaging's window sums against the same sums in an array of their
-own, of a converged front's action under admissible bumps, of the tabulated
-potential against SciPy's PCHIP as an oracle, of the energy law's
-block-by-block energy density against ``total_energy``, of
+own, of a converged front's action under admissible bumps and along -grad L,
+of the tabulated potential against SciPy's PCHIP as an oracle, of the energy
+law's block-by-block energy density against ``total_energy``, of
 ``verify_front``'s window-only reductions (the state runs, the crossing and
 the whole verification) against the whole chain, of the closed-form front
 speed against ``np.polyfit`` and rational arithmetic, of the plateau median
@@ -52,7 +52,7 @@ from fpufronts import (
     verify_front,
     window_kernel,
 )
-from fpufronts import lattice, potentials, solver
+from fpufronts import lattice, phases, potentials, solver
 from fpufronts.action import _trapezoid
 from fpufronts.errors import BlowUp, InvariantBoundNotFound
 from fpufronts.grid import window_average
@@ -214,7 +214,9 @@ def test_plateau_run_length_matches_loop(grid, seed, level, mean_run, min_nodes)
     on = np.repeat(rng.random(D + 1) < 0.5, lengths)[: D + 1]
     values = np.where(on, level + rng.uniform(-4e-4, 4e-4, D + 1), rng.uniform(-3, 3, D + 1))
     w = GridProfile(L, D, values)
-    assert interior_plateau(w, min_nodes=min_nodes) == plateau_reference(w, min_nodes=min_nodes)
+    with mock.patch.object(phases, "_PLATEAU_NODES", min_nodes):
+        got = interior_plateau(w)
+    assert got == plateau_reference(w, min_nodes=min_nodes)
 
 
 # finite samples, drawn often from signed zeros, subnormals and one repeated
@@ -563,18 +565,15 @@ def _scan_outcome(run):
 
 
 # np.linspace's samples as the scans generate them, from index ``skip`` on
-# in blocks and one at a time: random finite ranges, empty and one-sample
-# scans, and ranges so narrow that numpy's step is 0 (its subnormal branch).
+# in blocks and one at a time: random finite ranges of at least two samples
+# whose step is not 0, as every scan's is.
 @settings(max_examples=60, deadline=None)
-@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.integers(0, 3 * potentials._SCAN_BLOCK),
+@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.integers(2, 3 * potentials._SCAN_BLOCK),
        st.sampled_from([1, 97, 8192]), st.integers(0, 2), st.data())
-@example(start=0.0, stop=5e-324, num=1000, block=97, skip=0, data=None)
-@example(start=-1e-320, stop=1e-320, num=20_000, block=8192, skip=1, data=None)
-@example(start=2.5, stop=2.5, num=3 * 8192, block=8192, skip=1, data=None)
 @example(start=-6.0, stop=6.0, num=100_000, block=8192, skip=0, data=None)
-@example(start=1.0, stop=6.0, num=1, block=8192, skip=1, data=None)
-@example(start=1.0, stop=6.0, num=0, block=8192, skip=0, data=None)
+@example(start=1.0, stop=6.0, num=2, block=8192, skip=1, data=None)
 def test_samples_equal_np_linspace(start, stop, num, block, skip, data):
+    assume((stop - start) / (num - 1) != 0)
     full = np.linspace(start, stop, num)
     u = potentials._Samples(start, stop, num)
     with mock.patch.object(potentials, "_SCAN_BLOCK", block):
@@ -582,8 +581,8 @@ def test_samples_equal_np_linspace(start, stop, num, block, skip, data):
     assert [a for a, _ in blocks] == list(range(skip, num, block))
     got = np.concatenate([b for _, b in blocks]) if blocks else np.empty(0)
     assert got.tobytes() == full[skip:].tobytes()  # bit for bit, the sign of 0 too
-    picks = {0, num - 1, -1} if num else set()
-    if num and data is not None:
+    picks = {0, num - 1, -1}
+    if data is not None:
         picks.add(data.draw(st.integers(-num, num - 1)))
     for i in picks:
         assert np.float64(u.at(i)).tobytes() == full[i].tobytes()
@@ -602,8 +601,9 @@ def test_samples_equal_np_linspace(start, stop, num, block, skip, data):
 @example(pot=nan_inside(0.05, 3.0, 0.01, False), n_samples=100_000, halfwidth=6.0, block=8192)
 @example(pot=QuarticPotential(0.05), n_samples=100_000, halfwidth=6.0, block=8192)
 def test_check_assumptions_equals_whole_arrays(pot, n_samples, halfwidth, block):
-    with mock.patch.object(potentials, "_SCAN_BLOCK", block):
-        got = _scan_outcome(lambda: check_assumptions(pot, halfwidth, n_samples))
+    with mock.patch.multiple(potentials, _SCAN_BLOCK=block, _SCAN_SAMPLES=n_samples,
+                             _SCAN_HALFWIDTH=halfwidth):
+        got = _scan_outcome(lambda: check_assumptions(pot))
     assert got == _scan_outcome(lambda: whole_array_check_assumptions(pot, halfwidth, n_samples))
 
 
@@ -613,22 +613,32 @@ def test_check_assumptions_equals_whole_arrays(pot, n_samples, halfwidth, block)
 @example(pot=nan_inside(0.05, 0.5, 0.1, True), n_samples=2000, limit=6.0, block=97)
 @example(pot=QuarticPotential(0.3), n_samples=100_000, limit=6.0, block=8192)
 def test_invariant_bound_equals_whole_arrays(pot, n_samples, limit, block):
-    with mock.patch.object(potentials, "_SCAN_BLOCK", block):
-        got = _scan_outcome(lambda: compute_invariant_bound(pot, limit, n_samples))
+    with mock.patch.multiple(potentials, _SCAN_BLOCK=block, _SCAN_SAMPLES=n_samples,
+                             _SCAN_HALFWIDTH=limit):
+        got = _scan_outcome(lambda: compute_invariant_bound(pot))
     assert got == _scan_outcome(lambda: whole_array_invariant_bound(pot, limit, n_samples))
 
 
 # A converged front is a local minimizer of the action: a Gaussian bump of
-# either sign, anywhere in [-8, 8] and 0.3 to 3 wide, zero on the pinned
-# window, does not lower L at eps = 1e-3 (it raises it by at least about
-# 2e-8 on these fronts, where rounding is near 1e-16).
+# either sign, anywhere in [-8, 8] and 0.3 to 3 wide, or the steepest
+# descent direction -grad L (``bump`` None) scaled to a peak of 1, each zero
+# on the pinned window, does not lower L at eps = 1e-3 (a bump raises it by
+# at least about 2e-8 on these fronts, -grad L by 2.8e-7 on the beta = 0.05
+# front and 3.4e-7 on the beta = 0.3 one, where rounding is near 1e-16).
 @settings(max_examples=25, deadline=None)
-@given(st.booleans(), st.floats(-8.0, 8.0), st.floats(0.3, 3.0), st.sampled_from([-1.0, 1.0]))
-def test_converged_front_is_a_local_minimizer(front_005, front_03, non_monotone, centre, width,
-                                             sign):
+@given(st.booleans(), st.none() | st.tuples(st.floats(-8.0, 8.0), st.floats(0.3, 3.0),
+                                            st.sampled_from([-1.0, 1.0])))
+@example(non_monotone=False, bump=None)
+@example(non_monotone=True, bump=None)
+def test_converged_front_is_a_local_minimizer(front_005, front_03, non_monotone, bump):
     fx = front_03 if non_monotone else front_005
     w, pot = fx["result"].profile, fx["pot"]
-    h = sign * np.exp(-((w.nodes - centre) / width) ** 2)
+    if bump is None:
+        h = -gradient(w, pot).values
+        h /= np.max(np.abs(h))
+    else:
+        centre, width, sign = bump
+        h = sign * np.exp(-((w.nodes - centre) / width) ** 2)
     for end in w.pinned:
         h[end] = 0.0
     assert functional_L(w.with_values(w.values + 1e-3 * h), pot) >= functional_L(w, pot)
