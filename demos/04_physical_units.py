@@ -4,8 +4,9 @@ A front between arbitrary strains at an arbitrary speed reduces to the
 normalized problem (states +-1, speed 1) by an affine change of state and
 a rescaling of the potential. This demo takes a quartic potential composed
 with an affine state map, solves the macroscopic jump conditions between
-r = 1 and r = 5, renormalizes, solves the normalized front, and maps the
-profile back to physical strain and velocity.
+r = 1 and r = 5, renormalizes, solves the normalized front, maps the
+profile back to physical strain and velocity, and checks that the physical
+chain carries it at the speed sigma.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from fpufronts import (
     minimize,
     normalize_potential,
     solve_front_data,
+    verify_front,
 )
 
 
@@ -38,9 +40,10 @@ class PhysicalQuartic(Potential):
         u = self._u(r)
         return 2.0 * self.base.phi(u) + 0.7 * u - 1.2
 
-    def phi_prime(self, r):
+    def phi_prime(self, r, out=None):
+        # the chain integrator writes the force into its own buffer, out
         u = self._u(r)
-        return (2.0 * self.base.phi_prime(u) + 0.7) / 2.0
+        return np.divide(2.0 * self.base.phi_prime(u) + 0.7, 2.0, out=out)
 
 
 def main():
@@ -73,6 +76,15 @@ def main():
           f"(target {fd.r_minus}, {fd.r_plus})")
     print(f"  V: {v_prof[0]:+.6f} -> {v_prof[-1]:+.6f} "
           f"(target {fd.v_minus:+.4f}, {fd.v_plus:+.4f})")
+
+    check = verify_front(result.profile, fd, pot, gamma=gamma, n_atoms=400, T=20.0,
+                         dt=0.01, stride=73)
+    print("physical chain, 400 atoms over T = 20:")
+    print(f"  sup error {max(check.sup_errors):.1e}, "
+          f"speed {check.speed:.5f} (sigma {fd.sigma:.5f})")
+    # the bounds of `fpufronts verify`, the sup error read at every snapshot
+    if not (max(check.sup_errors) <= 0.05 and abs(check.speed - fd.sigma) <= 0.02 * abs(fd.sigma)):
+        raise SystemExit("the physical chain does not carry the front at sigma")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ _EXPORTS = {
     ),
     "action": (
         "ActionReport", "functional_N", "functional_P", "functional_L",
-        "quadratic_M", "gradient", "grad_norm", "n_identity_check",
+        "quadratic_M", "gradient", "n_identity_check",
     ),
     "macroscopic": (
         "FrontData", "NORMALIZED", "jump_residuals", "solve_front_data",

@@ -179,11 +179,6 @@ def gradient(profile: GridProfile, pot: Potential) -> GridProfile:
     return GridProfile(profile.L, profile.D, g, left_value=0.0, right_value=0.0)
 
 
-def grad_norm(g: GridProfile) -> float:
-    """l2 norm scaled by sqrt(h), the discrete L2 norm of the gradient."""
-    return float(np.sqrt(g.h * np.sum(g.values**2)))
-
-
 def n_identity_check(w1: GridProfile, w2: GridProfile) -> float:
     """Defect of the exact discrete decomposition of the quadratic part:
 

@@ -39,22 +39,24 @@ if TYPE_CHECKING:
     from .macroscopic import FrontData
     from .solver import SolverConfig
 
-_CONFIG_KEYS = {"potential", "grid", "solver", "states", "output_dir"}
-_POTENTIAL_KEYS = {"family", "params"}
-_GRID_KEYS = {"L", "D"}
-_SOLVER_KEYS = {"lambda0", "grad_tol", "max_iters"}
-_STATES_KEYS = {"r_minus", "r_plus", "v_minus", "sigma_sign"}
-_INTEGER_KEYS = {"D", "max_iters"}
+# A config's sections, and each key's number kind: int, float (any finite
+# number) or None (not a number).  ``output_dir`` is the one other key.
+_SECTIONS = {
+    "potential": {"family": None, "params": None},
+    "grid": {"L": float, "D": int},
+    "solver": {"lambda0": float, "grad_tol": float, "max_iters": int},
+    "states": {"r_minus": float, "r_plus": float, "v_minus": float, "sigma_sign": float},
+}
 
 
 class ConfigError(Exception):
     pass
 
 
-def _check_keys(mapping: dict, allowed: set, where: str) -> None:
+def _check_keys(mapping: dict, allowed: dict | set, where: str) -> None:
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(mapping) - allowed
+    unknown = set(mapping).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
@@ -83,10 +85,10 @@ def _check_numbers(raw: dict) -> None:
         # a tabulated potential takes lists of samples, every other parameter a number
         for x in value if key in LIST_PARAMS and isinstance(value, list) else [value]:
             _check_number(x, f"potential params {key}")
-    for section in ("grid", "solver", "states"):
+    for section, kinds in _SECTIONS.items():
         for key, value in raw.get(section, {}).items():
-            if not (key == "v_minus" and value is None):  # null v_minus picks the gauge
-                _check_number(value, f"{section} {key}", integer=key in _INTEGER_KEYS)
+            if kinds[key] and not (key == "v_minus" and value is None):  # null: the gauge
+                _check_number(value, f"{section} {key}", integer=kinds[key] is int)
 
 
 def load_config(path: str) -> dict:
@@ -96,14 +98,12 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(raw, _CONFIG_KEYS, "config")
+    _check_keys(raw, {*_SECTIONS, "output_dir"}, "config")
     if "potential" not in raw:
         raise ConfigError("config requires a 'potential' section")
-    _check_keys(raw["potential"], _POTENTIAL_KEYS, "potential")
-    _check_keys(raw.get("grid", {}), _GRID_KEYS, "grid")
-    _check_keys(raw.get("solver", {}), _SOLVER_KEYS, "solver")
-    if "states" in raw:
-        _check_keys(raw["states"], _STATES_KEYS, "states")
+    for section, kinds in _SECTIONS.items():
+        if section in raw:
+            _check_keys(raw[section], kinds, section)
     if raw.get("states"):
         missing = sorted({"r_minus", "r_plus"} - set(raw["states"]))
         if missing:
@@ -380,8 +380,8 @@ def cmd_solve(args) -> int:
     return 0
 
 
-# The number fields of a run summary that verify reads; its grid and front
-# data must be the config's.
+# The number fields a run summary must hold; verify reads only ``gamma``,
+# and the summary's grid and front data must be the config's.
 _SUMMARY_NUMBERS = ("final_grad_norm", "gamma")
 
 

@@ -251,11 +251,12 @@ def evolve(
     step count, which refuses a ``dt`` or a ``T`` with ValueError, and
     stamps the state after step k with the time ``state.t + k*dt``.  Raises
     ValueError unless ``gamma > 0`` (NaN too), and BlowUp at the first step
-    after which a strain leaves ten times the invariant interval or is not
-    finite (a NaN strain compares false with every bound, so the test is
-    ``not |r| <= bound``).  With ``snapshot_stride`` set, also returns the
-    intermediate states every that many steps; ``_check_stride`` refuses a
-    stride that is not an integer of at least 1.
+    after which a strain leaves [-10*gamma, 10*gamma] or is not finite (a
+    NaN strain compares false with every bound, so the test is
+    ``not |r| <= bound``); the strains are physical where the states are.
+    With ``snapshot_stride`` set, also returns the intermediate states every
+    that many steps; ``_check_stride`` refuses a stride that is not an
+    integer of at least 1.
 
     With ``observe`` set as well, ``observe(s)`` is called with each
     intermediate state instead, and only the final state is returned.  ``s``
@@ -592,6 +593,12 @@ def verify_front(
     floats (see the module docstring for why).  ``check_chain_run`` refuses
     the run before the chain is built, and ``evolve`` a ``gamma`` that is
     not ``> 0``, each with a ValueError.
+
+    ``gamma`` bounds the normalized profile (|u| <= gamma), and the chain's
+    strains are r = r_bar + u*dr/2 (r_bar the states' mean, dr = r_plus -
+    r_minus), so ``evolve`` gets ``max(gamma, |r_bar|/10 + gamma*|dr|/2)``:
+    ``gamma`` itself for the states -+1.  A ``gamma`` that is not > 0 goes
+    to ``evolve`` unmapped, which refuses it.
     """
     check_chain_run(n_atoms, T, dt, stride)
     nodes = profile.nodes
@@ -625,7 +632,9 @@ def verify_front(
     # the start state's runs at the states, which evolve reads for its first
     # window; then every atom outside a window is at its state
     reduce(state, *_state_runs(state))
-    evolve(state, pot, T, gamma=gamma, snapshot_stride=stride,
+    r_bar, dr = 0.5 * (fd.r_minus + fd.r_plus), fd.r_plus - fd.r_minus
+    strain_gamma = max(gamma, abs(r_bar) / 10 + gamma * abs(dr) / 2) if gamma > 0 else gamma
+    evolve(state, pot, T, gamma=strain_gamma, snapshot_stride=stride,
            observe=lambda s: reduce(s, s.window[0], n_atoms - s.window[1]))
     return FrontVerification(
         times=law.times, sup_errors=sup_errors, crossings=crossings,

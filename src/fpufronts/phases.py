@@ -9,7 +9,7 @@ one layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,22 +35,19 @@ _PLATEAU_DISTINCT = 1e-2
 class PhaseSeparation:
     """Ordered transition-layer intervals covering the zero set."""
 
+    eta_bar: float
     intervals: list[tuple[float, float]]
     anchors: list[float]
     signs: list[int]
-    eta_bar: float
-    m: int
-    sign_consistent: bool = True
+    sign_consistent: bool
+
+    @property
+    def m(self) -> int:
+        """The number of layers."""
+        return len(self.intervals)
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "eta_bar": self.eta_bar,
-            "intervals": [list(iv) for iv in self.intervals],
-            "anchors": self.anchors,
-            "signs": self.signs,
-            "sign_consistent": self.sign_consistent,
-        }
+        return {"m": self.m, **asdict(self)}
 
 
 def zero_set(u: GridProfile) -> np.ndarray:
@@ -88,7 +85,8 @@ def separate_phases(u: GridProfile, gamma: float) -> PhaseSeparation:
     """Greedy construction of a separation of phases for an averaged profile.
 
     Anchors at the smallest uncovered zero-set point, opens an interval of
-    half-width 2*eta_bar around it, repeats, then merges overlaps.  Signs are
+    half-width 2*eta_bar around it, merged with the last one where they
+    overlap or touch, and repeats, in one pass over the zero set.  Signs are
     read off the gaps between consecutive intervals and the two tails; a gap
     on which U is not uniformly signed clears ``sign_consistent``.  A
     profile without a zero set raises ``zero_set``'s EmptyZeroSet.
@@ -97,22 +95,17 @@ def separate_phases(u: GridProfile, gamma: float) -> PhaseSeparation:
     zidx = zero_set(u)
     eta = eta_bar_for(gamma)
 
-    anchors = []
-    raw_intervals = []
-    covered_until = -np.inf
+    # each anchor's [phi - 2 eta, phi + 2 eta], merged into the last where
+    # they overlap or touch, then snapped outward to nodes
+    anchors, merged = [], []
     for i in zidx:
         phi = nodes[i]
-        if phi <= covered_until:
+        if merged and phi <= merged[-1][1]:
             continue
         anchors.append(float(phi))
-        raw_intervals.append((phi - 2 * eta, phi + 2 * eta))
-        covered_until = phi + 2 * eta
-
-    # Merge overlapping or touching intervals, then snap outward to nodes.
-    merged = [list(raw_intervals[0])]
-    for lo, hi in raw_intervals[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
+        lo, hi = phi - 2 * eta, phi + 2 * eta
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = hi
         else:
             merged.append([lo, hi])
     h = u.h
@@ -122,15 +115,12 @@ def separate_phases(u: GridProfile, gamma: float) -> PhaseSeparation:
         for lo, hi in merged
     ]
 
+    # the gaps before, between and after the intervals
+    edges = [-np.inf, *(x for iv in intervals for x in iv), np.inf]
     signs = []
     consistent = True
-    gap_edges = [(-np.inf, intervals[0][0])]
-    for (a, b) in zip(intervals[:-1], intervals[1:]):
-        gap_edges.append((a[1], b[0]))
-    gap_edges.append((intervals[-1][1], np.inf))
-    for lo, hi in gap_edges:
-        inside = (nodes > lo) & (nodes < hi)
-        vals = u.values[inside]
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        vals = u.values[(nodes > lo) & (nodes < hi)]
         if lo == -np.inf:
             s = -1
         elif hi == np.inf:
@@ -143,14 +133,8 @@ def separate_phases(u: GridProfile, gamma: float) -> PhaseSeparation:
             consistent = False
         signs.append(s)
 
-    return PhaseSeparation(
-        intervals=intervals,
-        anchors=anchors,
-        signs=signs,
-        eta_bar=eta,
-        m=len(intervals),
-        sign_consistent=consistent,
-    )
+    return PhaseSeparation(eta_bar=eta, intervals=intervals, anchors=anchors, signs=signs,
+                           sign_consistent=consistent)
 
 
 def layer_cost(w: GridProfile, pot: Potential, anchor: float, gamma: float) -> float:

@@ -13,7 +13,7 @@ nonnegative and vanishes exactly at the asymptotic states ``u = -1, +1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -321,32 +321,17 @@ class AssumptionReport:
         return not self.failed_conditions()
 
     def failed_conditions(self) -> list[str]:
-        out = []
-        if not self.graph_ok:
-            out.append("graph_condition")
-        if not self.genericity_ok:
-            out.append("genericity")
-        if not self.monotone_tails_ok:
-            out.append("monotone_tails")
-        if not self.supersonic_ok:
-            out.append("supersonic")
-        if self.gamma is None:
-            out.append("invariant_bound")
-        return out
+        holds = {
+            "graph_condition": self.graph_ok,
+            "genericity": self.genericity_ok,
+            "monotone_tails": self.monotone_tails_ok,
+            "supersonic": self.supersonic_ok,
+            "invariant_bound": self.gamma is not None,
+        }
+        return [name for name, ok in holds.items() if not ok]
 
     def to_dict(self) -> dict:
-        return {
-            "graph_ok": self.graph_ok,
-            "genericity_ok": self.genericity_ok,
-            "monotone_tails_ok": self.monotone_tails_ok,
-            "supersonic_ok": self.supersonic_ok,
-            "gamma": self.gamma,
-            "psi_min": self.psi_min,
-            "psi_argmin": self.psi_argmin,
-            "scan_interval": list(self.scan_interval),
-            "tolerance": self.tolerance,
-            "failed": self.failed_conditions(),
-        }
+        return {**asdict(self), "failed": self.failed_conditions()}
 
 
 # The admissibility scans' half-width, sample count and tolerance, one set
@@ -473,7 +458,9 @@ def compute_invariant_bound(pot: Potential) -> float:
     strictly between the tails (phi'(u) < u for u above, phi'(u) > u for u
     below), then enlarges by the interior force maximum and verifies the
     containment by dense sampling.  Raises InvariantBoundNotFound when the
-    tail condition never holds below 6, or the force reaches beyond 6.
+    tail condition never holds below 6, the force reaches beyond 6, or it
+    is NaN at a sample of [-Gamma, Gamma] (in the first round that meets
+    the NaN, naming that Gamma).
 
     Both scans generate their samples and evaluate the force block by block
     (``_SCAN_BLOCK`` samples at a time), so no array spans a scan, and fold
@@ -504,6 +491,8 @@ def compute_invariant_bound(pot: Potential) -> float:
     for _ in range(64):
         dense = _Samples(-gamma, gamma, _SCAN_SAMPLES)
         reach = float(np.max([np.max(np.abs(pot.phi_prime(b))) for _, b in _blocks(dense)]))
+        if math.isnan(reach):
+            raise InvariantBoundNotFound(f"the force is NaN on [-Gamma, Gamma], Gamma = {gamma!r}")
         if reach <= gamma * (1.0 + 1e-12):
             return gamma
         if reach > _SCAN_HALFWIDTH:

@@ -133,10 +133,14 @@ def whole_chain_verify(result, fd, pot, *, gamma, n_atoms, T, dt, stride):
 
     Every reduction runs over the whole chain: the sup error over all atoms
     inside the margins against ``sample_front``, and ``front_crossing`` over
-    every atom.  ``verify_front`` must return the same floats.
+    every atom.  The chain's strain bound is ``gamma`` mapped to the physical
+    states as ``verify_front`` maps it.  ``verify_front`` must return the
+    same floats.
     """
     state = init_from_front(result, fd, n_atoms=n_atoms, dt=dt)
-    _, snaps = evolve(state, pot, T, gamma=gamma, snapshot_stride=stride)
+    r_bar, dr = 0.5 * (fd.r_minus + fd.r_plus), fd.r_plus - fd.r_minus
+    strain_gamma = max(gamma, abs(r_bar) / 10 + gamma * abs(dr) / 2) if gamma > 0 else gamma
+    _, snaps = evolve(state, pot, T, gamma=strain_gamma, snapshot_stride=stride)
     snaps = [state] + snaps
     j = np.arange(n_atoms, dtype=float)
     margin = slice(20, n_atoms - 20)
@@ -221,6 +225,8 @@ def whole_array_invariant_bound(pot, search_limit=6.0, n_samples=100_000):
     for _ in range(64):
         dense = np.linspace(-gamma, gamma, n_samples)
         reach = float(np.max(np.abs(pot.phi_prime(dense))))
+        if np.isnan(reach):
+            raise InvariantBoundNotFound(f"the force is NaN on [-Gamma, Gamma], Gamma = {gamma!r}")
         if reach <= gamma * (1.0 + 1e-12):
             return gamma
         if reach > search_limit:

@@ -12,7 +12,6 @@ from fpufronts import (
     functional_L,
     functional_N,
     functional_P,
-    grad_norm,
     gradient,
     n_identity_check,
     normalize_potential,
@@ -105,11 +104,6 @@ def test_gradient_matches_finite_differences():
             minus = functional_L(w.with_values(w.values - eps * d.values), pot)
             fd = (plus - minus) / (2 * eps)
             assert fd == pytest.approx(directional, rel=1e-5, abs=1e-12)
-
-
-def test_gradient_norm_scaling():
-    d = compact_perturbation(np.random.default_rng(37), scale=0.4)
-    assert grad_norm(d) == pytest.approx(np.sqrt(d.h * np.sum(d.values**2)), abs=1e-14)
 
 
 def test_action_drops_from_shock_to_front():

@@ -41,10 +41,20 @@ def solved_run(tmp_path_factory):
     return {"config": cfg, "run_dir": base / "run", "base": base}
 
 
+# The JSON layouts: check-potential prints the admissibility report's fields
+# in their declared order, then the failed conditions and the family; the
+# phases of summary.json lead with their layer count m, and diagnose adds the
+# gamma they were separated with and its source.
+_REPORT_KEYS = ["graph_ok", "genericity_ok", "monotone_tails_ok", "supersonic_ok", "gamma",
+                "psi_min", "psi_argmin", "scan_interval", "tolerance", "failed", "family"]
+_PHASES_KEYS = ["m", "eta_bar", "intervals", "anchors", "signs", "sign_consistent"]
+
+
 def test_check_potential_exit_codes(tmp_path, capsys):
     good = write_config(tmp_path / "good.json")
     assert main(["check-potential", str(good)]) == 0
     report = json.loads(capsys.readouterr().out)
+    assert list(report) == _REPORT_KEYS
     assert report["failed"] == []
 
     bad = tmp_path / "gv.json"
@@ -54,6 +64,22 @@ def test_check_potential_exit_codes(tmp_path, capsys):
     assert main(["check-potential", str(bad)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert "graph_condition" in report["failed"]
+
+
+def test_check_potential_lists_failed_conditions_in_order(tmp_path, capsys):
+    # a table whose psi is negative between the states and whose force
+    # escapes the scan fails every condition; they are listed in one order
+    cfg = write_config(tmp_path / "table.json", potential={
+        "family": "user_table",
+        "params": {"u_samples": [-2.0, 0.0, 2.0], "phi_samples": [3.0, 0.0, 3.0]}})
+    assert main(["check-potential", str(cfg)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == _REPORT_KEYS
+    assert report["failed"] == ["graph_condition", "genericity", "monotone_tails", "supersonic",
+                                "invariant_bound"]
+    assert report["gamma"] is None
+    assert report["scan_interval"] == [-6.0, 6.0]
+    assert report["family"] == "user_table"
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
@@ -335,6 +361,8 @@ def test_solve_artifacts(solved_run, capsys):
     assert summary["outcome"] == "front_converged"
     assert summary["final_grad_norm"] <= 1e-8
     assert summary["phases"]["m"] == 1
+    assert list(summary["phases"]) == _PHASES_KEYS
+    assert all(len(iv) == 2 for iv in summary["phases"]["intervals"])
     header = (run / "history.csv").read_text().splitlines()[0]
     assert header == "iter,L,N,P,grad_norm,lambda"
     header = (run / "profile.csv").read_text().splitlines()[0]
@@ -549,6 +577,37 @@ def test_verify_passes_at_physical_states_off_sigma_1(tmp_path, capsys, r_plus, 
     assert report["sigma"] == pytest.approx(sigma, abs=1e-6)
     assert report["passed"]
     assert abs(report["measured_speed"] - sigma) <= 0.02 * sigma
+
+
+def test_verify_bounds_the_physical_strains(tmp_path, capsys):
+    # A table of 400 times the quartic beta = 0.05 in the strain r = 40 + 20u,
+    # solved between the states 20 and 60.  summary.json's gamma bounds the
+    # normalized profile; the chain's strains, near 20 to 60, are held to
+    # that bound mapped to them, not to 10 * gamma, which stops at step 0.
+    u = [(i - 400) / 100 for i in range(801)]
+    table = {"family": "user_table", "params": {
+        "u_samples": [40.0 + 20.0 * x for x in u],
+        "phi_samples": [400.0 * (0.5 * x * x - 0.05 * (x * x - 1.0) ** 2) for x in u]}}
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "table.json", potential=table,
+                       states={"r_minus": 20.0, "r_plus": 60.0}, output_dir=str(run))
+    assert main(["solve", str(cfg)]) == 0
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary["outcome"] == "front_converged"
+    assert summary["gamma"] < 1.001
+    assert main(["verify", str(cfg), str(run)]) == 0
+    report = json.loads((run / "verify.json").read_text())
+    assert report["passed"]
+    assert max(e["sup_error"] for e in report["errors"]) <= 0.05
+    assert abs(report["measured_speed"] - report["sigma"]) <= 0.02 * report["sigma"]
+    # a summary gamma <= 0 is still refused, though its mapped bound would be > 0
+    capsys.readouterr()
+    for gamma in (0.0, -0.1):
+        (run / "summary.json").write_text(json.dumps({**summary, "gamma": gamma}))
+        assert main(["verify", str(cfg), str(run)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].endswith(f"gamma must be a number > 0, not {gamma!r}")
 
 
 def test_verify_report_keeps_its_format(solved_run, tmp_path, capsys):
@@ -1086,6 +1145,7 @@ def test_diagnose_command(solved_run, capsys):
                  str(solved_run["run_dir"] / "profile.csv")])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
+    assert list(out) == [*_PHASES_KEYS, "gamma", "gamma_source"]
     assert out["m"] == 1
     assert out["signs"] == [-1, 1]
 

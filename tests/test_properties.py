@@ -619,6 +619,24 @@ def test_invariant_bound_equals_whole_arrays(pot, n_samples, limit, block):
     assert got == _scan_outcome(lambda: whole_array_invariant_bound(pot, limit, n_samples))
 
 
+def test_invariant_bound_stops_at_a_nan_force():
+    # The force is NaN on |u - 0.5| < 0.1, inside the first round's
+    # [-Gamma, Gamma]: the search raises in that round, naming the NaN, after
+    # its 13 blocks of the force (not all 64 rounds' 832).  A flow still
+    # falls back to gamma = 2, and the admissibility report has no gamma.
+    from fpufronts.cli import flow_gamma
+
+    pot = nan_inside(0.05, 0.5, 0.1, True)
+    with mock.patch.object(pot, "phi_prime", wraps=pot.phi_prime) as force:
+        with pytest.raises(InvariantBoundNotFound, match="force is NaN"):
+            compute_invariant_bound(pot)
+    assert force.call_count == 13 == -(-potentials._SCAN_SAMPLES // potentials._SCAN_BLOCK)
+    assert flow_gamma(pot) == (2.0, "fallback")
+    report = check_assumptions(pot)
+    assert report.gamma is None
+    assert report.failed_conditions()[-1] == "invariant_bound"
+
+
 # A converged front is a local minimizer of the action: a Gaussian bump of
 # either sign, anywhere in [-8, 8] and 0.3 to 3 wide, or the steepest
 # descent direction -grad L (``bump`` None) scaled to a peak of 1, each zero
