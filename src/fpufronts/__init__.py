@@ -50,9 +50,7 @@ _EXPORTS = {
     ),
     "errors": (
         "FpuFrontsError", "InadmissibleFront", "NotAdmissible",
-        "InvariantBoundNotFound", "WindowMisaligned", "GridMismatch",
-        "TailNotConverged", "NonZeroTails", "EmptyZeroSet", "AnchorNotInZeroSet",
-        "LayerCostBelowBound", "ConfigInvalid", "NotAFront", "BlowUp",
+        "InvariantBoundNotFound", "EmptyZeroSet", "LayerCostBelowBound", "BlowUp",
         "NonFiniteAction", "StepSizeUnderflow",
     ),
 }

@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch, NonZeroTails, TailNotConverged
 from .grid import GridProfile, apply_averaging, averaged_extended, window_average
 from .potentials import Potential
 
@@ -50,9 +49,7 @@ def _require_exact_tails(profile: GridProfile) -> None:
     head, tail = profile.pinned
     v = profile.values
     if not (np.all(v[head] == profile.left_value) and np.all(v[tail] == profile.right_value)):
-        raise TailNotConverged(
-            "outer nodes must agree exactly with the boundary extension"
-        )
+        raise ValueError("outer nodes must agree exactly with the boundary extension")
 
 
 def _trapezoid(y: np.ndarray, dx: float) -> float:
@@ -162,10 +159,10 @@ def functional_L(profile: GridProfile, pot: Potential) -> float:
 def quadratic_M(perturbation: GridProfile) -> float:
     """Quadratic form on compactly supported perturbations; nonnegative."""
     if perturbation.left_value != 0.0 or perturbation.right_value != 0.0:
-        raise NonZeroTails("perturbation extension must be zero")
+        raise ValueError("perturbation extension must be zero")
     v = perturbation.values
     if any(np.any(v[end] != 0.0) for end in perturbation.pinned):
-        raise NonZeroTails("perturbation must vanish on the boundary region")
+        raise ValueError("perturbation must vanish on the boundary region")
     return Evaluation(perturbation, None).N
 
 
@@ -188,7 +185,7 @@ def n_identity_check(w1: GridProfile, w2: GridProfile) -> float:
     operator is exactly symmetric on aligned grids.
     """
     if not w1.same_grid(w2):
-        raise GridMismatch("profiles live on different grids")
+        raise ValueError("profiles live on different grids")
     _require_exact_tails(w1)
     _require_exact_tails(w2)
     diff = GridProfile(w1.L, w1.D, w2.values - w1.values,

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .errors import BlowUp, ConfigInvalid, EmptyZeroSet, FpuFrontsError, WindowMisaligned
+from .errors import BlowUp, EmptyZeroSet, FpuFrontsError
 from .potentials import (LIST_PARAMS, Potential, check_assumptions, compute_invariant_bound,
                          make_potential)
 
@@ -99,6 +99,8 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(raw, {*_SECTIONS, "output_dir"}, "config")
+    if not isinstance(raw.get("output_dir", ""), str):
+        raise ConfigError(f"output_dir must be a string, not {json.dumps(raw['output_dir'])}")
     if "potential" not in raw:
         raise ConfigError("config requires a 'potential' section")
     for section, kinds in _SECTIONS.items():
@@ -154,7 +156,7 @@ def config_grid(config: dict) -> tuple[float, int]:
     L, D = grid.get("L", DEFAULT_L), grid.get("D", DEFAULT_D)
     try:
         check_grid(L, D)
-    except (ValueError, WindowMisaligned) as exc:
+    except ValueError as exc:
         raise ConfigError(f"grid.L={L}, grid.D={D}: {exc}") from None
     return L, D
 
@@ -163,12 +165,10 @@ def build_solver_config(config: dict, gamma: float) -> SolverConfig:
     from .solver import SolverConfig
 
     L, D = config_grid(config)
-    cfg = SolverConfig(**config.get("solver", {}), gamma=gamma, L=L, D=D)
     try:
-        cfg.validate()
-    except ConfigInvalid as exc:
+        return SolverConfig(**config.get("solver", {}), gamma=gamma, L=L, D=D)
+    except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from None
-    return cfg
 
 
 # CSVs are written this many rows at a time, so that the text and the
@@ -546,9 +546,10 @@ def cmd_sweep(args) -> int:
         sub["potential"].setdefault("params", {})["beta"] = beta
         name = f"beta_{beta:g}"  # distinct, see _parse_betas
         sub["output_dir"] = str(base_dir / name)
-        # a potential or grid that cannot be built fails here, before any fork
+        # a potential, grid or solver section that cannot be built fails here,
+        # before any fork; every flow's gamma is at least 1
         build_potential(sub)
-        config_grid(sub)
+        build_solver_config(sub, gamma=1.0)
         jobs.append((sub, name))
     # run_solve's modules, imported once here for the forked workers to inherit
     from . import grid, macroscopic, phases, solver  # noqa: F401

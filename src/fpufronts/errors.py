@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Domain failures: the program's answers that there is no front here.
+
+Each class names a way a potential, a set of asymptotic states, a profile, a
+flow or a chain run fails what the theory asks of it; the CLI exits 1 on any
+of them.  A bad argument is not one of them: it raises ``ValueError`` at the
+rule that catches it, and the CLI turns a config's into exit 2.
+"""
 
 
 class FpuFrontsError(Exception):
@@ -25,41 +31,12 @@ class NotAdmissible(FpuFrontsError):
     """Front data violates the jump conditions beyond tolerance."""
 
 
-class WindowMisaligned(FpuFrontsError):
-    """Grid spacing does not align the unit averaging window with grid nodes."""
-
-
-class GridMismatch(FpuFrontsError):
-    """Two profiles do not share the same grid."""
-
-
-class TailNotConverged(FpuFrontsError):
-    """Profile tails deviate from the boundary extension, invalidating the
-    compact-perturbation shortcut for the functionals."""
-
-
-class NonZeroTails(FpuFrontsError):
-    """Perturbation profile has nonzero values in the boundary region."""
-
-
 class EmptyZeroSet(FpuFrontsError):
     """Profile has no transition region; it does not connect -1 to +1."""
 
 
-class AnchorNotInZeroSet(FpuFrontsError):
-    """Layer-cost anchor lies outside the zero set of the averaged profile."""
-
-
 class LayerCostBelowBound(FpuFrontsError):
     """Measured transition-layer cost falls below the guaranteed lower bound."""
-
-
-class ConfigInvalid(FpuFrontsError):
-    """Solver or run configuration is inconsistent."""
-
-
-class NotAFront(FpuFrontsError):
-    """Operation requires a converged front profile."""
 
 
 class BlowUp(FpuFrontsError):

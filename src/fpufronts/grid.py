@@ -23,27 +23,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatch, WindowMisaligned
-
 # The grid of a config that sets none: [-20, 20] with 3200 cells.
 DEFAULT_L = 20.0
 DEFAULT_D = 3200
+# The most float64 values numpy holds in one array: its size in bytes must
+# be an index.
+MAX_FLOATS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 def check_grid(L: float, D: int) -> None:
     """Reject a grid on [-L, L] with D cells that no profile can live on.
 
-    Raises ``ValueError`` for L < 2 or D <= 0, and ``WindowMisaligned`` unless
-    half a unit window, 1/(2h) with h = 2L/D, is a whole number of cells.
+    Raises ``ValueError``, naming the rule, for L < 2, for D <= 0, for more
+    than ``MAX_FLOATS`` nodes D + 1, and unless half a unit window, 1/(2h)
+    with h = 2L/D, is a whole number of cells.
     """
     if L < 2:
         raise ValueError("half-width L must be at least 2")
     if D <= 0:
         raise ValueError("D must be positive")
+    if D + 1 > MAX_FLOATS:
+        raise ValueError(f"D + 1 = {D + 1} nodes exceed the {MAX_FLOATS} floats numpy holds "
+                         "in one array")
     h = 2.0 * L / D
     k = 1.0 / (2.0 * h)
     if abs(k - round(k)) > 1e-9 or round(k) < 1:
-        raise WindowMisaligned(
+        raise ValueError(
             f"1/(2h) = {k} must be a positive integer so the averaging "
             "window aligns with grid nodes"
         )
@@ -189,5 +194,5 @@ def inner_product(w1: GridProfile, w2: GridProfile) -> float:
     extensions vanishes; callers are responsible for integrability.
     """
     if not w1.same_grid(w2):
-        raise GridMismatch("profiles live on different grids")
+        raise ValueError("profiles live on different grids")
     return float(np.trapezoid(w1.values * w2.values, dx=w1.h))

@@ -90,7 +90,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BlowUp, NotAFront
+from .errors import BlowUp
+from .grid import MAX_FLOATS
 from .macroscopic import FrontData, denormalize_profile
 from .potentials import Potential
 
@@ -145,7 +146,7 @@ def init_from_front(
     """Chain initialized on the travelling-wave ansatz at time zero, with
     the transition mid-chain."""
     if result.outcome != "front_converged":
-        raise NotAFront(f"solver outcome was {result.outcome!r}")
+        raise ValueError(f"solver outcome was {result.outcome!r}")
     profile = result.profile
     return _chain_on(profile.nodes, *denormalize_profile(profile, fd), fd, n_atoms,
                      n_atoms / 2.0, dt)
@@ -223,7 +224,7 @@ def check_chain_run(n_atoms: int, T: float, dt: float, stride: int) -> int:
     ``T`` at step ``dt``, reduced every ``stride`` steps.  Raises ValueError,
     naming the rule, unless ``chain_clock`` counts the steps, ``stride`` is
     an integer >= 1 that the steps reach, and ``n_atoms`` exceeds the two
-    ``MARGIN_ATOMS`` margins."""
+    ``MARGIN_ATOMS`` margins and is at most ``grid.MAX_FLOATS``."""
     n_steps = chain_clock(dt, T)
     _check_stride(stride, "stride")
     if n_steps < stride:
@@ -231,6 +232,9 @@ def check_chain_run(n_atoms: int, T: float, dt: float, stride: int) -> int:
     if n_atoms <= 2 * MARGIN_ATOMS:
         raise ValueError(f"a chain of {n_atoms} atoms has no interior inside two "
                          f"{MARGIN_ATOMS}-atom margins")
+    if n_atoms > MAX_FLOATS:
+        raise ValueError(f"a chain of {n_atoms} atoms exceeds the {MAX_FLOATS} floats numpy "
+                         "holds in one array")
     return n_steps
 
 

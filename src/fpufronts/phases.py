@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import AnchorNotInZeroSet, EmptyZeroSet, LayerCostBelowBound
+from .errors import EmptyZeroSet, LayerCostBelowBound
 from .grid import GridProfile, apply_averaging
 from .potentials import Potential
 
@@ -148,7 +148,7 @@ def layer_cost(w: GridProfile, pot: Potential, anchor: float, gamma: float) -> f
     i = u.index_of(anchor)
     i = min(max(i, 0), u.D)
     if abs(u.values[i]) > 0.5:
-        raise AnchorNotInZeroSet(f"|U({anchor})| = {abs(u.values[i]):.3f} > 1/2")
+        raise ValueError(f"|U({anchor})| = {abs(u.values[i]):.3f} > 1/2")
     eta = eta_bar_for(gamma)
     nodes = u.nodes
     mask = np.abs(nodes - anchor) <= eta + 1e-12

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import ActionReport, Evaluation
-from .errors import ConfigInvalid, NonFiniteAction, StepSizeUnderflow
+from .errors import NonFiniteAction, StepSizeUnderflow
 from .grid import DEFAULT_D, DEFAULT_L, GridProfile, shock_profile
 from .phases import interior, interior_plateau
 from .potentials import Potential
@@ -45,8 +45,10 @@ _LAMBDA_MIN = 1e-14
 _PLATEAU_EVERY = 50
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """The settings of one flow; building one raises ValueError on a bad setting."""
+
     lambda0: float = 0.5
     max_iters: int = 200_000
     grad_tol: float = 1e-8
@@ -54,15 +56,15 @@ class SolverConfig:
     L: float = DEFAULT_L
     D: int = DEFAULT_D
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (0.0 < self.lambda0 < 1.0):
-            raise ConfigInvalid("lambda0 must lie in (0, 1)")
+            raise ValueError("lambda0 must lie in (0, 1)")
         if not self.grad_tol > 0.0:
-            raise ConfigInvalid("grad_tol must be positive")
+            raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
-            raise ConfigInvalid("iteration limits must be positive")
+            raise ValueError("iteration limits must be positive")
         if self.gamma < 1.0:
-            raise ConfigInvalid("gamma must be at least 1")
+            raise ValueError("gamma must be at least 1")
 
 
 @dataclass
@@ -107,7 +109,7 @@ def _step(w: GridProfile, target: np.ndarray, lam: float) -> GridProfile:
 def euler_step(w: GridProfile, pot: Potential, lam: float) -> GridProfile:
     """One explicit Euler step of the gradient flow, boundary region re-pinned."""
     if not (0.0 < lam < 1.0):
-        raise ConfigInvalid("lambda must lie in (0, 1)")
+        raise ValueError("lambda must lie in (0, 1)")
     return _step(w, Evaluation(w, pot).step_target, lam)
 
 
@@ -169,7 +171,6 @@ def minimize(cfg: SolverConfig, pot: Potential, callback=None) -> RunResult:
     which gives the same floats.  Each evaluation holds U = A W until its
     step target writes the force phi'(U) into U's own buffer.
     """
-    cfg.validate()
     w = shock_profile(cfg.L, cfg.D)
     _pinned(w.values, w)
     report, target = _evaluated(w, pot)

@@ -138,6 +138,54 @@ def test_solve_config_error_exits_2(tmp_path, capsys, overrides, fragment):
     assert not (tmp_path / "run").exists()
 
 
+# SolverConfig checks itself when built; the CLI prefixes its rule with the section
+@pytest.mark.parametrize("solver, rule", [
+    ({"lambda0": 0}, "lambda0 must lie in (0, 1)"),
+    ({"lambda0": 1.5}, "lambda0 must lie in (0, 1)"),
+    ({"grad_tol": 0}, "grad_tol must be positive"),
+    ({"grad_tol": -1}, "grad_tol must be positive"),
+    ({"max_iters": 0}, "iteration limits must be positive"),
+], ids=["zero_lambda0", "large_lambda0", "zero_grad_tol", "negative_grad_tol", "zero_max_iters"])
+def test_solver_rules_exit_2(tmp_path, capsys, solver, rule):
+    cfg = write_config(tmp_path / "bad.json", output_dir=str(tmp_path / "run"), solver=solver)
+    assert main(["solve", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({"error": "ConfigError", "message": f"solver: {rule}"}) + "\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("output_dir", [5, None, [1], True], ids=["number", "null", "list", "bool"])
+@pytest.mark.parametrize("argv", [["solve"], ["solve", "--output-dir", "{out}"],
+                                  ["sweep", "--betas", "0.3"]], ids=["solve", "solve_with_option",
+                                                                     "sweep"])
+def test_non_string_output_dir_exits_2(tmp_path, capsys, monkeypatch, output_dir, argv):
+    # refused when the config is read, also where --output-dir would replace it
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "bad.json", output_dir=output_dir)
+    argv = [a.format(out=tmp_path / "run") for a in argv]
+    assert main([argv[0], str(cfg), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err == {"error": "ConfigError",
+                   "message": f"output_dir must be a string, not {json.dumps(output_dir)}"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def test_grid_beyond_numpy_arrays_exits_2(tmp_path, capsys):
+    # aligned (K = 1), but D + 1 nodes are more floats than a numpy array holds
+    cfg = write_config(tmp_path / "huge.json", output_dir=str(tmp_path / "run"),
+                       grid={"L": 1e20, "D": 400_000_000_000_000_000_000})
+    assert main(["solve", str(cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == ("grid.L=1e+20, grid.D=400000000000000000000: D + 1 = "
+                              "400000000000000000001 nodes exceed the 1152921504606846975 floats "
+                              "numpy holds in one array")
+    assert not (tmp_path / "run").exists()
+
+
 def table_config(path, **overrides):
     """Quartic beta = 0.05 tabulated on [-4, 4] at spacing 0.05, on an aligned
     L = 2.5 grid. The interpolant's defect dips to about -5e-7, so
@@ -278,6 +326,16 @@ def test_lazy_namespace_resolves_every_export():
     for name, value in vars(errors).items():
         if isinstance(value, type) and issubclass(value, errors.FpuFrontsError):
             assert getattr(fpufronts, name) is value, name
+
+
+def test_every_error_class_is_raised():
+    # errors holds the failures the package raises, each raised somewhere
+    from fpufronts import errors
+
+    source = "".join(p.read_text() for p in Path(errors.__file__).parent.glob("*.py"))
+    classes = re.findall(r"^class (\w+)\(", Path(errors.__file__).read_text(), re.M)
+    assert classes
+    assert [name for name in classes if f"raise {name}(" not in source] == []
 
 
 @pytest.mark.parametrize("u, phi, fragment", [
@@ -1077,6 +1135,10 @@ def test_malformed_profile_exits_2(solved_run, tmp_path, capsys, command, defect
     (["--time", "inf"], "T must be finite and at least 0, not inf"),
     (["--atoms", "0"], "a chain of 0 atoms has no interior inside two 20-atom margins"),
     (["--atoms", "40"], "a chain of 40 atoms has no interior inside two 20-atom margins"),
+    (["--atoms", "1152921504606846976"],
+     "a chain of 1152921504606846976 atoms exceeds the 1152921504606846975 floats numpy holds"),
+    (["--atoms", "10000000000000000000"],
+     "a chain of 10000000000000000000 atoms exceeds the 1152921504606846975 floats numpy holds"),
     (["--stride", "0"], "stride must be an integer of at least 1, not 0"),
     (["--stride", "100000"], "a run of 2000 steps is shorter than its stride, 100000"),
     # a step so small that the centred snapshot times square to 0, which
@@ -1085,7 +1147,8 @@ def test_malformed_profile_exits_2(solved_run, tmp_path, capsys, command, defect
     # a span over a step that overflows to an infinite step count
     (["--dt", "1e-320", "--time", "1e300"], "T/dt = 1e+300/1e-320 is no finite step count"),
 ], ids=["zero_dt", "negative_dt", "large_dt", "zero_time", "negative_time",
-        "infinite_time", "zero_atoms", "margins_only", "zero_stride", "stride_beyond_run",
+        "infinite_time", "zero_atoms", "margins_only", "atoms_beyond_arrays",
+        "atoms_beyond_indices", "zero_stride", "stride_beyond_run",
         "subnormal_dt", "infinite_steps"])
 def test_verify_bad_arguments_exit_2(solved_run, capsys, argv, rule):
     # every flag is named in the message, so each row also names its rule
@@ -1206,6 +1269,18 @@ def test_sweep_of_a_table_exits_2(tmp_path, capsys):
     assert not (tmp_path / "sw" / "sweep.json").exists()
 
 
+def test_sweep_with_bad_solver_settings_exits_2(tmp_path, capsys):
+    # the solver settings are built before the worker pool too
+    cfg = write_config(tmp_path / "bad.json", solver={"lambda0": 1.5})
+    with mock.patch("concurrent.futures.ProcessPoolExecutor",
+                    side_effect=AssertionError("worker pool started")):
+        code = main(["sweep", str(cfg), "--betas", "0.05,0.3", "--output-dir", str(tmp_path / "sw")])
+    assert code == 2
+    assert capsys.readouterr().err == json.dumps(
+        {"error": "ConfigError", "message": "solver: lambda0 must lie in (0, 1)"}) + "\n"
+    assert not (tmp_path / "sw" / "sweep.json").exists()
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["--betas", "0.05,abc"], "--betas"),
     (["--betas", "0.05,nan"], "--betas"),
@@ -1283,19 +1358,24 @@ def mutated_configs(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(mutated_configs(), st.sampled_from(["check-potential", "normalize", "solve"]))
-def test_commands_on_mutated_configs_exit_legibly(config, command):
+@given(mutated_configs(), st.sampled_from(["check-potential", "normalize", "solve"]),
+       st.sampled_from([True, True, True, False]),
+       _json_values.filter(lambda value: not isinstance(value, str)))
+def test_commands_on_mutated_configs_exit_legibly(config, command, in_tmp, bad_output_dir):
     # Exit 0, 1 or 2; a non-zero exit writes one JSON object on stderr, save
     # check-potential's report of a violated assumption, which goes to stdout
-    # with exit 1; and nothing raises out of main.
+    # with exit 1; and nothing raises out of main.  The run goes to a
+    # temporary directory or, a quarter of the time, output_dir is not a
+    # string and every command exits 2.
     with tempfile.TemporaryDirectory() as tmp:
-        config = {**config, "output_dir": str(Path(tmp) / "run")}
+        output_dir = str(Path(tmp) / "run") if in_tmp else bad_output_dir
+        config = {**config, "output_dir": output_dir}
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, str(path)])
-    assert code in (0, 1, 2)
+    assert (code in (0, 1, 2)) if in_tmp else (code == 2)
     assert "Traceback" not in err.getvalue()
     if command == "check-potential" and code == 1 and not err.getvalue():
         assert json.loads(out.getvalue())["failed"]

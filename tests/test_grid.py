@@ -9,18 +9,27 @@ from fpufronts import (
     shock_profile,
     window_kernel,
 )
-from fpufronts.errors import GridMismatch, WindowMisaligned
+from fpufronts.grid import MAX_FLOATS, check_grid
 
 from conftest import compact_perturbation, pinned_tanh_profile
 
 
 def test_grid_alignment_enforced():
     # D = 3000 gives h = 1/75, K = 37.5: window edge misses the nodes
-    with pytest.raises(WindowMisaligned):
+    with pytest.raises(ValueError, match=r"1/\(2h\) = 37.5 must be a positive integer"):
         GridProfile(20.0, 3000, np.zeros(3001))
     prof = GridProfile(20.0, 3200, np.zeros(3201))
     assert prof.K == 40
     assert prof.h == pytest.approx(1 / 80)
+
+
+@pytest.mark.parametrize("D", [MAX_FLOATS, 400_000_000_000_000_000_000])
+def test_grid_beyond_numpy_arrays_refused(D):
+    # aligned (K = 1), but D + 1 nodes are more floats than a numpy array holds
+    with pytest.raises(ValueError, match=rf"D \+ 1 = {D + 1} nodes exceed the {MAX_FLOATS} "
+                                         "floats numpy holds in one array"):
+        check_grid(D / 4, D)
+    check_grid((MAX_FLOATS - 1) / 4, MAX_FLOATS - 1)
 
 
 def test_shock_profile_is_signum_with_zero_origin():
@@ -122,7 +131,7 @@ def test_extended_profile_and_tails():
 def test_inner_product_grid_mismatch():
     a = shock_profile(20.0, 3200)
     b = shock_profile(20.0, 1600)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(ValueError, match="profiles live on different grids"):
         inner_product(a, b)
 
 

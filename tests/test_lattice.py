@@ -31,7 +31,7 @@ from fpufronts import (
     verify_front,
 )
 from fpufronts import lattice
-from fpufronts.errors import BlowUp, NotAFront
+from fpufronts.errors import BlowUp
 
 from conftest import no_least_squares, whole_chain_verify
 
@@ -53,7 +53,7 @@ def test_init_requires_converged_front():
     sh = shock_profile(20.0, 3200)
     fake = RunResult(profile=sh, history=[], outcome="max_iters_reached",
                      final_grad_norm=1.0)
-    with pytest.raises(NotAFront):
+    with pytest.raises(ValueError, match="solver outcome was 'max_iters_reached'"):
         init_from_front(fake, NORMALIZED)
 
 

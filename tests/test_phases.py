@@ -14,7 +14,7 @@ from fpufronts import (
     shock_profile,
     zero_set,
 )
-from fpufronts.errors import AnchorNotInZeroSet, EmptyZeroSet
+from fpufronts.errors import EmptyZeroSet
 
 
 def two_transition_profile(L=20.0, D=3200, plateau_width=10.0):
@@ -118,7 +118,7 @@ def test_layer_cost_exceeds_bound():
 def test_layer_cost_bad_anchor():
     pot = QuarticPotential(0.1)
     sh = shock_profile(20.0, 3200)
-    with pytest.raises(AnchorNotInZeroSet):
+    with pytest.raises(ValueError, match=r"\|U\(10.0\)\| = 1.000 > 1/2"):
         layer_cost(sh, pot, 10.0, 1.0)
 
 

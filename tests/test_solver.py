@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,25 +19,34 @@ from fpufronts import (
     separate_phases,
     shock_profile,
 )
-from fpufronts.errors import ConfigInvalid, NonFiniteAction, StepSizeUnderflow
+from fpufronts.errors import NonFiniteAction, StepSizeUnderflow
 
 from conftest import NaNBeyondPotential, UphillForcePotential, kept_target_minimize
 
 
 def test_config_validation():
-    with pytest.raises(ConfigInvalid):
-        SolverConfig(lambda0=1.5).validate()
-    with pytest.raises(ConfigInvalid):
-        SolverConfig(lambda0=0.0).validate()
-    with pytest.raises(ConfigInvalid):
-        SolverConfig(gamma=0.5).validate()
-    SolverConfig().validate()
+    with pytest.raises(ValueError, match=r"lambda0 must lie in \(0, 1\)"):
+        SolverConfig(lambda0=1.5)
+    with pytest.raises(ValueError, match=r"lambda0 must lie in \(0, 1\)"):
+        SolverConfig(lambda0=0.0)
+    with pytest.raises(ValueError, match="gamma must be at least 1"):
+        SolverConfig(gamma=0.5)
+    with pytest.raises(ValueError, match="iteration limits must be positive"):
+        SolverConfig(max_iters=0)
+    SolverConfig()
+
+
+def test_config_is_frozen():
+    # a config is checked once, when built, so it cannot change after
+    cfg = SolverConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.lambda0 = 1.5
 
 
 @pytest.mark.parametrize("grad_tol", [0.0, -1.0, float("nan")])
 def test_config_rejects_nonpositive_grad_tol(grad_tol):
-    with pytest.raises(ConfigInvalid, match="grad_tol"):
-        SolverConfig(grad_tol=grad_tol).validate()
+    with pytest.raises(ValueError, match="grad_tol must be positive"):
+        SolverConfig(grad_tol=grad_tol)
 
 
 def test_euler_step_fixed_point(front_005):
@@ -56,7 +67,7 @@ def test_euler_step_local_support():
 
 def test_euler_step_lambda_range():
     sh = shock_profile(20.0, 3200)
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ValueError, match=r"lambda must lie in \(0, 1\)"):
         euler_step(sh, QuarticPotential(0.1), 1.0)
 
 
