@@ -532,12 +532,81 @@ def _parse_betas(text: str) -> list[float]:
     return betas
 
 
+def _fork_sweep(jobs: list, workers: int) -> list:
+    """``_sweep_job`` of every job, in job order, run in ``workers`` forked
+    processes; raises the error of the first job in job order that fails.
+
+    Worker k runs jobs k, k + workers, ... in turn.  It pickles each job's
+    result into its own pipe as the job finishes, or the first exception it
+    meets and stops there, then leaves with ``os._exit``.  The parent reads
+    each pipe to its end before it reaps that worker, so no worker blocks on
+    a full pipe.  A pipe that ends before its worker's last job means the
+    worker died in that job: a ChildProcessError names the job and the
+    signal or exit status.
+    """
+    import io
+    import os
+    import pickle
+    import signal
+
+    pipes = []
+    for k in range(workers):
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                with os.fdopen(write_fd, "wb") as out:
+                    for i in range(k, len(jobs), workers):
+                        try:
+                            result = _sweep_job(jobs[i])
+                        except Exception as exc:
+                            result = exc
+                        out.write(pickle.dumps(result))
+                        out.flush()
+                        if isinstance(result, Exception):
+                            break
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        pipes.append((pid, os.fdopen(read_fd, "rb")))
+
+    results = [None] * len(jobs)  # None: a job after a failure in its worker
+    for k, (pid, pipe) in enumerate(pipes):
+        with pipe:
+            stream = io.BytesIO(pipe.read())
+        _, status = os.waitpid(pid, 0)
+        for i in range(k, len(jobs), workers):
+            try:
+                results[i] = pickle.load(stream)  # bytes this worker wrote
+            except (EOFError, pickle.UnpicklingError):
+                exit_code = os.waitstatus_to_exitcode(status)
+                try:
+                    how = f"was killed by signal {-exit_code} ({signal.Signals(-exit_code).name})"
+                except ValueError:  # an exit status, or a signal without a name
+                    how = f"ended with exit code {exit_code}"
+                results[i] = ChildProcessError(
+                    f"the sweep worker running sub-run {jobs[i][1]} {how}")
+            if isinstance(results[i], Exception):
+                break
+    # every job a worker skipped comes after that worker's failure
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
 def cmd_sweep(args) -> int:
-    import concurrent.futures  # only a sweep starts worker processes
+    import os
 
     betas = _parse_betas(args.betas)
     if args.workers < 1:
         raise ConfigError(f"sweep --workers must be at least 1, not {args.workers}")
+    if not hasattr(os, "fork"):
+        raise ConfigError("sweep runs its sub-runs in worker processes made with os.fork, "
+                          "which this platform does not have")
     config = load_config(args.config)
     base_dir = Path(args.output_dir or config.get("output_dir", "sweep"))
     jobs = []
@@ -555,12 +624,8 @@ def cmd_sweep(args) -> int:
     from . import grid, macroscopic, phases, solver  # noqa: F401
 
     results = []
-    # the pool starts all of its workers at the first job, so no more than
-    # there are jobs
-    workers = min(args.workers, len(jobs))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        for name, outcome, action_value in pool.map(_sweep_job, jobs):
-            results.append({"run": name, "outcome": outcome, "final_action": action_value})
+    for name, outcome, action_value in _fork_sweep(jobs, min(args.workers, len(jobs))):
+        results.append({"run": name, "outcome": outcome, "final_action": action_value})
     results.sort(key=lambda r: r["run"])
     base_dir.mkdir(parents=True, exist_ok=True)
     (base_dir / "sweep.json").write_text(json.dumps(results, indent=2) + "\n")
@@ -628,6 +693,8 @@ def main(argv=None) -> int:
         # refused where they are read
         with np.errstate(all="ignore"):
             return args.func(args)
+    except ChildProcessError as exc:  # a sweep worker that died
+        return _emit_error(exc, 1)
     except (ConfigError, OSError) as exc:  # OSError: a path that cannot be read or written
         return _emit_error(exc, 2)
     except (FpuFrontsError, OverflowError, MemoryError) as exc:

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from fpufronts import cli
 from fpufronts.cli import main
+from fpufronts.errors import NonFiniteAction
 
 from conftest import NaNBeyondPotential, UphillForcePotential, no_least_squares
 
@@ -224,7 +226,7 @@ def run_fresh_cli(tmp_path, prelude=""):
 
 def test_cli_leaves_scipy_unimported(tmp_path):
     # the runtime needs numpy only (tabulated potentials interpolate in
-    # numpy), and concurrent.futures serves only the sweep pool
+    # numpy), and no command starts a concurrent.futures pool
     assert run_fresh_cli(tmp_path) == "[]"
 
 
@@ -245,8 +247,9 @@ def fresh_cli_footprints(tmp_path):
     """Run import, check-potential, normalize, solve and sweep in turn in one
     fresh interpreter.
 
-    Returns, after each step, the fpufronts submodules loaded so far and
-    whether ``numpy.ma`` is loaded; the sets only grow from step to step.
+    Returns, after each step, the fpufronts submodules loaded so far,
+    whether ``numpy.ma`` is loaded, and the ``concurrent`` and
+    ``multiprocessing`` modules loaded; the sets only grow from step to step.
     """
     cfg = write_config(tmp_path / "quartic.json", states={"r_minus": -1.0, "r_plus": 1.0},
                        output_dir=str(tmp_path / "run"))
@@ -260,7 +263,9 @@ def fresh_cli_footprints(tmp_path):
         "import contextlib, io, json, sys\n"
         "def footprint():\n"
         "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'fpufronts')\n"
-        "    return [loaded, 'numpy.ma' in sys.modules]\n"
+        "    pool = sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
+        "    return [loaded, 'numpy.ma' in sys.modules, pool]\n"
         "from fpufronts.cli import main\n"
         "footprints = [footprint()]\n"
         f"for argv in {steps!r}:\n"
@@ -281,11 +286,12 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     footprints = fresh_cli_footprints(tmp_path)
     pkg = "fpufronts."
     assert footprints["import"] == [
-        ["fpufronts", pkg + "cli", pkg + "errors", pkg + "potentials"], False]
+        ["fpufronts", pkg + "cli", pkg + "errors", pkg + "potentials"], False, []]
     solve_modules = {pkg + m for m in ("action", "solver", "phases", "lattice")}
     assert not solve_modules & set(footprints["normalize"][0])  # check-potential ran first
     assert pkg + "lattice" not in footprints["sweep"][0]  # solve ran first
     assert footprints["sweep"][1] is False  # the plateau median leaves numpy.ma unloaded
+    assert footprints["sweep"][2] == []  # the sweep forks its workers itself
 
 
 def test_verify_loads_no_solver(solved_run):
@@ -1228,39 +1234,22 @@ def test_sweep_command(tmp_path, capsys):
     ("0.05", 4, 1), ("0.05,0.1", 8, 2), ("0.05,0.1", 1, 1),
 ], ids=["one_run_four_workers", "two_runs_eight_workers", "two_runs_one_worker"])
 def test_sweep_starts_no_more_workers_than_sub_runs(tmp_path, capsys, betas, workers, started):
-    # A fork-context pool starts all of its max_workers at the first job, so
-    # the sweep asks for no more than it has sub-runs.  The pool is replaced
-    # by one that records max_workers and runs the jobs in this process.
-    asked = []
-
-    class Pool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
+    # the sweep forks no more workers than it has sub-runs
     cfg = write_config(tmp_path / "sweep.json", grid={"L": 20.0, "D": 800})
-    with mock.patch("concurrent.futures.ProcessPoolExecutor", Pool):
+    with mock.patch("os.fork", wraps=os.fork) as fork:
         code = main(["sweep", str(cfg), "--betas", betas, "--workers", str(workers),
                      "--output-dir", str(tmp_path / "sw")])
     assert code == 0
-    assert asked == [started]
+    assert fork.call_count == started
     results = json.loads((tmp_path / "sw" / "sweep.json").read_text())
     assert len(results) == len(betas.split(","))
 
 
 def test_sweep_of_a_table_exits_2(tmp_path, capsys):
     # a sweep sets beta, which a user_table does not take; the potentials
-    # are built before the worker pool, so no pool is started
+    # are built before the workers, so no worker is forked
     cfg = table_config(tmp_path / "table.json")
-    with mock.patch("concurrent.futures.ProcessPoolExecutor",
-                    side_effect=AssertionError("worker pool started")):
+    with mock.patch("os.fork", side_effect=AssertionError("worker forked")):
         code = main(["sweep", str(cfg), "--betas", "0.05,0.3", "--output-dir", str(tmp_path / "sw")])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
@@ -1270,15 +1259,75 @@ def test_sweep_of_a_table_exits_2(tmp_path, capsys):
 
 
 def test_sweep_with_bad_solver_settings_exits_2(tmp_path, capsys):
-    # the solver settings are built before the worker pool too
+    # the solver settings are built before the workers are forked too
     cfg = write_config(tmp_path / "bad.json", solver={"lambda0": 1.5})
-    with mock.patch("concurrent.futures.ProcessPoolExecutor",
-                    side_effect=AssertionError("worker pool started")):
+    with mock.patch("os.fork", side_effect=AssertionError("worker forked")):
         code = main(["sweep", str(cfg), "--betas", "0.05,0.3", "--output-dir", str(tmp_path / "sw")])
     assert code == 2
     assert capsys.readouterr().err == json.dumps(
         {"error": "ConfigError", "message": "solver: lambda0 must lie in (0, 1)"}) + "\n"
     assert not (tmp_path / "sw" / "sweep.json").exists()
+
+
+_SWEEP_JOB = cli._sweep_job
+
+
+def failing_sweep_job(payload):
+    """A sub-run that raises NonFiniteAction, except for beta = 0.05."""
+    if payload[1] != "beta_0.05":
+        raise NonFiniteAction(f"{payload[1]}: the action is nan")
+    return _SWEEP_JOB(payload)
+
+
+def dying_sweep_job(payload):
+    """A sub-run whose process kills itself for beta = 1.2."""
+    if payload[1] == "beta_1.2":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _SWEEP_JOB(payload)
+
+
+def run_sweep_with_job(tmp_path, job, betas):
+    """Exit code of a D = 800 sweep over ``betas`` on two workers whose
+    sub-runs run ``job``."""
+    cfg = write_config(tmp_path / "sweep.json", grid={"L": 20.0, "D": 800})
+    with mock.patch.object(cli, "_sweep_job", job):
+        return main(["sweep", str(cfg), "--betas", betas, "--workers", "2",
+                     "--output-dir", str(tmp_path / "sw")])
+
+
+def test_sweep_reports_the_first_failing_sub_run(tmp_path, capsys):
+    # sub-runs 1 and 2 raise, on different workers: the error of sub-run 1
+    # is the one reported, as Executor.map reports it, and no sweep.json is
+    # written
+    assert run_sweep_with_job(tmp_path, failing_sweep_job, "0.05,0.1,0.3") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps(
+        {"error": "NonFiniteAction", "message": "beta_0.1: the action is nan"}) + "\n"
+    assert not (tmp_path / "sw" / "sweep.json").exists()
+
+
+def test_sweep_worker_that_dies_exits_1(tmp_path, capsys):
+    # the killed worker's pipe ends before the sub-run's result
+    assert run_sweep_with_job(tmp_path, dying_sweep_job, "1.1,1.2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps(
+        {"error": "ChildProcessError",
+         "message": "the sweep worker running sub-run beta_1.2 was killed by signal 9 (SIGKILL)"}
+    ) + "\n"
+    assert not (tmp_path / "sw" / "sweep.json").exists()
+
+
+def test_sweep_without_fork_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    cfg = write_config(tmp_path / "sweep.json")
+    code = main(["sweep", str(cfg), "--betas", "0.05", "--output-dir", str(tmp_path / "sw")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "os.fork" in err["message"]
+    assert not (tmp_path / "sw").exists()
 
 
 @pytest.mark.parametrize("argv, fragment", [

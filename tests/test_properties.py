@@ -232,14 +232,20 @@ median_samples = st.lists(
 @example([-0.0])
 @example([-0.0, -0.0])
 @example([1.7e308])
+@example([0.0, -0.0])
+@example([-0.0, 0.0, 2.0, -2.0])
 def test_median_equals_np_median(values):
     a = np.array(values)
     with np.errstate(over="ignore"):  # the mean of two huge values overflows in both
         assert np.float64(_median(a)).tobytes() == np.median(a).tobytes()
 
 
-@pytest.mark.parametrize("pot", [GraphViolatingPotential(0.1, -0.5), TiltedPotential(0.1, 0.1)],
-                         ids=["graph_violating", "tilted"])
+diverging_flows = pytest.mark.parametrize(
+    "pot", [GraphViolatingPotential(0.1, -0.5), TiltedPotential(0.1, 0.1)],
+    ids=["graph_violating", "tilted"])
+
+
+@diverging_flows
 def test_diverging_flows_read_the_np_median_plateau(pot, monkeypatch):
     # every plateau check of the flow reads what np.median gave, so the
     # flow and its plateau_value are unchanged
@@ -255,6 +261,26 @@ def test_diverging_flows_read_the_np_median_plateau(pot, monkeypatch):
     res = minimize(SolverConfig(gamma=2.0), pot)
     assert res.outcome == "plateau_diverging"
     assert readings[-1][0] == res.plateau_value
+
+
+@diverging_flows
+def test_plateau_check_runs_no_numpy_sort(pot, monkeypatch):
+    # the plateau median sorts Python floats; the first numpy sort or
+    # partition of a process would fault in numpy's sort code
+    readings = []
+
+    def checked(w):
+        expected = plateau_reference(w)
+        with mock.patch("numpy.partition", side_effect=AssertionError("np.partition called")), \
+                mock.patch("numpy.sort", side_effect=AssertionError("np.sort called")):
+            found = interior_plateau(w)
+        assert found == expected
+        readings.append(found)
+        return found
+
+    monkeypatch.setattr(solver, "interior_plateau", checked)
+    assert minimize(SolverConfig(gamma=2.0), pot).outcome == "plateau_diverging"
+    assert readings[-1] is not None
 
 
 # The tilted quartic is built on the quartic: its floats are still those of
