@@ -735,18 +735,21 @@ def test_long_chain_verify_allocates_little(solved_run):
 
 def test_fine_solve_allocates_little(tmp_path):
     # The benchmark's fine.q1 solve, quartic beta = 1.0 at D = 12800 (58
-    # accepted and 6 rejected steps), and its fine.gv solve, graph_violating
-    # beta = 0.1, c = -0.5 (plateau_diverging after 100 steps).  While a
-    # candidate is evaluated or the plateau checked, the flow holds of the
-    # iterate only the profile and its report; an evaluation holds U = A W
-    # until the force overwrites it, and the averaging writes its window
-    # sums into its cell buffer.  So each solve peaks near 0.63 MB (CPython
-    # 3.11, numpy 2.4), in the averaging of U = A W.  With the step target
-    # kept between steps and the force in an array of its own it peaked near
-    # 0.84 MB, with a fresh array for the window sums and whole-array N and
-    # P near 0.94 MB, and with an iterate that kept its evaluation near
-    # 2.0 MB.  A D = 800 solve first loads every module and lazy numpy piece
-    # a solve uses, so that only the run is traced.
+    # accepted and 6 rejected steps), and its fine.gv and fine.tilt solves,
+    # graph_violating beta = 0.1, c = -0.5 and tilted beta = 0.1, eps = 0.1
+    # (plateau_diverging after 100 steps).  While a candidate is evaluated
+    # or the plateau checked, the flow holds of the iterate only the profile
+    # and its report; an evaluation holds U = A W until the force overwrites
+    # it, and the averaging writes its window sums into its cell buffer.
+    # The plateau check selects its median on the candidate array, so
+    # fine.tilt's 10 916 candidates are never Python floats (sorted as
+    # floats, they put its peak near 0.69 MB).  So each solve peaks near
+    # 0.63 MB (CPython 3.11, numpy 2.4), in the averaging of U = A W.  With
+    # the step target kept between steps and the force in an array of its
+    # own it peaked near 0.84 MB, with a fresh array for the window sums
+    # and whole-array N and P near 0.94 MB, and with an iterate that kept
+    # its evaluation near 2.0 MB.  A D = 800 solve first loads every module
+    # and lazy numpy piece a solve uses, so that only the run is traced.
     import tracemalloc
 
     def config(potential, D, name):
@@ -755,9 +758,11 @@ def test_fine_solve_allocates_little(tmp_path):
 
     quartic = {"family": "quartic", "params": {"beta": 1.0}}
     graph_violating = {"family": "graph_violating", "params": {"beta": 0.1, "c": -0.5}}
+    tilted = {"family": "tilted", "params": {"beta": 0.1, "eps": 0.1}}
     cli.run_solve(config(quartic, 800, "warm"))
     for potential, name, expected in ((quartic, "q1", ("front_converged", 58, 6)),
-                                      (graph_violating, "gv", ("plateau_diverging", 100, 0))):
+                                      (graph_violating, "gv", ("plateau_diverging", 100, 0)),
+                                      (tilted, "tilt", ("plateau_diverging", 100, 0))):
         tracemalloc.start()
         try:
             summary = cli.run_solve(config(potential, 12800, name))

@@ -7,9 +7,10 @@ law's block-by-block energy density against ``total_energy``, of
 ``verify_front``'s window-only reductions (the state runs, the crossing and
 the whole verification) against the whole chain, of the closed-form front
 speed against ``np.polyfit`` and rational arithmetic, of the plateau median
-against ``np.median``, of the tilted quartic against its closed form, of
-the scans' generated samples against ``np.linspace``, and of the blocked
-admissibility scans against the same scans on whole sample arrays.
+against ``np.median`` on random and structured inputs, of the tilted quartic
+against its closed form, of the scans' generated samples against
+``np.linspace``, and of the blocked admissibility scans against the same
+scans on whole sample arrays.
 
 A grid is aligned when half the unit window is K whole cells: L = m/4 with
 D = m K gives h = 1/(2K) for every integer m >= 8 (L >= 2) and K >= 1.
@@ -240,6 +241,86 @@ def test_median_equals_np_median(values):
         assert np.float64(_median(a)).tobytes() == np.median(a).tobytes()
 
 
+def _structured(n):
+    """Arrays of ``n`` entries ordered as profile samples can be, with
+    signed zeros mixed in; the constant one is all zeros."""
+    i = np.arange(n, dtype=float)
+    rise = i[: n // 2] - n // 7
+    arrays = {
+        "sorted": i - n // 3,
+        "reversed": n // 3 - i,
+        "constant": np.zeros(n),
+        "two_level": np.where(i % 3 == 0, -1.5, 2.5),
+        "sawtooth": i % 97 - 31,
+        "organ_pipe": np.concatenate((rise, rise[::-1], [0.0] * (n % 2))),
+    }
+    for a in arrays.values():
+        a[::89] = -0.0
+        a[44::89] = 0.0
+    return arrays
+
+
+@pytest.mark.parametrize("n", [10_916, 10_917])
+def test_median_selection_on_structured_inputs(n, monkeypatch):
+    # the selection is exact, and its pivot, the median of nine evenly
+    # spaced entries, halves what is left on each of these orders.  A pass
+    # counts its a < p mask and, when the wanted ranks lie at or above p,
+    # its a > p mask too; 2 log2(n) counts is about 27.  The middle entry
+    # as pivot makes 2796 counts on the organ pipe.
+    counts = 0
+    count_nonzero = np.count_nonzero
+
+    def counted(a):
+        nonlocal counts
+        counts += 1
+        return count_nonzero(a)
+
+    monkeypatch.setattr(phases.np, "count_nonzero", counted)
+    for name, a in _structured(n).items():
+        counts = 0
+        got = _median(a)
+        assert np.float64(got).tobytes() == np.median(a).tobytes(), name
+        assert counts <= 2 * np.log2(n), name
+
+
+def test_plateau_level_between_two_levels_is_no_plateau():
+    # two flat blocks of equal length at 0.3 and 0.6: the candidates' two
+    # middle entries are 0.3 and 0.6, so the level is 0.45, where no node
+    # lies
+    L, D = 20.0, 3200
+    v = np.full(D + 1, -1.0)
+    v[600:1400], v[1400:2200], v[2200:] = 0.3, 0.6, 1.0
+    w = GridProfile(L, D, v)
+    assert interior_plateau(w) is None
+    assert plateau_reference(w) is None
+
+
+def test_plateau_check_of_the_fine_tilted_profile_allocates_little():
+    # The first plateau check of the benchmark's fine.tilt solve, tilted
+    # beta = 0.1, eps = 0.1 at D = 12800: its 11 521 interior nodes give
+    # 10 916 candidates.  The check holds the interior values, the nodes it
+    # masks them with and a few arrays of their size, and peaks near 0.38 MB
+    # (CPython 3.11, numpy 2.4).  With the candidates sorted as Python
+    # floats it peaked near 0.55 MB, and with the distance to the states
+    # taken as the minimum of two distances near 0.45 MB.
+    import tracemalloc
+
+    from fpufronts.cli import flow_gamma
+
+    pot = TiltedPotential(0.1, 0.1)
+    w = minimize(SolverConfig(gamma=flow_gamma(pot)[0], D=12800, max_iters=50), pot).profile
+    expected = interior_plateau(w)
+    tracemalloc.start()
+    try:
+        found = interior_plateau(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == expected == plateau_reference(w)
+    assert found[1] >= 50
+    assert peak < 0.40e6
+
+
 diverging_flows = pytest.mark.parametrize(
     "pot", [GraphViolatingPotential(0.1, -0.5), TiltedPotential(0.1, 0.1)],
     ids=["graph_violating", "tilted"])
@@ -265,7 +346,8 @@ def test_diverging_flows_read_the_np_median_plateau(pot, monkeypatch):
 
 @diverging_flows
 def test_plateau_check_runs_no_numpy_sort(pot, monkeypatch):
-    # the plateau median sorts Python floats; the first numpy sort or
+    # the plateau median is selected by partitions of the candidate array
+    # with comparisons and boolean indexing; the first numpy sort or
     # partition of a process would fault in numpy's sort code
     readings = []
 
